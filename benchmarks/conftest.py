@@ -9,6 +9,8 @@ the same rows/series the paper reports, and archives the text under
 
 from __future__ import annotations
 
+import statistics
+import time
 from pathlib import Path
 
 import pytest
@@ -38,6 +40,28 @@ def run_once(benchmark, fn, *args, **kwargs):
     """Run an experiment exactly once under pytest-benchmark timing."""
     return benchmark.pedantic(fn, args=args, kwargs=kwargs,
                               rounds=1, iterations=1, warmup_rounds=0)
+
+
+def paired_ratio(n: int, reference, variant) -> float:
+    """Median over ``n`` pairs of ``variant()`` / ``reference()`` wall time.
+
+    Overhead guards compare two variants in one process, so machine
+    speed cancels out.  The two runs of a pair go back to back, in
+    alternating order, so both see the same host load, and the median
+    drops the pairs a burst of load hit on one side only.  On a busy
+    shared host the best-of-n time of each side does not cancel that
+    noise: one lucky fast reference run is enough to fail the check.
+    """
+    ratios = []
+    for i in range(n):
+        pair = [reference, variant] if i % 2 == 0 else [variant, reference]
+        seconds = {}
+        for fn in pair:
+            t0 = time.perf_counter()
+            fn()
+            seconds[fn] = time.perf_counter() - t0
+        ratios.append(seconds[variant] / seconds[reference])
+    return statistics.median(ratios)
 
 
 @pytest.fixture(scope="session", autouse=True)

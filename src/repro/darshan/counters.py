@@ -13,6 +13,8 @@ original I/O against 1.043 s of write time.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 import numpy as np
 
 #: modules we instrument, matching Darshan's names
@@ -118,6 +120,17 @@ def size_bucket_index(nbytes: np.ndarray) -> np.ndarray:
     edges = np.array(SIZE_BUCKETS[:-1], dtype=np.float64)
     return np.searchsorted(edges, np.asarray(nbytes, dtype=np.float64),
                            side="left")
+
+
+_EDGES = SIZE_BUCKETS[:-1]
+
+
+def size_bucket_of(nbytes: float) -> int:
+    """Bucket index of one access size; :func:`size_bucket_index` for a
+    plain float (NaN sorts last there, so it does here too)."""
+    if nbytes != nbytes:
+        return len(_EDGES)
+    return bisect_left(_EDGES, nbytes)
 
 
 def all_counter_names(module: str) -> list[str]:

@@ -30,6 +30,7 @@ from repro.darshan.counters import (
     TIME_FIELDS,
     WRITE_KINDS,
     size_bucket_index,
+    size_bucket_of,
 )
 from repro.darshan.log import DarshanLog, FileRecord, ModuleRecord
 from repro.trace.events import FS_LAYERS, EventBatch, IOEvent, make_event
@@ -40,6 +41,19 @@ _LEGACY_KIND = {"sync": "fsync"}
 
 #: record()-era api strings → spine layer tags
 _API_LAYER = {"STDIO": "stdio", "MPIIO": "mpiio"}
+
+#: fs event kind → (per-rank bytes counter, per-file op count column,
+#: per-file bytes column), None where the kind adds nothing.  The array
+#: fold and the scalar lane both route through this one table; a kind
+#: with a bytes counter also adds to the access-size histogram.
+_ROUTE = {
+    **dict.fromkeys(OP_TO_TIME, (None, None, None)),
+    **dict.fromkeys(WRITE_KINDS, ("BYTES_WRITTEN", "writes", "bytes_written")),
+    **dict.fromkeys(READ_KINDS, ("BYTES_READ", "reads", "bytes_read")),
+    "fsync": (None, "fsyncs", None),
+    "open": (None, "opens", None),
+    "create": (None, "opens", None),
+}
 
 
 class _ModuleCounters:
@@ -183,7 +197,7 @@ class DarshanMonitor:
     def register_files(self, inos: np.ndarray, paths: Sequence[str]) -> None:
         self._files.register_batch(np.asarray(inos), paths)
 
-    # -- the single folding entry point ---------------------------------------
+    # -- the folding entry points ---------------------------------------------
 
     #: spine event kinds this subscriber folds (everything fs-plane)
     kinds = frozenset(OP_TO_TIME)
@@ -234,14 +248,9 @@ class DarshanMonitor:
         time_field = OP_TO_TIME[kind]
         scatter_add(mod.times[time_field], ranks, duration)
 
-        if kind in WRITE_KINDS:
-            scatter_add(mod.bytes["BYTES_WRITTEN"], ranks, nbytes)
-            per_op = nbytes / np.maximum(ops_arr, 1.0)
-            buckets = size_bucket_index(per_op)
-            scatter_add2(mod.size_hist, ranks, buckets,
-                         ops_arr.astype(np.int64))
-        elif kind in READ_KINDS:
-            scatter_add(mod.bytes["BYTES_READ"], ranks, nbytes)
+        bytes_field = _ROUTE[kind][0]
+        if bytes_field is not None:
+            scatter_add(mod.bytes[bytes_field], ranks, nbytes)
             per_op = nbytes / np.maximum(ops_arr, 1.0)
             buckets = size_bucket_index(per_op)
             scatter_add2(mod.size_hist, ranks, buckets,
@@ -252,13 +261,56 @@ class DarshanMonitor:
             if kind == "close" and self.evict_on_close:
                 self._evict(inos)
 
+    def on_scalar(self, kind: str, layer: str, api: str, rank, nbytes,
+                  duration, start, n_ops, ino) -> None:
+        """Fold one single-rank event given as scalars (the bus's
+        scalar lane, :meth:`~repro.trace.bus.TraceBus.emit_scalar`).
+
+        Bit-identical to :meth:`on_event` on the one-element event with
+        the same fields: every counter cell gets the same float64 adds,
+        in the same order, as :meth:`_fold` and :meth:`_record_files`
+        make — only without building arrays to hold one value.
+        """
+        if self._finalized is not None or layer not in FS_LAYERS:
+            return
+        mod = self._modules.get(api)
+        if mod is None:
+            mod = self._modules["POSIX"]
+        if self._bin_of_rank is not None:
+            rank = int(self._bin_of_rank[rank])
+        nbytes = float(nbytes)
+        duration = float(duration)
+        n_ops = float(n_ops)
+        count_field = OP_TO_COUNT.get(kind)
+        if count_field is not None:
+            mod.counts[count_field][rank] += n_ops
+        mod.times[OP_TO_TIME[kind]][rank] += duration
+
+        bytes_field, ops_col, bytes_col = _ROUTE[kind]
+        if bytes_field is not None:
+            mod.bytes[bytes_field][rank] += nbytes
+            bucket = size_bucket_of(nbytes / max(n_ops, 1.0))
+            mod.size_hist[rank, bucket] += int(n_ops)
+
+        if ino is not None:
+            ino = int(ino)
+            ft = self._files
+            ft.ensure(ino)
+            if ops_col is not None:
+                getattr(ft, ops_col)[ino] += n_ops
+            if bytes_col is not None:
+                getattr(ft, bytes_col)[ino] += nbytes
+            ft.time[ino] += duration
+            if kind == "close" and self.evict_on_close:
+                self._evict_one(ino)
+
     def record(self, kind: str, ranks, nbytes, seconds, api: str,
                inos=None, n_ops=1) -> None:
         """Legacy entry point: wrap the arguments in a spine event.
 
         Pre-spine callers (and the Darshan unit tests) talk the old
         ``record()`` vocabulary; everything funnels through
-        :meth:`on_event` so there is exactly one folding code path.
+        :meth:`on_event`, the array folding path.
         """
         self.on_event(make_event(
             _LEGACY_KIND.get(kind, kind), ranks, nbytes=nbytes,
@@ -278,37 +330,34 @@ class DarshanMonitor:
         seconds = np.broadcast_to(seconds, shape)
         ops = np.broadcast_to(ops, shape)
         ft = self._files
-        if kind in WRITE_KINDS:
-            scatter_add(ft.writes, inos, ops)
-            scatter_add(ft.bytes_written, inos, nbytes)
-        elif kind in READ_KINDS:
-            scatter_add(ft.reads, inos, ops)
-            scatter_add(ft.bytes_read, inos, nbytes)
-        elif kind == "fsync":
-            scatter_add(ft.fsyncs, inos, ops)
-        elif kind in ("open", "create"):
-            scatter_add(ft.opens, inos, ops)
+        _, ops_col, bytes_col = _ROUTE[kind]
+        if ops_col is not None:
+            scatter_add(getattr(ft, ops_col), inos, ops)
+        if bytes_col is not None:
+            scatter_add(getattr(ft, bytes_col), inos, nbytes)
         scatter_add(ft.time, inos, seconds)
 
     def _evict(self, inos) -> None:
         """Fold live rows of just-closed files into frozen partials."""
-        ft = self._files
-        paths = ft.paths
         for ino in np.unique(
                 np.atleast_1d(np.asarray(inos, dtype=np.int64))).tolist():
-            rec = self._evicted.get(ino)
-            if rec is None:
-                rec = self._evicted[ino] = FileRecord(
-                    path=paths.get(ino, f"<ino {ino}>"))
-            rec.opens += float(ft.opens[ino])
-            rec.reads += float(ft.reads[ino])
-            rec.writes += float(ft.writes[ino])
-            rec.fsyncs += float(ft.fsyncs[ino])
-            rec.bytes_read += float(ft.bytes_read[ino])
-            rec.bytes_written += float(ft.bytes_written[ino])
-            rec.cumulative_time += float(ft.time[ino])
-            for f in _FileTable._FIELDS:
-                getattr(ft, f)[ino] = 0.0
+            self._evict_one(ino)
+
+    def _evict_one(self, ino: int) -> None:
+        ft = self._files
+        rec = self._evicted.get(ino)
+        if rec is None:
+            rec = self._evicted[ino] = FileRecord(
+                path=ft.paths.get(ino, f"<ino {ino}>"))
+        rec.opens += float(ft.opens[ino])
+        rec.reads += float(ft.reads[ino])
+        rec.writes += float(ft.writes[ino])
+        rec.fsyncs += float(ft.fsyncs[ino])
+        rec.bytes_read += float(ft.bytes_read[ino])
+        rec.bytes_written += float(ft.bytes_written[ino])
+        rec.cumulative_time += float(ft.time[ino])
+        for f in _FileTable._FIELDS:
+            getattr(ft, f)[ino] = 0.0
 
     # -- queries used while the job runs --------------------------------------
 

@@ -30,7 +30,12 @@ mechanisms (each with calibration constants in
     aggregator curve (Fig. 6): 0.59 GiB/s at one aggregator, a peak near
     400, and 3.87 GiB/s at 25600.
 
-Everything is vectorised: scalar or ndarray inputs broadcast.
+Everything is vectorised: scalar or ndarray inputs broadcast.  Calls
+whose inputs are all plain numbers (one POSIX op by one rank) take a
+scalar lane: the factors that depend only on concurrency, striping and
+the fault state are memoised per model, and the byte-dependent terms
+are computed on Python floats in the same operation order as the array
+path, so both lanes give the same bits.
 
 The virtual seconds computed here are the ``duration`` fields of the
 typed events :class:`~repro.fs.posix.PosixIO` emits on the
@@ -41,12 +46,17 @@ exports) agrees by construction.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.cluster.machine import StorageSystem, StorageTuning
 from repro.util.rng import RngRegistry
 
 ArrayLike = "float | np.ndarray"
+
+#: plain numbers; a call whose inputs are all of these takes the scalar lane
+_NUMBER = (int, float, np.integer, np.floating)
 
 
 class StoragePerfModel:
@@ -60,6 +70,9 @@ class StoragePerfModel:
         #: installed, its factors derate bandwidth / inflate MDS latency
         self.fault_state = None
         self._rng = (rng or RngRegistry()).get("perfmodel", system.name)
+        #: scalar-lane memo: (cost, concurrency, stripe count, fault
+        #: factor) -> the per-op factors of that phase context
+        self._memo: dict[tuple, object] = {}
         # "storage weather": one multiplicative factor for the whole run,
         # drawn at mount time — busy machines (Vega) swing run to run
         sigma = self.tuning.noise_sigma
@@ -91,6 +104,37 @@ class StoragePerfModel:
             # degraded/failed OSTs shrink the aggregate stream bandwidth
             derate *= max(self.fault_state.bw_factor, 1e-6)
         return derate
+
+    #: scalar-lane memo entries kept before the memo is cleared; a run
+    #: sees few phase contexts (the paper's figure points at most 3), so
+    #: the cap only bounds memory when the concurrency keeps changing
+    MEMO_SIZE = 256
+
+    def _remember(self, key: tuple, value):
+        memo = self._memo
+        if len(memo) >= self.MEMO_SIZE:
+            memo.clear()
+        memo[key] = value
+        return value
+
+    def _data_factors(self, concurrent: float,
+                      stripe_count: float) -> tuple[float, float]:
+        """(write queue factor, per-writer share) of one phase context.
+
+        Memoised per (concurrency, stripe count, bandwidth fault
+        factor) and computed by the array methods themselves, so the
+        scalar lane multiplies by exactly the floats they would.
+        """
+        fs = self.fault_state
+        key = ("data", concurrent, stripe_count,
+               None if fs is None else fs.bw_factor)
+        hit = self._memo.get(key)
+        if hit is None:
+            k = self.writers_per_ost(concurrent, stripe_count)
+            hit = self._remember(key, (
+                float(self.write_queue_factor(k)),
+                float(self.per_writer_share(concurrent, stripe_count))))
+        return hit
 
     # -- queue shapes -------------------------------------------------------
 
@@ -130,6 +174,16 @@ class StoragePerfModel:
     def metadata_op_cost(self, concurrent_clients: ArrayLike,
                          n_ops: ArrayLike = 1) -> np.ndarray:
         """Virtual seconds for n metadata ops under C concurrent clients."""
+        if isinstance(concurrent_clients, _NUMBER) and isinstance(
+                n_ops, _NUMBER):
+            fs = self.fault_state
+            key = ("md", concurrent_clients,
+                   None if fs is None else fs.mds_factor)
+            per_op = self._memo.get(key)
+            if per_op is None:  # a 0-d array takes the array path
+                per_op = self._remember(key, float(self.metadata_op_cost(
+                    np.asarray(concurrent_clients, dtype=np.float64), 1.0)))
+            return float(n_ops) * per_op
         t = self.tuning
         c = np.maximum(np.asarray(concurrent_clients, dtype=np.float64), 1.0)
         per_op = t.mds_latency + (c ** t.mds_gamma) / t.mds_rate
@@ -142,6 +196,16 @@ class StoragePerfModel:
                    stripe_count: ArrayLike = 1,
                    n_ops: ArrayLike = 1) -> np.ndarray:
         """Virtual seconds for n fsync calls (Darshan: metadata time)."""
+        if (isinstance(concurrent_writers, _NUMBER)
+                and isinstance(stripe_count, _NUMBER)
+                and isinstance(n_ops, _NUMBER)):
+            key = ("sync", concurrent_writers, stripe_count)
+            per_op = self._memo.get(key)
+            if per_op is None:  # a 0-d array takes the array path
+                per_op = self._remember(key, float(self.fsync_cost(
+                    np.asarray(concurrent_writers, dtype=np.float64),
+                    stripe_count, 1.0)))
+            return float(n_ops) * per_op
         k = self.writers_per_ost(concurrent_writers, stripe_count)
         per_op = self.tuning.sync_latency * self.sync_queue_factor(k)
         return np.asarray(n_ops, dtype=np.float64) * per_op
@@ -178,6 +242,20 @@ class StoragePerfModel:
         more, cheaper RPCs per call — the Fig. 9 trade-off.
         """
         t = self.tuning
+        if (isinstance(nbytes, _NUMBER)
+                and isinstance(concurrent_writers, _NUMBER)
+                and isinstance(stripe_count, _NUMBER)
+                and (stripe_size is None or isinstance(stripe_size, _NUMBER))
+                and isinstance(n_ops, _NUMBER)):
+            queue, share = self._data_factors(concurrent_writers,
+                                              stripe_count)
+            nbytes = float(nbytes)
+            rpc_size = float(t.rpc_max_size)
+            if stripe_size is not None:
+                rpc_size = min(float(stripe_size), rpc_size)
+            n_rpcs = max(float(math.ceil(nbytes / rpc_size)), 1.0)
+            latency = n_rpcs * t.write_rpc_latency * queue
+            return float(n_ops) * (latency + nbytes / share)
         nbytes = np.asarray(nbytes, dtype=np.float64)
         k = self.writers_per_ost(concurrent_writers, stripe_count)
         rpc_size = float(t.rpc_max_size) if stripe_size is None else np.minimum(
@@ -194,6 +272,17 @@ class StoragePerfModel:
                      n_ops: ArrayLike = 1) -> np.ndarray:
         """Virtual seconds spent inside n read() calls of nbytes each."""
         t = self.tuning
+        if (isinstance(nbytes, _NUMBER)
+                and isinstance(concurrent_readers, _NUMBER)
+                and isinstance(stripe_count, _NUMBER)
+                and isinstance(n_ops, _NUMBER)):
+            queue, share = self._data_factors(concurrent_readers,
+                                              stripe_count)
+            nbytes = float(nbytes)
+            n_rpcs = max(float(math.ceil(nbytes / float(t.rpc_max_size))),
+                         1.0)
+            latency = n_rpcs * t.read_rpc_latency * queue
+            return float(n_ops) * (latency + nbytes / share)
         nbytes = np.asarray(nbytes, dtype=np.float64)
         k = self.writers_per_ost(concurrent_readers, stripe_count)
         n_rpcs = np.maximum(np.ceil(nbytes / float(t.rpc_max_size)), 1.0)

@@ -39,6 +39,9 @@ _KIND_ALIAS = {"sync": "fsync"}
 #: api string → spine layer tag (everything else is the POSIX boundary)
 _API_LAYER = {"STDIO": "stdio", "MPIIO": "mpiio"}
 
+#: a single rank: single-op calls with one of these take the scalar lane
+_RANK = (int, np.integer)
+
 #: metadata-op weights (an exclusive create touches the MDS more than a stat)
 MD_OPS = {
     "open": 1.0,
@@ -121,6 +124,9 @@ class PosixIO:
     def _charge(self, ranks: int | np.ndarray, seconds: float | np.ndarray) -> None:
         if self.comm is None:
             return
+        if isinstance(ranks, _RANK) and isinstance(seconds, float):
+            self.comm.clocks[ranks] += seconds  # the scalar lane
+            return
         # a rank may appear twice (post-failover an aggregator owns
         # several subfiles); scatter_add falls back to the unbuffered
         # ufunc there so duplicates are not dropped
@@ -131,10 +137,22 @@ class PosixIO:
         """Emit one typed event for an operation already charged to the
         clocks (so ``clock - duration`` is the op's start time).  An
         explicit ``start`` overrides that inference — used for writes
-        scheduled in the future (the async subfile drain)."""
+        scheduled in the future (the async subfile drain).
+
+        A scalar ``ranks`` (one rank, every other field a scalar too)
+        takes the bus's scalar lane; rank arrays take the array path.
+        Both give subscribers the same bits.
+        """
         kind = _KIND_ALIAS.get(kind, kind)
         bus = self.trace
         if not bus.wants(kind):
+            return
+        if isinstance(ranks, _RANK):
+            if start is None and self.comm is not None:
+                start = float(self.comm.clocks[ranks]) - seconds
+            bus.emit_scalar(kind, ranks, nbytes=nbytes, duration=seconds,
+                            start=start, n_ops=n_ops, api=api,
+                            layer=_API_LAYER.get(api, "posix"), ino=inos)
             return
         if start is None and self.comm is not None:
             ranks = np.atleast_1d(np.asarray(ranks))

@@ -38,7 +38,13 @@ class TraceBus:
     - ``register_file(ino, path)`` / ``register_files(inos, paths)``:
       called when producers name the files behind inode numbers, so
       path-keyed subscribers (Darshan file table, DXT) can label
-      records.
+      records;
+    - ``on_batch(batch)``: folds a whole :class:`EventBatch` (see
+      :meth:`emit_batch`);
+    - ``on_scalar(kind, layer, api, rank, nbytes, duration, start, n_ops,
+      ino)``: folds one single-rank event given as plain scalars (see
+      :meth:`emit_scalar`).  Subscribers that need the event's scope,
+      step or sequence id leave it out and receive an :class:`IOEvent`.
 
     Legacy objects exposing only a Darshan-style ``record(...)`` method
     can be attached through
@@ -118,14 +124,14 @@ class TraceBus:
         """Precompute dispatch pairs and the union of interests."""
         self._dispatch = [
             (sub.on_event, getattr(sub, "kinds", None),
-             getattr(sub, "on_batch", None))
+             getattr(sub, "on_batch", None), getattr(sub, "on_scalar", None))
             for sub in self._subs
         ]
-        if any(kinds is None for _, kinds, _ in self._dispatch):
+        if any(kinds is None for _, kinds, _, _ in self._dispatch):
             self._wanted = None  # someone wants everything
         else:
             union: set[str] = set()
-            for _, kinds, _ in self._dispatch:
+            for _, kinds, _, _ in self._dispatch:
                 union |= set(kinds)
             self._wanted = frozenset(union)
 
@@ -257,10 +263,45 @@ class TraceBus:
             n_ops=n_ops, api=api, layer=layer, inos=inos,
             scope=self.current_scope, step=self._step, seq=self._seq)
         self._seq += 1
-        for on_event, kinds, _ in self._dispatch:
+        for on_event, kinds, _, _ in self._dispatch:
             if kinds is None or kind in kinds:
                 on_event(event)
         return event
+
+    def emit_scalar(self, kind: str, rank, *, nbytes=0, duration=0.0,
+                    start=None, n_ops=1, api: str = "POSIX",
+                    layer: str = "posix", ino=None) -> None:
+        """Dispatch one single-rank event whose fields are all scalars.
+
+        The scalar lane of :meth:`emit`: ``emit(kind, [rank], ...)``
+        with the same scalars (``ino`` a single inode or None) gives
+        every subscriber the same fold and takes the same sequence id.
+        Subscribers with an ``on_scalar`` hook get the scalars as they
+        are; everyone else gets the :class:`IOEvent` :meth:`emit` would
+        build, built only if one of them wants the kind.
+        """
+        if kind not in EVENT_KINDS:  # typos raise, wanted or not
+            raise ValueError(f"unknown trace event kind {kind!r}")
+        wanted = self._wanted
+        if wanted is not None and kind not in wanted:
+            return
+        seq = self._seq
+        self._seq = seq + 1
+        event = None
+        for on_event, kinds, _, on_scalar in self._dispatch:
+            if kinds is not None and kind not in kinds:
+                continue
+            if on_scalar is not None:
+                on_scalar(kind, layer, api, rank, nbytes, duration, start,
+                          n_ops, ino)
+                continue
+            if event is None:
+                event = make_event(
+                    kind, rank, nbytes=nbytes, duration=duration,
+                    start=start, n_ops=n_ops, api=api, layer=layer,
+                    inos=ino, scope=self.current_scope, step=self._step,
+                    seq=seq)
+            on_event(event)
 
     def emit_batch(self, kinds, ranks, *, nbytes, duration, start=None,
                    n_ops=None, api: str = "POSIX", layer: str = "posix",
@@ -294,7 +335,7 @@ class TraceBus:
             rows=rows)
         self._seq += len(batch)
         events: list[IOEvent] | None = None
-        for on_event, sub_kinds, on_batch in self._dispatch:
+        for on_event, sub_kinds, on_batch, _ in self._dispatch:
             if sub_kinds is None:
                 keep = None
             else:

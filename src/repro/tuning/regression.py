@@ -16,11 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.experiments.sweep import (
-    invalidate_fingerprint,
-    source_fingerprint,
-    sweep_batch,
-)
 from repro.tuning.search import OBJECTIVES
 from repro.tuning.space import Candidate
 
@@ -102,6 +97,13 @@ def revalidate(recommendations: list[Recommendation],
     unchanged fingerprint every delta is exactly zero and everything
     resolves from cache).
     """
+    # imported here, not at module level: see repro.tuning.search
+    from repro.experiments.sweep import (
+        invalidate_fingerprint,
+        source_fingerprint,
+        sweep_batch,
+    )
+
     if point_fn is None:
         from repro.experiments.points import tuning_report
         point_fn = tuning_report

@@ -30,8 +30,12 @@ import logging
 import math
 from dataclasses import dataclass, field
 
-from repro.experiments.sweep import sweep_batch
 from repro.tuning.space import Candidate, TuningSpace
+
+# repro.experiments.sweep is imported where it is used, here and in
+# regression.py: importing it runs the repro.experiments package init,
+# whose tuning driver imports this package, so a module-level import
+# made ``import repro.tuning`` circular
 
 log = logging.getLogger("repro.tuning")
 
@@ -124,6 +128,8 @@ class _Prober:
         pending = [c for c in candidates
                    if (c, fidelity) not in self._seen]
         if pending:
+            from repro.experiments.sweep import sweep_batch
+
             cfg = shrink_config(self.config, fidelity)
             points = [c.params(self.machine, self.nodes, cfg,
                                self.compute, self.seed) for c in pending]

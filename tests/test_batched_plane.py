@@ -19,15 +19,22 @@ from repro.faults import (
     InjectedIOError,
     MDSSlowdown,
     OSTFault,
+    RetryPolicy,
     TransientError,
     install_faults,
+    uninstall_faults,
 )
+from repro.faults.injector import FaultState
 from repro.fs import PosixIO, SyntheticPayload, mount
+from repro.fs.perfmodel import StoragePerfModel
 from repro.mpi import VirtualComm
+from repro.mpi.comm import BlockNodeMap
 from repro.pic.deposit import deposit_density
 from repro.pic.grid import Grid1D
 from repro.pic.species import ParticleArrays
-from repro.trace.events import make_batch
+from repro.trace.bus import TraceBus
+from repro.trace.events import EVENT_KINDS, make_batch, make_event
+from repro.trace.subscribers import EventRecorder
 from repro.util.scatter import scatter_add, scatter_add2, scatter_max
 
 finite = st.floats(-1e9, 1e9, allow_nan=False, width=64)
@@ -295,6 +302,107 @@ def event_batch(draw):
                       inos=inos, seq0=0)
 
 
+#: every kind Darshan folds that the spine can carry (the legacy "sync"
+#: alias is renamed to "fsync" before it reaches an event)
+_FOLD_KINDS = sorted(DarshanMonitor.kinds & EVENT_KINDS)
+
+
+@st.composite
+def rank_events(draw):
+    """(monitor factory, events): multi-rank fs events, ranks possibly
+    repeated, over eight files that several ranks may share."""
+    nprocs = draw(st.integers(1, 8))
+    node_map = draw(st.sampled_from([None, "array", "lazy"]))
+    per_node = draw(st.integers(1, 4))
+    evict = draw(st.booleans())
+
+    def monitor():
+        if node_map is None:
+            mon = DarshanMonitor(nprocs, evict_on_close=evict)
+        else:
+            nmap = (BlockNodeMap(nprocs, per_node) if node_map == "lazy"
+                    else np.arange(nprocs) // per_node)
+            mon = DarshanMonitor(nprocs, granularity="node",
+                                 node_of_rank=nmap, evict_on_close=evict)
+        for ino in range(8):
+            mon.register_file(ino, f"/file{ino}")
+        return mon
+
+    events = []
+    for seq in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(_FOLD_KINDS))
+        api = draw(st.sampled_from(["POSIX", "STDIO"]))
+        k = draw(st.integers(1, 6))
+        ranks = draw(st.lists(st.integers(0, nprocs - 1), min_size=k,
+                              max_size=k))
+        files = draw(st.sampled_from(["none", "shared", "per_rank"]))
+        if files == "none":
+            inos = None
+        elif kind == "close" and evict:
+            # eviction runs once per close event, so a file closed by
+            # several ranks in one event adds its live time to the
+            # evicted partial in one sum where per-rank closes add it
+            # rank by rank; the floats associate differently.  Each
+            # rank closes its own file here, as close_group does.
+            inos = draw(st.lists(st.integers(0, 7), min_size=k,
+                                 max_size=k, unique=True))
+        elif files == "shared":
+            inos = [draw(st.integers(0, 7))]
+        else:
+            inos = draw(st.lists(st.integers(0, 2), min_size=k,
+                                 max_size=k))
+        column = (lambda strategy: np.asarray(
+            draw(st.lists(strategy, min_size=k, max_size=k)),
+            dtype=np.float64))
+        events.append(make_event(
+            kind, np.asarray(ranks),
+            nbytes=column(st.integers(0, 1 << 24)),
+            duration=column(st.floats(1e-9, 10.0, allow_nan=False)),
+            start=column(st.floats(0.0, 1e3, allow_nan=False)),
+            n_ops=column(st.integers(1, 9)), api=api,
+            layer="stdio" if api == "STDIO" else "posix",
+            inos=None if inos is None else np.asarray(inos), seq=seq))
+    return monitor, events
+
+
+def _single_rank_fields(event):
+    """The event's per-rank single-rank events, in rank order, as the
+    scalars the scalar lane carries."""
+    for i in range(event.size):
+        ino = None
+        if event.inos is not None:
+            ino = int(event.inos[0 if event.inos.size == 1 else i])
+        yield (int(event.ranks[i]), float(event.nbytes[i]),
+               float(event.duration[i]), float(event.start[i]),
+               float(event.n_ops[i]), ino)
+
+
+def _assert_logs_identical(log_a, log_b):
+    assert log_a.modules.keys() == log_b.modules.keys()
+    for name, mod_a in log_a.modules.items():
+        mod_b = log_b.modules[name]
+        assert mod_a.counters.keys() == mod_b.counters.keys()
+        for counter, values in mod_a.counters.items():
+            other = mod_b.counters[counter]
+            assert values.dtype == other.dtype, (name, counter)
+            assert values.tobytes() == other.tobytes(), (name, counter)
+    assert log_a.files == log_b.files
+
+
+def _assert_events_identical(events_a, events_b):
+    assert len(events_a) == len(events_b)
+    for a, b in zip(events_a, events_b):
+        for f in ("kind", "layer", "api", "scope", "step", "seq"):
+            assert getattr(a, f) == getattr(b, f), (a, f)
+        for f in ("ranks", "nbytes", "duration", "start", "n_ops", "inos"):
+            x, y = getattr(a, f), getattr(b, f)
+            if x is None or y is None:
+                assert x is None and y is None, (a, f)
+                continue
+            assert (x.dtype, x.shape) == (y.dtype, y.shape), (a, f)
+            assert x.tobytes() == y.tobytes(), (a, f)
+
+
 class TestBatchedTraceFold:
     @given(event_batch())
     @settings(max_examples=60, deadline=None)
@@ -326,3 +434,210 @@ class TestBatchedTraceFold:
             assert event.seq == batch.seq0 + i
             assert np.array_equal(event.nbytes, batch.nbytes[i])
             assert np.array_equal(event.duration, batch.duration[i])
+
+    @given(rank_events())
+    @settings(max_examples=80, deadline=None)
+    def test_multi_rank_event_equals_its_single_rank_events(self, case):
+        """The array fold of a multi-rank event is bit-identical to the
+        scalar fold of its single-rank events in rank order."""
+        monitor, events = case
+        mon_array, mon_scalar = monitor(), monitor()
+        for event in events:
+            mon_array.on_event(event)
+            for rank, nbytes, dur, start, n_ops, ino in \
+                    _single_rank_fields(event):
+                mon_scalar.on_scalar(event.kind, event.layer, event.api,
+                                     rank, nbytes, dur, start, n_ops, ino)
+        # evict_on_close sheds the same live rows at the same closes
+        assert mon_array._evicted == mon_scalar._evicted
+        _assert_logs_identical(mon_array.finalize(), mon_scalar.finalize())
+
+    @given(rank_events())
+    @settings(max_examples=40, deadline=None)
+    def test_emit_scalar_matches_emit_of_one_rank(self, case):
+        """Through the bus: subscribers with and without ``on_scalar``
+        see the same folds and the same events on both lanes."""
+        monitor, events = case
+        buses = []
+        for _ in range(2):
+            bus = TraceBus()
+            mon = bus.subscribe(monitor())
+            rec = bus.subscribe(EventRecorder())
+            buses.append((bus, mon, rec))
+        (array_bus, mon_a, rec_a), (lane_bus, mon_s, rec_s) = buses
+        for event in events:
+            for rank, nbytes, dur, start, n_ops, ino in \
+                    _single_rank_fields(event):
+                common = dict(nbytes=nbytes, duration=dur, start=start,
+                              n_ops=n_ops, api=event.api, layer=event.layer)
+                array_bus.emit(event.kind, np.array([rank]), **common,
+                               inos=None if ino is None else [ino])
+                lane_bus.emit_scalar(event.kind, rank, **common, ino=ino)
+        _assert_events_identical(rec_a.events, rec_s.events)
+        _assert_logs_identical(mon_a.finalize(), mon_s.finalize())
+
+
+class _ArrayPathPerf(StoragePerfModel):
+    """Sends every single-op cost down the array path: a 0-d array
+    input never takes the scalar lane, so its memo is bypassed."""
+
+    def metadata_op_cost(self, concurrent_clients, n_ops=1):
+        return super().metadata_op_cost(
+            np.asarray(concurrent_clients, dtype=np.float64), n_ops)
+
+    def fsync_cost(self, concurrent_writers, stripe_count=1, n_ops=1):
+        return super().fsync_cost(
+            np.asarray(concurrent_writers, dtype=np.float64), stripe_count,
+            n_ops)
+
+    def write_op_cost(self, nbytes, *args, **kwargs):
+        return super().write_op_cost(
+            np.asarray(nbytes, dtype=np.float64), *args, **kwargs)
+
+    def read_op_cost(self, nbytes, *args, **kwargs):
+        return super().read_op_cost(
+            np.asarray(nbytes, dtype=np.float64), *args, **kwargs)
+
+
+def _every_single_op(posix, fs, rank):
+    """Each single-rank PosixIO op, with a fault plan installed and then
+    removed mid-sequence; ``rank(r)`` gives the rank argument."""
+    r0, r1 = rank(0), rank(3)
+    posix.mkdir(r0, "/d")
+    fd_a = posix.open(r0, "/d/a", create=True)
+    fd_b = posix.open(r1, "/d/b", create=True)
+    posix.write(r0, fd_a, b"x" * 5000)
+    n_osts = fs.system.num_osts
+    ost = int(fs.vfs.cols.ost_start[fs.vfs.lookup("/d/a")])
+    plan = FaultPlan((OSTFault(ost, 1, 1),
+                      OSTFault((ost + 1) % n_osts, 1, 2, bw_factor=0.5),
+                      MDSSlowdown(1, 2, factor=4.0),
+                      TransientError("read", step=1)))
+    injector = install_faults(posix, plan, RetryPolicy(seed=0))
+    injector.begin_step(1)  # outage, slow OST, slow MDS
+    # hits the dead OST: fault, retry, failover, then the chunked write
+    posix.write(r0, fd_a, b"y" * 3000, chunk_size=1024, sync_each_chunk=True)
+    fd_c = posix.open(r1, "/d/a")
+    posix.stat(r1, "/d/a")
+    posix.read(r1, fd_c, 4000, offset=0)  # a transient EIO, retried
+    posix.read_scheduled(r0, fd_a, 2048, start_at=1.5)
+    posix.read_synthetic(r1, fd_c, 8 << 20)
+    posix.write_scheduled(r1, fd_b, SyntheticPayload(1 << 20), start_at=2.0,
+                          chunk_size=1 << 19, sync_each_chunk=True)
+    injector.begin_step(2)  # outage over; slow OST and MDS remain
+    posix.fsync(r0, fd_a)
+    posix.write(r1, fd_b, SyntheticPayload(3 << 20))
+    posix.read(r0, fd_a, 100, offset=10)
+    uninstall_faults(posix)
+    posix.fsync(r1, fd_b)
+    posix.read_synthetic(r0, fd_a, 4096)
+    posix.write(r0, fd_a, b"z" * 10, api="STDIO")
+    for r, fd in ((r0, fd_a), (r1, fd_b), (r1, fd_c)):
+        posix.close(r, fd)
+    posix.unlink(r0, "/d/b")
+
+
+class TestScalarLane:
+    """Single-rank ops through posix, perf model, bus and Darshan give
+    the same bits as the array path they bypass."""
+
+    @pytest.mark.parametrize("granularity", ["rank", "node"])
+    @pytest.mark.parametrize("evict", [False, True])
+    def test_posix_ops_match_one_element_rank_arrays(self, granularity,
+                                                     evict):
+        runs = []
+        for rank, reference in ((lambda r: r, False),
+                                (lambda r: np.array([r]), True)):
+            fs = mount(dardel().storage_named("lfs"))
+            if reference:  # same model state, costs via the array path
+                fs.perf.__class__ = _ArrayPathPerf
+            comm = VirtualComm(4, 2)
+            mon = DarshanMonitor(4, granularity=granularity,
+                                 node_of_rank=comm.node_of_rank,
+                                 evict_on_close=evict)
+            posix = PosixIO(fs, comm, mon)
+            rec = posix.trace.subscribe(EventRecorder())
+            _every_single_op(posix, fs, rank)
+            runs.append((comm.clocks, rec.events, mon.finalize()))
+        (clocks_s, events_s, log_s), (clocks_a, events_a, log_a) = runs
+        assert clocks_s.tobytes() == clocks_a.tobytes()
+        kinds = {e.kind for e in events_s}
+        assert {"mkdir", "create", "open", "stat", "read", "write", "fsync",
+                "close", "unlink", "fault", "retry", "failover"} <= kinds
+        _assert_events_identical(events_s, events_a)
+        _assert_logs_identical(log_s, log_a)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_costs_match_array_path_as_fault_state_changes(self, data):
+        """The memo never serves a factor from another fault state."""
+        perf = mount(dardel().storage_named("lfs")).perf
+        array = (lambda x: np.asarray(x, dtype=np.float64))
+        for _ in range(data.draw(st.integers(1, 10))):
+            perf.fault_state = data.draw(st.one_of(st.none(), st.builds(
+                FaultState, bw_factor=st.floats(0.0, 1.0),
+                mds_factor=st.floats(1.0, 20.0))))
+            nbytes = data.draw(st.integers(0, 1 << 34))
+            # few phase contexts, so the memo is hit across fault states
+            clients = data.draw(st.sampled_from([1, 16, 256, 25600, 2.5]))
+            stripes = data.draw(st.sampled_from([1, 4, 48]))
+            stripe_size = data.draw(st.sampled_from(
+                [None, 1 << 16, 1 << 20, 16 << 20]))
+            n_ops = data.draw(st.sampled_from([1, 3, 2.0, 1024]))
+            pairs = [
+                (perf.read_op_cost(nbytes, clients, stripes, n_ops),
+                 perf.read_op_cost(array(nbytes), clients, stripes, n_ops)),
+                (perf.write_op_cost(nbytes, clients, stripes, stripe_size,
+                                    n_ops),
+                 perf.write_op_cost(array(nbytes), clients, stripes,
+                                    stripe_size, n_ops)),
+                (perf.fsync_cost(clients, stripes, n_ops),
+                 perf.fsync_cost(array(clients), stripes, n_ops)),
+                (perf.metadata_op_cost(clients, n_ops),
+                 perf.metadata_op_cost(array(clients), n_ops)),
+            ]
+            for lane, reference in pairs:
+                assert type(lane) is float
+                assert lane.hex() == float(reference).hex()
+
+    @pytest.mark.parametrize("fault", [None, (0.37, 3.0)])
+    def test_byte_terms_match_array_path_elementwise(self, fault):
+        """Many sizes per phase context against one array-path call: an
+        operation-order change in the byte terms shifts some of them."""
+        perf = mount(dardel().storage_named("lfs")).perf
+        if fault is not None:
+            perf.fault_state = FaultState(bw_factor=fault[0],
+                                          mds_factor=fault[1])
+        rng = np.random.default_rng(0)
+        sizes = np.unique(np.exp2(rng.uniform(0.0, 36.0, 4000)).astype(
+            np.int64))
+        for clients in (1, 16, 25600):
+            for stripe_size in (None, 1 << 16, 16 << 20):
+                for n_ops in (1, 7):
+                    reads = perf.read_op_cost(sizes, clients, 4, n_ops)
+                    writes = perf.write_op_cost(sizes, clients, 4,
+                                                stripe_size, n_ops)
+                    for i, n in enumerate(sizes.tolist()):
+                        assert perf.read_op_cost(n, clients, 4, n_ops) \
+                            == reads[i], (n, clients)
+                        assert perf.write_op_cost(n, clients, 4, stripe_size,
+                                                  n_ops) == writes[i], \
+                            (n, clients, stripe_size)
+
+    def test_memo_is_bounded(self):
+        perf = mount(dardel().storage_named("lfs")).perf
+        for clients in range(1, 3 * perf.MEMO_SIZE):
+            perf.read_op_cost(1 << 20, clients)
+            perf.metadata_op_cost(clients)
+            assert len(perf._memo) <= perf.MEMO_SIZE
+
+    @pytest.mark.parametrize("subscriber", [None, "darshan", "recorder"])
+    def test_unknown_kind_raises(self, subscriber):
+        bus = TraceBus()
+        if subscriber == "darshan":
+            bus.subscribe(DarshanMonitor(2))
+        elif subscriber == "recorder":
+            bus.subscribe(EventRecorder())
+        with pytest.raises(ValueError, match="unknown trace event kind"):
+            bus.emit_scalar("bogus", 0, nbytes=1, duration=1.0)
+        assert bus.seq == 0

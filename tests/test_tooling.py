@@ -2,6 +2,7 @@
 CLI entry points, BP5 buffering."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -84,6 +85,41 @@ class TestBP5Buffering:
         assert len(s5) == len(s4) + 2
         data4, data5 = s4[-2:], s5[-2:]
         assert np.allclose(data4, data5, rtol=0.01)
+
+
+#: imports each named module with no ``repro`` module loaded before it
+_IMPORT_ALONE = """
+import importlib, sys
+failed = []
+for name in sys.argv[1:]:
+    for mod in [m for m in sys.modules if m.split(".")[0] == "repro"]:
+        del sys.modules[mod]
+    try:
+        importlib.import_module(name)
+    except Exception as exc:
+        failed.append(f"{name}: {exc!r}")
+print("\\n".join(failed))
+sys.exit(1 if failed else 0)
+"""
+
+
+class TestPackageImports:
+    def test_each_package_imports_on_its_own(self):
+        """An import cycle only shows when its package is imported first,
+        so each ``repro.*`` package is imported with no other ``repro``
+        module loaded (one fresh interpreter; the modules are dropped
+        from ``sys.modules`` between packages)."""
+        import repro
+
+        root = Path(repro.__file__).parent
+        packages = sorted(f"repro.{p.parent.name}"
+                          for p in root.glob("*/__init__.py"))
+        assert "repro.tuning" in packages
+        env = {**os.environ, "PYTHONPATH": str(root.parent)}
+        out = subprocess.run([sys.executable, "-c", _IMPORT_ALONE,
+                              *packages], capture_output=True, text=True,
+                             env=env, timeout=240)
+        assert out.returncode == 0, out.stdout + out.stderr
 
 
 class TestCLIs:
