@@ -6,7 +6,8 @@ extracting the throughput and amount of data stored by each file on the
 file system using Darshan 3.4.2 logs" (§III-D).  This example walks the
 complete workflow:
 
-1. run a BIT1 job with Darshan attached (plus DXT extended tracing);
+1. run a BIT1 job with Darshan attached (plus DXT extended tracing, a
+   second subscriber on the same event bus);
 2. finalize and save the log (gzip-JSON, like Darshan's per-job files);
 3. reload it and extract the paper's metrics — write throughput
    (agg_perf_by_slowest), per-process cost split, per-file census;
@@ -28,7 +29,7 @@ from repro import (
     small_use_case,
     write_throughput_gib,
 )
-from repro.darshan import DarshanLog, TracingMonitor, render_totals
+from repro.darshan import DarshanLog, DXTRecorder, render_totals
 from repro.darshan.parser import render_file_records
 from repro.io_adaptor import Bit1OpenPMDWriter, OriginalIOWriter
 
@@ -41,8 +42,8 @@ def main() -> None:
     fs = mount(machine.default_storage)
     comm = VirtualComm(8, ranks_per_node=4)
     monitor = DarshanMonitor(comm.size, jobid=4242, exe="bit1")
-    tracer = TracingMonitor(monitor, comm)     # DXT on top of the counters
-    posix = PosixIO(fs, comm, tracer)
+    posix = PosixIO(fs, comm, monitor)
+    dxt = posix.trace.subscribe(DXTRecorder())  # DXT beside the counters
 
     sim = Bit1Simulation(config, comm, writers=[
         OriginalIOWriter(posix, comm, "/scratch/orig"),
@@ -77,16 +78,16 @@ def main() -> None:
     print(render_file_records(loaded, limit=5))
 
     print("\n--- DXT trace (first segments) ---")
-    print("\n".join(tracer.dxt.render(limit=5).splitlines()))
+    print(dxt.render(limit=5))
 
     # -- 5. the timeline DXT enables ----------------------------------------------
-    hist = tracer.dxt.timeline_histogram(bins=10)
+    hist = dxt.timeline_histogram(bins=10)
     peak = hist.max() or 1.0
     print("\nI/O timeline (bytes per virtual-time bin):")
     for i, v in enumerate(hist):
         bar = "#" * int(40 * v / peak)
         print(f"  bin {i:2d} | {bar} {v:.0f}")
-    busiest = tracer.dxt.busiest_files(3)
+    busiest = dxt.busiest_files(3)
     print("\nbusiest files:")
     for path, nbytes in busiest:
         print(f"  {nbytes:>10.0f} B  {path}")

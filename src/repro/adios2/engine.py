@@ -562,10 +562,9 @@ class BPEngineBase:
         wait = np.maximum(self._drain_until[act] - entry, 0.0)
         stalled = wait > 0
         if stalled.any():
-            scatter_add(clocks, own[stalled], wait[stalled])
             scatter_add(self.drain_wait_seconds, own[stalled], wait[stalled])
-            self._emit("drain_wait", own[stalled],
-                       np.zeros(int(stalled.sum())), wait[stalled])
+            self.posix.charge(own[stalled], wait[stalled], "drain_wait",
+                              api="ENGINE", layer="engine")
 
         begin = clocks[own].copy()
         starts = begin.copy()
@@ -630,14 +629,20 @@ class BPEngineBase:
         wait = np.maximum(target[ranks] - clocks[ranks], 0.0)
         stalled = wait > 0
         if stalled.any():
-            clocks[ranks[stalled]] += wait[stalled]
             self.drain_wait_seconds[ranks[stalled]] += wait[stalled]
-            self._emit("drain_wait", ranks[stalled],
-                       np.zeros(int(stalled.sum())), wait[stalled])
+            self.posix.charge(ranks[stalled], wait[stalled], "drain_wait",
+                              api="ENGINE", layer="engine")
         self._drain_until[:] = 0.0
 
     def _emit(self, kind: str, ranks: np.ndarray, nbytes, seconds) -> None:
-        """Emit one engine-plane event (clocks already charged)."""
+        """Emit one engine-plane event (clocks already charged).
+
+        The stage and shuffle legs charge whole rank ranges with one
+        slice add (``clocks[lo:hi] += s``); routing them through
+        :meth:`~repro.fs.posix.PosixIO.charge` would add a scatter
+        (an index scan per call) on the million-rank path, so they
+        charge inline and only stamp their events here.
+        """
         bus = self.posix.trace
         if bus.wants(kind):
             bus.emit(kind, ranks, nbytes=nbytes, duration=seconds,
@@ -770,7 +775,7 @@ class BPEngineBase:
     def _open_for_read(self) -> None:
         self._data_fds = np.zeros(0, dtype=np.int64)
         md_fd = self.posix.open(0, f"{self.path}/md.0")
-        size = self.posix.fs.vfs.size_of(self.posix._fds[md_fd].ino)
+        size = self.posix.fs.vfs.size_of(self.posix.ino_of(md_fd))
         blob = self.posix.read(0, md_fd, size)
         self.posix.close(0, md_fd)
         for line in blob.decode(errors="ignore").splitlines():
@@ -835,9 +840,8 @@ class BPEngineBase:
                 step=e.step_key, expected=e.checksum,
                 actual=zlib.crc32(raw))
         cost = float(self.posix.fs.perf.read_op_cost(e.stored_nbytes))
-        self.posix._charge(rank, cost)
-        self.posix._notify("read", rank, e.stored_nbytes, cost, "POSIX",
-                           inos=ino)
+        self.posix.charge(rank, cost, "read", nbytes=e.stored_nbytes,
+                          inos=ino)
         if e.compressed:
             codec = self.compressor or get_compressor("blosc")
             raw = codec.decompress_bytes(raw)
@@ -877,7 +881,7 @@ class BPEngineBase:
             bus.emit("failover", ranks,
                      start=self.comm.clocks[ranks],
                      api="AGG", layer="faults",
-                     inos=self.posix._fd_ino[self._data_fds[changed]])
+                     inos=self.posix.ino_of(self._data_fds[changed]))
         self.plan = new_plan
 
     def abandon(self) -> None:

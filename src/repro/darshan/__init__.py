@@ -1,7 +1,7 @@
 """Darshan-like I/O monitoring: runtime counters, logs, parser, reports."""
 
 from repro.darshan.counters import MODULES, all_counter_names
-from repro.darshan.dxt import DXTRecorder, Segment, TracingMonitor
+from repro.darshan.dxt import DXTRecorder, Segment
 from repro.darshan.log import DarshanLog, FileRecord, ModuleRecord
 from repro.darshan.parser import parse_totals, render, render_totals
 from repro.darshan.report import (
@@ -27,7 +27,6 @@ __all__ = [
     "FileStats",
     "ModuleRecord",
     "Segment",
-    "TracingMonitor",
     "agg_perf_by_slowest",
     "all_counter_names",
     "avg_seconds_per_write",

@@ -71,11 +71,10 @@ SIZE_BUCKET_NAMES = (
     "SIZE_1G_PLUS",
 )
 
-#: event kind (from the repro.trace spine) → count field.  The legacy
-#: "sync" alias is kept for pre-spine callers of ``record()``; on the
-#: wire the spine emits "fsync".  The engine-plane write kinds
-#: (collective_write / meta_append) are WRITES at the POSIX boundary —
-#: Darshan cannot tell an aggregator flush from any other write().
+#: event kind (from the repro.trace spine) → count field.  The
+#: engine-plane write kinds (collective_write / meta_append) are WRITES
+#: at the POSIX boundary — Darshan cannot tell an aggregator flush from
+#: any other write().
 OP_TO_COUNT = {
     "open": "OPENS",
     "create": "OPENS",
@@ -84,7 +83,6 @@ OP_TO_COUNT = {
     "mkdir": "STATS",   # Darshan has no mkdir counter; nearest bucket
     "unlink": "STATS",
     "seek": "SEEKS",
-    "sync": "FSYNCS",
     "fsync": "FSYNCS",
     "read": "READS",
     "write": "WRITES",
@@ -102,7 +100,6 @@ OP_TO_TIME = {
     "mkdir": "F_META_TIME",
     "unlink": "F_META_TIME",
     "seek": "F_META_TIME",
-    "sync": "F_META_TIME",
     "fsync": "F_META_TIME",
     "read": "F_READ_TIME",
     "write": "F_WRITE_TIME",

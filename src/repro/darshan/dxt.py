@@ -3,13 +3,14 @@
 Real Darshan's DXT modules (``DXT_POSIX``/``DXT_STDIO``) record one
 segment per I/O operation — rank, offset span, and start/end timestamps
 — instead of just counters.  The reproduction keeps the same data for
-virtual jobs: when a :class:`DXTRecorder` is attached to the monitor,
-every read/write lands one :class:`Segment` with virtual-clock
-timestamps, and the renderer emits ``darshan-dxt-parser``-style text.
+virtual jobs: a :class:`DXTRecorder` subscribed to the trace bus next to
+the :class:`~repro.darshan.runtime.DarshanMonitor` turns every
+read/write on a file into one :class:`Segment` per rank, with
+virtual-clock timestamps, and renders ``darshan-dxt-parser``-style text
+(the same lines :func:`repro.trace.export.dxt_dump` prints).
 
 Tracing 25600-rank full-scale runs would produce millions of segments,
-so the recorder has a bounded ring buffer (like DXT's own memory cap)
-and records group operations as one segment per (contiguous) rank run.
+so the recorder has a bounded ring buffer (like DXT's own memory cap).
 """
 
 from __future__ import annotations
@@ -19,11 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.trace.events import DATA_KINDS, IOEvent, make_event
-
-#: spine kinds → the two-op DXT vocabulary real darshan-dxt-parser emits
-_DXT_OP = {"write": "write", "read": "read",
-           "collective_write": "write", "meta_append": "write"}
+from repro.trace.events import EventBatch, IOEvent
+from repro.trace.export import _DXT_OP, _dxt_line
 
 
 @dataclass(frozen=True)
@@ -44,7 +42,15 @@ class Segment:
 
 
 class DXTRecorder:
-    """Bounded trace buffer, attached to a :class:`DarshanMonitor`."""
+    """Bounded DXT segment buffer; a trace-bus subscriber.
+
+    Subscribe it beside the Darshan monitor (``bus.subscribe(rec)``, or
+    pass it as ``PosixIO``'s ``monitor``).  Each data event that names
+    its file becomes one segment per participating rank.
+    """
+
+    #: the spine kinds DXT traces
+    kinds = frozenset(_DXT_OP)
 
     def __init__(self, capacity: int = 65536):
         if capacity < 1:
@@ -52,6 +58,37 @@ class DXTRecorder:
         self.capacity = capacity
         self.segments: deque[Segment] = deque(maxlen=capacity)
         self.dropped = 0
+        self._paths: dict[int, str] = {}
+
+    # -- subscriber protocol ------------------------------------------------
+
+    def register_file(self, ino: int, path: str) -> None:
+        self._paths.setdefault(int(ino), path)
+
+    def register_files(self, inos, paths) -> None:
+        setdefault = self._paths.setdefault  # first registration wins
+        for ino, path in zip(np.asarray(inos).tolist(), paths):
+            setdefault(ino, path)
+
+    def on_event(self, event: IOEvent) -> None:
+        if event.inos is not None:
+            self._trace(event.api, event.kind, event.ranks, event.inos,
+                        event.nbytes, event.start, event.end)
+
+    def on_batch(self, batch: EventBatch) -> None:
+        """Trace a struct-of-arrays batch row by row, in sequence order."""
+        if batch.inos is None:
+            return
+        for i, kind in enumerate(batch.kinds):
+            self._trace(batch.api, kind, batch.ranks, batch.inos,
+                        batch.nbytes[i], batch.start[i],
+                        batch.start[i] + batch.duration[i])
+
+    def _trace(self, api, kind, ranks, inos, nbytes, start, end) -> None:
+        paths = [self._paths.get(ino, f"<ino {ino}>")
+                 for ino in np.broadcast_to(inos, ranks.shape).tolist()]
+        self.record(f"DXT_{api}", _DXT_OP[kind], ranks, paths, nbytes,
+                    start, end)
 
     def record(self, module: str, kind: str, ranks, paths, nbytes,
                starts, ends) -> None:
@@ -145,93 +182,6 @@ class DXTRecorder:
         segs = list(self.segments)
         if limit is not None:
             segs = segs[:limit]
-        for s in segs:
-            lines.append(
-                f"{s.module} {s.rank} {s.kind} {s.path} {s.nbytes} "
-                f"{s.start:.6f} {s.end:.6f}"
-            )
+        lines += [_dxt_line(s.module, s.rank, s.kind, s.path, s.nbytes,
+                            s.start, s.end) for s in segs]
         return "\n".join(lines)
-
-
-class TracingMonitor:
-    """Spine subscriber that traces data ops and forwards everything.
-
-    Drop-in for the ``monitor`` argument of :class:`~repro.fs.posix.
-    PosixIO`: counters keep flowing to the wrapped monitor, and
-    data-moving events (``write``/``read``/``collective_write``/
-    ``meta_append``) additionally produce DXT segments from the events'
-    virtual-clock timestamps.
-    """
-
-    kinds = None  # forward every event; segment filter is DATA_KINDS
-
-    def __init__(self, monitor, comm, recorder: DXTRecorder | None = None):
-        self.monitor = monitor
-        self.comm = comm
-        self.dxt = recorder or DXTRecorder()
-        self._paths: dict[int, str] = {}
-
-    def register_file(self, ino: int, path: str) -> None:
-        self._paths[int(ino)] = path
-        self.monitor.register_file(ino, path)
-
-    def register_files(self, inos, paths) -> None:
-        self._paths.update(zip(np.asarray(inos).tolist(), paths))
-        self.monitor.register_files(inos, paths)
-
-    def on_event(self, event: IOEvent) -> None:
-        fold = getattr(self.monitor, "on_event", None)
-        if fold is not None:
-            fold(event)
-        else:  # pre-spine monitor: translate back to record() vocabulary
-            self.monitor.record(
-                "sync" if event.kind == "fsync" else event.kind,
-                ranks=event.ranks, nbytes=event.nbytes,
-                seconds=event.duration, api=event.api, inos=event.inos,
-                n_ops=event.n_ops)
-        if event.kind not in DATA_KINDS or event.inos is None:
-            return
-        self._trace_row(event.api, event.kind, event.ranks, event.inos,
-                        event.nbytes, event.start, event.end)
-
-    def on_batch(self, batch) -> None:
-        """Fold a struct-of-arrays batch: forward once, trace data rows.
-
-        The wrapped monitor gets the whole batch in one call when it
-        can take it; DXT segments come straight off the batch columns,
-        row by row in sequence order.
-        """
-        fold = getattr(self.monitor, "on_batch", None)
-        if fold is not None:
-            fold(batch)
-        else:
-            for event in batch.events():
-                self.on_event(event)
-            return
-        if batch.inos is None:
-            return
-        for i, kind in enumerate(batch.kinds):
-            if kind in DATA_KINDS:
-                self._trace_row(batch.api, kind, batch.ranks, batch.inos,
-                                batch.nbytes[i], batch.start[i],
-                                batch.start[i] + batch.duration[i])
-
-    def _trace_row(self, api, kind, ranks, inos, nbytes, start, end) -> None:
-        paths = [self._paths.get(int(i), f"<ino {int(i)}>")
-                 for i in np.broadcast_to(inos, ranks.shape)]
-        self.dxt.record(f"DXT_{api}", _DXT_OP[kind],
-                        ranks, paths, nbytes, start, end)
-
-    def record(self, kind: str, ranks, nbytes, seconds, api: str,
-               inos=None, n_ops=1) -> None:
-        """Legacy entry point: wrap in an event with clock timestamps."""
-        ranks_arr = np.atleast_1d(np.asarray(ranks))
-        secs = np.broadcast_to(np.asarray(seconds, dtype=np.float64),
-                               ranks_arr.shape)
-        # the clock was already advanced by the caller: end = now
-        ends = self.comm.clocks[ranks_arr]
-        self.on_event(make_event(
-            "fsync" if kind == "sync" else kind, ranks_arr, nbytes=nbytes,
-            duration=secs, start=ends - secs, n_ops=n_ops, api=api,
-            layer={"STDIO": "stdio", "MPIIO": "mpiio"}.get(api, "posix"),
-            inos=inos))

@@ -33,14 +33,8 @@ from repro.darshan.counters import (
     size_bucket_of,
 )
 from repro.darshan.log import DarshanLog, FileRecord, ModuleRecord
-from repro.trace.events import FS_LAYERS, EventBatch, IOEvent, make_event
+from repro.trace.events import FS_LAYERS, EventBatch, IOEvent
 from repro.util.scatter import scatter_add, scatter_add2
-
-#: legacy record() op names → spine event kinds
-_LEGACY_KIND = {"sync": "fsync"}
-
-#: record()-era api strings → spine layer tags
-_API_LAYER = {"STDIO": "stdio", "MPIIO": "mpiio"}
 
 #: fs event kind → (per-rank bytes counter, per-file op count column,
 #: per-file bytes column), None where the kind adds nothing.  The array
@@ -303,19 +297,6 @@ class DarshanMonitor:
             ft.time[ino] += duration
             if kind == "close" and self.evict_on_close:
                 self._evict_one(ino)
-
-    def record(self, kind: str, ranks, nbytes, seconds, api: str,
-               inos=None, n_ops=1) -> None:
-        """Legacy entry point: wrap the arguments in a spine event.
-
-        Pre-spine callers (and the Darshan unit tests) talk the old
-        ``record()`` vocabulary; everything funnels through
-        :meth:`on_event`, the array folding path.
-        """
-        self.on_event(make_event(
-            _LEGACY_KIND.get(kind, kind), ranks, nbytes=nbytes,
-            duration=seconds, n_ops=n_ops, api=api,
-            layer=_API_LAYER.get(api, "posix"), inos=inos))
 
     def _record_files(self, kind: str, inos, nbytes, seconds, ops) -> None:
         inos = np.atleast_1d(np.asarray(inos, dtype=np.int64))

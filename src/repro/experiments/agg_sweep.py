@@ -153,11 +153,3 @@ def run_agg_sweep(machine=None, nodes: int | None = None,
             f"async drain saves up to {max(gains):.1f} s of makespan "
             f"({sum(g > 0 for g in gains)}/{len(gains)} cells improved)")
     return result
-
-
-def main() -> None:  # pragma: no cover
-    print(run_agg_sweep().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

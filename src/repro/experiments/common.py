@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+import os
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -74,3 +76,12 @@ def subset(values: Sequence, quick: bool) -> tuple:
     if not quick or len(values) <= 3:
         return values
     return (values[0], values[len(values) // 2], values[-1])
+
+
+def write_artifact(path: str, doc: dict) -> None:
+    """Write a driver's result artifact as sorted, indented JSON (the
+    committed ``results/*.json`` layout), creating its directory."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    with open(path, "w") as f:
+        json.dump(doc, f, indent=2, sort_keys=True)
+        f.write("\n")

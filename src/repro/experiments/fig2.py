@@ -42,11 +42,3 @@ def run_fig2(node_counts: Sequence[int] = NODE_COUNTS,
                             for n, v in anchors.items())
             )
     return result
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    print(run_fig2().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -45,11 +45,3 @@ def run_fig3(node_counts: Sequence[int] = NODE_COUNTS,
         f"paper: BP4 starts at {FIG3_BP4_START_GIB} GiB/s on 1 node; "
         "original rises to a peak then declines (metadata cost)")
     return result
-
-
-def main() -> None:  # pragma: no cover
-    print(run_fig3().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

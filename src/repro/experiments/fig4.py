@@ -55,11 +55,3 @@ def run_fig4(node_counts: Sequence[int] = NODE_COUNTS,
         "IOR FilePerProc at 25600 tasks matches the extreme-aggregation "
         "regime of Fig. 6 (25600 files)")
     return result
-
-
-def main() -> None:  # pragma: no cover
-    print(run_fig4().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -82,11 +82,3 @@ def run_fig5(nodes: int = 200, machine=None, seed: int = 0) -> Fig5Result:
         original=rep_o["split"],
         bp4=rep_p["split"],
     )
-
-
-def main() -> None:  # pragma: no cover
-    print(run_fig5().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

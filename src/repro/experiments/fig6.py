@@ -44,11 +44,3 @@ def run_fig6(aggregators: Sequence[int] = FIG6_SWEEP, nodes: int = 200,
     result.notes.append(f"measured peak: {peak_y:.2f} GiB/s at {peak_x} "
                         f"aggregators (paper: 15.80 at 400)")
     return result
-
-
-def main() -> None:  # pragma: no cover
-    print(run_fig6().render(y_format=lambda v: f"{v:.2f}"))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -52,11 +52,3 @@ def run_fig7(node_counts: Sequence[int] = NODE_COUNTS,
         f"configurations between {FIG7_CROSSOVER_RANGE[0]} and "
         f"{FIG7_CROSSOVER_RANGE[1]} nodes")
     return result
-
-
-def main() -> None:  # pragma: no cover
-    print(run_fig7().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -91,11 +91,3 @@ def run_fig8(nodes: int = 200, machine=None, seed: int = 0) -> Fig8Result:
         compress_us_compressed=blosc["compress_us"],
         breakdowns=breakdowns,
     )
-
-
-def main() -> None:  # pragma: no cover
-    print(run_fig8().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -92,11 +92,3 @@ def run_fig9(stripe_sizes: Sequence[int] = FIG9_STRIPE_SIZES,
     return Fig9Result(machine=machine.name, nodes=nodes,
                       stripe_sizes=stripe_sizes,
                       stripe_counts=stripe_counts, seconds=grid)
-
-
-def main() -> None:  # pragma: no cover
-    print(run_fig9().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

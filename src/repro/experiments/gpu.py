@@ -23,12 +23,10 @@ sweep executor; the machine is rebuilt inside the point function from
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass, field, replace
 
 from repro.cluster.presets import dardel_gpu
-from repro.experiments.common import resolve_machine, subset
+from repro.experiments.common import resolve_machine, subset, write_artifact
 from repro.experiments.sweep import sweep
 from repro.gpu import HybridConfig
 from repro.util.tables import Table
@@ -194,15 +192,6 @@ class GpuResult:
             "rows": [r.to_dict() for r in self.rows],
         }
 
-    def save_artifact(self, path: str) -> str:
-        d = os.path.dirname(path)
-        if d:
-            os.makedirs(d, exist_ok=True)
-        with open(path, "w") as f:
-            json.dump(self.to_artifact(), f, indent=2, sort_keys=True)
-            f.write("\n")
-        return path
-
     def to_table(self) -> Table:
         t = Table(["mode", "aggr", "GPUs/node", "staged [GiB]",
                    "drain max [s]", "stall max [s]", "turns",
@@ -292,14 +281,6 @@ def run_gpu(machine=None, modes=MODES, aggregators=AGGREGATORS,
         f"acceptance checks pass"
         + (f"; failing: {failed}" if failed else ""))
     if artifact_path is not None:
-        result.save_artifact(artifact_path)
+        write_artifact(artifact_path, result.to_artifact())
         result.notes.append(f"artifact written to {artifact_path}")
     return result
-
-
-def main() -> None:  # pragma: no cover
-    print(run_gpu(artifact_path="results/gpu_staging.json").render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -91,15 +91,14 @@ def run_postproc(nodes: int = 200,
                                [f"/scratch/dmp_file.bp4/data.{i}"
                                 for i in range(n_sub)])
         per_sub = model.state_bytes // n_sub
-        posix.fs.vfs.write_group(posix._inos_of(np.asarray(fds)), per_sub)
+        posix.fs.vfs.write_group(posix.ino_of(fds), per_sub)
 
         # the restart: every rank reads its share; parallelism bounded by
         # the subfile count
         rate = _read_rate(fs.perf, n_sub, comm.size)
         share = model.ckpt_bytes_per_rank()
         costs = share / (rate / comm.size) * fs.perf.noise(comm.size)
-        posix._charge(np.arange(comm.size), costs)
-        posix._notify("read", np.arange(comm.size), share, costs, "POSIX")
+        posix.charge(np.arange(comm.size), costs, "read", nbytes=share)
         posix.close_group(sub_ranks, fds)
 
         log = monitor.finalize(machine=machine.name,
@@ -110,11 +109,3 @@ def run_postproc(nodes: int = 200,
     return PostprocResult(machine=machine.name, nodes=nodes,
                           aggregators=tuple(aggregators),
                           read_gib_s=tuple(results))
-
-
-def main() -> None:  # pragma: no cover
-    print(run_postproc().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

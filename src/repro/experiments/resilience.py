@@ -28,15 +28,13 @@ failure-free, checkpoint-free ideal.
 
 from __future__ import annotations
 
-import json
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.cluster.presets import dardel
-from repro.experiments.common import resolve_machine, subset
+from repro.experiments.common import resolve_machine, subset, write_artifact
 from repro.util.rng import make_rng
 from repro.util.tables import Table
 from repro.workloads.datamodel import Bit1DataModel
@@ -295,15 +293,6 @@ class MultiLevelResult:
             "efficiency_vs_mtbf": self.efficiency_curves(),
         }
 
-    def save_artifact(self, path: str) -> str:
-        d = os.path.dirname(path)
-        if d:
-            os.makedirs(d, exist_ok=True)
-        with open(path, "w") as f:
-            json.dump(self.to_artifact(), f, indent=2, sort_keys=True)
-            f.write("\n")
-        return path
-
     def to_table(self) -> Table:
         t = Table(["policy", "MTBF [h]", "interval", "failures",
                    "mem rec", "PFS rec", "ovh [s]", "lost [s]",
@@ -471,16 +460,6 @@ def run_resilience_multilevel(machine=None, nodes: int = 2,
             f"baseline efficiency {daly_row.efficiency:.4f}")
 
     if artifact_path is not None:
-        result.save_artifact(artifact_path)
+        write_artifact(artifact_path, result.to_artifact())
         result.notes.append(f"artifact written to {artifact_path}")
     return result
-
-
-def main() -> None:  # pragma: no cover
-    print(run_resilience().render())
-    print(run_resilience_multilevel(
-        artifact_path="results/resilience_multilevel.json").render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

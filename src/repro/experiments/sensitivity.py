@@ -139,11 +139,3 @@ def run_sensitivity(constants=DEFAULT_CONSTANTS, nodes: int = 200,
             and measured.bp4_tput_400aggr > measured.bp4_tput_25600aggr
         )
     return result
-
-
-def main() -> None:  # pragma: no cover
-    print(run_sensitivity(nodes=50).render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -23,13 +23,11 @@ fleet once the combined working set is cache-resident.
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass, field
 
 from repro.cluster.presets import dardel
 from repro.darshan import DarshanMonitor
-from repro.experiments.common import resolve_machine, subset
+from repro.experiments.common import resolve_machine, subset, write_artifact
 from repro.experiments.sweep import sweep
 from repro.fs import PosixIO, mount
 from repro.mpi import VirtualComm
@@ -194,15 +192,6 @@ class ServingResult:
             "rows": [r.to_dict() for r in self.rows],
         }
 
-    def save_artifact(self, path: str) -> str:
-        d = os.path.dirname(path)
-        if d:
-            os.makedirs(d, exist_ok=True)
-        with open(path, "w") as f:
-            json.dump(self.to_artifact(), f, indent=2, sort_keys=True)
-            f.write("\n")
-        return path
-
     def to_table(self) -> Table:
         t = Table(["pattern", "policy", "readers", "cache [MiB]", "hit",
                    "thr [GiB/s]", "lat [ms]", "pf used/issued", "evict",
@@ -284,14 +273,6 @@ def run_serving(machine=None, patterns=PATTERNS, policies=POLICIES,
         f"acceptance checks pass"
         + (f"; failing: {failed}" if failed else ""))
     if artifact_path is not None:
-        result.save_artifact(artifact_path)
+        write_artifact(artifact_path, result.to_artifact())
         result.notes.append(f"artifact written to {artifact_path}")
     return result
-
-
-def main() -> None:  # pragma: no cover
-    print(run_serving(artifact_path="results/serving.json").render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

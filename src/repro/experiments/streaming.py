@@ -165,11 +165,3 @@ def run_streaming(machine=None, node_counts=NODE_COUNTS,
             f"nodes saw {worst.stalls} stall(s) ({worst.stall_seconds:.2f} "
             f"s) / {worst.dropped} drop(s)")
     return result
-
-
-def main() -> None:  # pragma: no cover
-    print(run_streaming().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -112,11 +112,3 @@ def run_table2(node_counts: Sequence[int] = NODE_COUNTS,
     stats = {k: stats[k] for k in configs if k in stats}
     return Table2Result(machine=machine.name, node_counts=node_counts,
                         stats=stats)
-
-
-def main() -> None:  # pragma: no cover
-    print(run_table2().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

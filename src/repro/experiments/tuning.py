@@ -27,6 +27,7 @@ import os
 from dataclasses import dataclass, field
 
 from repro.cluster.presets import dardel, discoverer, vega
+from repro.experiments.common import write_artifact
 from repro.experiments.paper_data import (
     FIG6_PEAK_AGGREGATORS,
     LISTING1_STRIPE_COUNT,
@@ -250,21 +251,10 @@ def run_tuning(quick: bool = False, machines=None, nodes: int | None = None,
             paper_objective=float(score(paper_report))))
 
     if artifact_path:
-        os.makedirs(os.path.dirname(artifact_path) or ".", exist_ok=True)
-        with open(artifact_path, "w") as f:
-            json.dump(result.artifact(config), f, indent=2, sort_keys=True)
-            f.write("\n")
+        write_artifact(artifact_path, result.artifact(config))
     return result
 
 
 def _default_point_fn():
     from repro.experiments.points import tuning_report
     return tuning_report
-
-
-def main() -> None:  # pragma: no cover
-    print(run_tuning().render())
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

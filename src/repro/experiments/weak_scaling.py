@@ -73,11 +73,3 @@ def run_weak_scaling(node_counts: Sequence[int] = (1, 5, 20, 50, 200),
         "collapses with the fsync queue depth while BP4 degrades gently "
         "toward the filesystem's aggregate ceiling")
     return result
-
-
-def main() -> None:  # pragma: no cover
-    print(run_weak_scaling().render(y_format=lambda v: f"{v:.4f}"))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -294,8 +294,8 @@ class FaultInjector:
             delay = policy.delay(attempt)
             if errno_name == "ETIMEDOUT":
                 delay += policy.timeout_charge()
-            posix._charge(ranks, delay)
-            self._emit("retry", ranks, api=api, duration=delay, inos=inos)
+            posix.charge(ranks, delay, "retry", api=api, layer="faults",
+                         inos=inos)
             if kind == "OST":
                 # recovery: migrate the affected files off the dead OSTs
                 for ino in np.atleast_1d(match[1]):

@@ -9,8 +9,11 @@ Every call:
    (using the current *phase context* — how many ranks are concurrently
    writing / hammering the MDS);
 3. charges that duration to the issuing rank's clock; and
-4. notifies the attached monitor (Darshan) with the op class
-   (read / write / metadata), byte count and duration.
+4. emits one typed event (op class, byte count, duration) on the trace
+   spine, which Darshan and every other subscriber fold.
+
+Steps 3 and 4 are :meth:`PosixIO.charge`, which the planes above this
+layer call too.
 
 Single-op calls serve the functional small-scale runs; the ``*_group``
 variants express "K symmetric ranks do this op" in one vectorised call,
@@ -30,11 +33,7 @@ from repro.fs.mount import MountedFilesystem
 from repro.fs.payload import Payload, RealPayload, SyntheticPayload, as_payload
 from repro.mpi.comm import VirtualComm
 from repro.trace.bus import TraceBus
-from repro.trace.subscribers import LegacyMonitorAdapter
 from repro.util.scatter import scatter_add
-
-#: legacy op names → spine event kinds
-_KIND_ALIAS = {"sync": "fsync"}
 
 #: api string → spine layer tag (everything else is the POSIX boundary)
 _API_LAYER = {"STDIO": "stdio", "MPIIO": "mpiio"}
@@ -80,12 +79,9 @@ class PosixIO:
         self.trace = trace if trace is not None else TraceBus(
             node_of_rank=getattr(comm, "node_of_rank", None))
         if monitor is not None:
-            # back-compat: a monitor passed directly becomes the first
-            # subscriber (modern callers subscribe via the session)
-            if hasattr(monitor, "on_event"):
-                self.trace.subscribe(monitor)
-            else:
-                self.trace.subscribe(LegacyMonitorAdapter(monitor))
+            # a monitor passed directly becomes the first subscriber
+            # (modern callers subscribe via the session)
+            self.trace.subscribe(monitor)
         self._fds: dict[int, OpenFile] = {}
         self._fd_ino = np.full(256, -1, dtype=np.int64)  # fd -> ino map
         self._next_fd = 3  # 0-2 are stdin/out/err, as tradition demands
@@ -119,40 +115,56 @@ class PosixIO:
         finally:
             self._writers, self._md_clients = old
 
-    # -- clock/monitor plumbing ----------------------------------------------
+    # -- the accounting boundary ---------------------------------------------
 
-    def _charge(self, ranks: int | np.ndarray, seconds: float | np.ndarray) -> None:
-        if self.comm is None:
-            return
-        if isinstance(ranks, _RANK) and isinstance(seconds, float):
-            self.comm.clocks[ranks] += seconds  # the scalar lane
-            return
-        # a rank may appear twice (post-failover an aggregator owns
-        # several subfiles); scatter_add falls back to the unbuffered
-        # ufunc there so duplicates are not dropped
-        scatter_add(self.comm.clocks, ranks, seconds)
+    def charge(self, ranks, seconds, kind: str | None = None, *,
+               nbytes=0, api: str = "POSIX", layer: str | None = None,
+               inos=None, n_ops=1, start=None) -> None:
+        """Charge ``seconds`` to the ranks' virtual clocks; with a
+        ``kind``, also emit that event on the spine.
 
-    def _notify(self, kind: str, ranks, nbytes, seconds, api: str,
-                inos=None, n_ops=1, start=None) -> None:
-        """Emit one typed event for an operation already charged to the
-        clocks (so ``clock - duration`` is the op's start time).  An
-        explicit ``start`` overrides that inference — used for writes
-        scheduled in the future (the async subfile drain).
+        This layer's syscalls and the planes above it (engines, serving
+        readers, the fault and resilience planes) charge through here.
+        The event is stamped at ``clock - seconds`` after the add; a
+        caller that read the clock before the add passes that value as
+        ``start`` instead.  ``layer`` defaults to the fs layer of
+        ``api`` (``stdio``, ``mpiio``, else ``posix``).
 
-        A scalar ``ranks`` (one rank, every other field a scalar too)
-        takes the bus's scalar lane; rank arrays take the array path.
-        Both give subscribers the same bits.
+        A single rank with a float cost takes the scalar lane (one clock
+        add, :meth:`~repro.trace.bus.TraceBus.emit_scalar`); rank arrays
+        take the scatter lane.  Both give the same bits.
         """
-        kind = _KIND_ALIAS.get(kind, kind)
+        comm = self.comm
+        if comm is not None:
+            if isinstance(ranks, _RANK) and isinstance(seconds, float):
+                comm.clocks[ranks] += seconds  # the scalar lane
+            else:
+                # a rank may appear twice (post-failover an aggregator
+                # owns several subfiles); scatter_add falls back to the
+                # unbuffered ufunc there so duplicates are not dropped
+                scatter_add(comm.clocks, ranks, seconds)
+        if kind is not None:
+            self._notify(kind, ranks, seconds, nbytes=nbytes, api=api,
+                         layer=layer, inos=inos, n_ops=n_ops, start=start)
+
+    def _notify(self, kind: str, ranks, seconds, *, nbytes=0,
+                api: str = "POSIX", layer: str | None = None, inos=None,
+                n_ops=1, start=None) -> None:
+        """Emit one event for an operation whose clock charge is already
+        made, or deliberately not made: a write or read scheduled in the
+        future (the async drains, prefetch fills) passes its ``start``.
+        """
         bus = self.trace
         if not bus.wants(kind):
             return
+        if layer is None:
+            layer = _API_LAYER.get(api, "posix")
         if isinstance(ranks, _RANK):
             if start is None and self.comm is not None:
                 start = float(self.comm.clocks[ranks]) - seconds
             bus.emit_scalar(kind, ranks, nbytes=nbytes, duration=seconds,
-                            start=start, n_ops=n_ops, api=api,
-                            layer=_API_LAYER.get(api, "posix"), ino=inos)
+                            start=start, n_ops=n_ops, api=api, layer=layer,
+                            ino=inos)
             return
         if start is None and self.comm is not None:
             ranks = np.atleast_1d(np.asarray(ranks))
@@ -160,8 +172,19 @@ class PosixIO:
                 np.asarray(seconds, dtype=np.float64), ranks.shape)
             start = self.comm.clocks[ranks] - secs
         bus.emit(kind, ranks, nbytes=nbytes, duration=seconds, start=start,
-                 n_ops=n_ops, api=api, layer=_API_LAYER.get(api, "posix"),
-                 inos=inos)
+                 n_ops=n_ops, api=api, layer=layer, inos=inos)
+
+    def ino_of(self, fd):
+        """Inode behind one descriptor (an int) or an fd array (an array).
+
+        Raises ``KeyError`` when a descriptor is closed.
+        """
+        inos = self._fd_ino[fd]
+        if np.any(inos < 0):
+            raise KeyError("operation on closed file descriptor")
+        return inos if isinstance(inos, np.ndarray) else int(inos)
+
+    # -- descriptors ----------------------------------------------------------
 
     def _alloc_fd(self, of: OpenFile) -> int:
         fd = self._next_fd
@@ -208,19 +231,11 @@ class PosixIO:
             if len(self._fd_ino) > 4096:
                 self._fd_ino = np.full(256, -1, dtype=np.int64)
 
-    def _inos_of(self, fds: np.ndarray) -> np.ndarray:
-        inos = self._fd_ino[fds]
-        if np.any(inos < 0):
-            raise KeyError("operation on closed file descriptor")
-        return inos
-
     def _md(self, rank: int, op: str, api: str = "POSIX",
-            ino: int | None = None) -> float:
-        weight = MD_OPS[op]
-        cost = float(self.fs.perf.metadata_op_cost(self._md_clients, weight))
-        self._charge(rank, cost)
-        self._notify(op, rank, 0, cost, api, inos=ino, n_ops=1)
-        return cost
+            ino: int | None = None) -> None:
+        cost = float(self.fs.perf.metadata_op_cost(self._md_clients,
+                                                   MD_OPS[op]))
+        self.charge(rank, cost, op, api=api, inos=ino)
 
     # -- namespace ------------------------------------------------------------
 
@@ -310,15 +325,13 @@ class PosixIO:
         cost = float(self.fs.perf.write_op_cost(
             per_chunk, self._writers, stripe_count, stripe_size,
             n_ops=n_chunks)) * float(self.fs.perf.noise())
-        self._charge(rank, cost)
-        self._notify("meta_append" if meta else "write", rank, n, cost, api,
-                     inos=of.ino, n_ops=n_chunks)
+        self.charge(rank, cost, "meta_append" if meta else "write",
+                    nbytes=n, api=api, inos=of.ino, n_ops=n_chunks)
         if sync_each_chunk:
             sync_cost = float(self.fs.perf.fsync_cost(
                 self._writers, stripe_count, n_ops=n_chunks))
-            self._charge(rank, sync_cost)
-            self._notify("sync", rank, 0, sync_cost, api, inos=of.ino,
-                         n_ops=n_chunks)
+            self.charge(rank, sync_cost, "fsync", api=api, inos=of.ino,
+                        n_ops=n_chunks)
         return n
 
     def write_scheduled(self, rank: int, fd: int,
@@ -356,13 +369,13 @@ class PosixIO:
         cost = float(self.fs.perf.write_op_cost(
             per_chunk, self._writers, stripe_count, stripe_size,
             n_ops=n_chunks)) * float(self.fs.perf.noise())
-        self._notify("write", rank, n, cost, api, inos=of.ino,
+        self._notify("write", rank, cost, nbytes=n, api=api, inos=of.ino,
                      n_ops=n_chunks, start=start_at)
         total = cost
         if sync_each_chunk:
             sync_cost = float(self.fs.perf.fsync_cost(
                 self._writers, stripe_count, n_ops=n_chunks))
-            self._notify("sync", rank, 0, sync_cost, api, inos=of.ino,
+            self._notify("fsync", rank, sync_cost, api=api, inos=of.ino,
                          n_ops=n_chunks, start=start_at + cost)
             total += sync_cost
         return total
@@ -374,8 +387,7 @@ class PosixIO:
         st = self.fs.vfs.cols
         cost = float(self.fs.perf.fsync_cost(
             self._writers, int(st.stripe_count[of.ino])))
-        self._charge(rank, cost)
-        self._notify("sync", rank, 0, cost, api or of.api, inos=of.ino)
+        self.charge(rank, cost, "fsync", api=api or of.api, inos=of.ino)
 
     def read(self, rank: int, fd: int, nbytes: int,
              offset: int | None = None, api: str | None = None) -> bytes:
@@ -386,8 +398,8 @@ class PosixIO:
         data = self.fs.vfs.read(of.ino, pos, nbytes)
         of.pos = pos + len(data)
         cost = float(self.fs.perf.read_op_cost(len(data), self._md_clients))
-        self._charge(rank, cost)
-        self._notify("read", rank, len(data), cost, api or of.api, inos=of.ino)
+        self.charge(rank, cost, "read", nbytes=len(data), api=api or of.api,
+                    inos=of.ino)
         return data
 
     def read_scheduled(self, rank: int, fd: int, nbytes: int,
@@ -406,7 +418,7 @@ class PosixIO:
             self.faults.guard(self, "read", rank, of.ino, api or of.api)
         self.fs.vfs.account_read(of.ino, nbytes)
         cost = float(self.fs.perf.read_op_cost(nbytes, self._md_clients))
-        self._notify("read", rank, nbytes, cost, api or of.api,
+        self._notify("read", rank, cost, nbytes=nbytes, api=api or of.api,
                      inos=of.ino, start=start_at)
         return cost
 
@@ -418,8 +430,8 @@ class PosixIO:
             self.faults.guard(self, "read", rank, of.ino, api or of.api)
         self.fs.vfs.account_read(of.ino, nbytes)
         cost = float(self.fs.perf.read_op_cost(nbytes, self._md_clients))
-        self._charge(rank, cost)
-        self._notify("read", rank, nbytes, cost, api or of.api, inos=of.ino)
+        self.charge(rank, cost, "read", nbytes=nbytes, api=api or of.api,
+                    inos=of.ino)
         return nbytes
 
     # -- group (vectorised symmetric-rank) operations ----------------------------
@@ -445,8 +457,7 @@ class PosixIO:
         weight = MD_OPS[op]
         cost = self.fs.perf.metadata_op_cost(self._md_clients, weight)
         costs = np.full(len(ranks), float(cost))
-        self._charge(ranks, costs)
-        self._notify(op, ranks, 0, costs, api, inos=inos, n_ops=1)
+        self.charge(ranks, costs, op, api=api, inos=inos)
         return fds
 
     def write_group(self, ranks: np.ndarray, fds: np.ndarray,
@@ -462,7 +473,7 @@ class PosixIO:
         """
         ranks = np.asarray(ranks)
         fds = np.asarray(fds)
-        inos = self._inos_of(fds)
+        inos = self.ino_of(fds)
         if self.faults is not None:
             self.faults.guard(self, "write", ranks, inos, api)
         nbytes = np.broadcast_to(
@@ -483,11 +494,11 @@ class PosixIO:
         costs = self.fs.perf.write_op_cost(
             per_chunk, self._writers, stripe_count, stripe_size, n_ops=n_chunks
         ) * float(self.fs.perf.noise())
-        self._charge(ranks, costs)
         if not sync_each_chunk:
-            self._notify("write", ranks, nbytes, costs, api, inos=inos,
-                         n_ops=n_chunks)
+            self.charge(ranks, costs, "write", nbytes=nbytes, api=api,
+                        inos=inos, n_ops=n_chunks)
             return
+        self.charge(ranks, costs)
         # write + fsync leave as one SoA batch: snapshot each row's
         # start from the clocks exactly where the scalar emits would
         # (write's before the sync charge), so timestamps, sequence
@@ -499,7 +510,7 @@ class PosixIO:
         sync_costs = self.fs.perf.fsync_cost(
             self._writers, stripe_count, n_ops=n_chunks
         ) * float(self.fs.perf.noise())
-        self._charge(ranks, sync_costs)
+        self.charge(ranks, sync_costs)
         if not want:
             return
         start_s = (self.comm.clocks[ranks] - sync_costs
@@ -524,7 +535,7 @@ class PosixIO:
         """
         ranks = np.asarray(ranks)
         fds = np.asarray(fds)
-        inos = self._inos_of(fds)
+        inos = self.ino_of(fds)
         if self.faults is not None:
             self.faults.guard(self, "read", ranks, inos, api)
         nbytes = np.broadcast_to(
@@ -535,8 +546,7 @@ class PosixIO:
         stripe_count = cols.stripe_count[inos].astype(np.float64)
         costs = self.fs.perf.read_op_cost(
             nbytes, len(ranks) if clients is None else clients, stripe_count)
-        self._charge(ranks, costs)
-        self._notify("read", ranks, nbytes, costs, api, inos=inos)
+        self.charge(ranks, costs, "read", nbytes=nbytes, api=api, inos=inos)
 
     def write_aggregate(self, ranks: np.ndarray, fds: np.ndarray,
                         nbytes_each: int | np.ndarray,
@@ -560,7 +570,7 @@ class PosixIO:
         """
         ranks = np.asarray(ranks)
         fds = np.asarray(fds)
-        inos = self._inos_of(fds)
+        inos = self.ino_of(fds)
         if self.faults is not None:
             self.faults.guard(self, "write", ranks, inos, api)
         nbytes = np.broadcast_to(
@@ -577,13 +587,15 @@ class PosixIO:
         costs = perf.aggregate_stream_seconds(
             nbytes, len(ranks), stripe_count, stripe_size
         ) * perf.noise(ranks.shape)
-        if charge_clocks:
-            self._charge(ranks, costs)
         # the write() system calls the engine issues are stripe-sized
         # buffer flushes; the per-RPC fan-out below them is the cost model
         n_writes = np.maximum(np.ceil(nbytes / stripe_size), 1.0)
-        self._notify("collective_write", ranks, nbytes, costs, api,
-                     inos=inos, n_ops=n_writes, start=start_at)
+        if charge_clocks:
+            self.charge(ranks, costs, "collective_write", nbytes=nbytes,
+                        api=api, inos=inos, n_ops=n_writes, start=start_at)
+        else:
+            self._notify("collective_write", ranks, costs, nbytes=nbytes,
+                         api=api, inos=inos, n_ops=n_writes, start=start_at)
         return costs
 
     def release_fds(self, fds: int | np.ndarray) -> None:
@@ -609,8 +621,7 @@ class PosixIO:
         self._maybe_recycle_fds()
         cost = float(self.fs.perf.metadata_op_cost(self._md_clients, MD_OPS["close"]))
         costs = np.full(len(ranks), cost)
-        self._charge(ranks, costs)
-        self._notify("close", ranks, 0, costs, api, inos=inos, n_ops=1)
+        self.charge(ranks, costs, "close", api=api, inos=inos)
 
     def meta_group(self, ranks: np.ndarray, op: str, n_ops: float | np.ndarray = 1,
                    api: str = "POSIX") -> None:
@@ -619,8 +630,7 @@ class PosixIO:
         weight = MD_OPS[op] * np.asarray(n_ops, dtype=np.float64)
         costs = self.fs.perf.metadata_op_cost(self._md_clients, weight)
         costs = np.broadcast_to(costs, ranks.shape)
-        self._charge(ranks, costs)
-        self._notify(op, ranks, 0, costs, api, n_ops=n_ops)
+        self.charge(ranks, costs, op, api=api, n_ops=n_ops)
 
     @property
     def open_fd_count(self) -> int:

@@ -167,7 +167,7 @@ class StdioFile:
         return self.posix.read(self.rank, self.fd, nbytes, api="STDIO")
 
     def read_all(self) -> bytes:
-        size = self.posix.fs.vfs.size_of(self.posix._fds[self.fd].ino)
+        size = self.posix.fs.vfs.size_of(self.posix.ino_of(self.fd))
         return self.fread(size)
 
     # -- lifecycle --------------------------------------------------------------

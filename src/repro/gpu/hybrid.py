@@ -227,7 +227,12 @@ class HybridStager:
                 self.account.release(resident)
 
     def _charge_and_emit(self, kind: str, per_gpu_seconds, nbytes) -> None:
-        """Add per-GPU seconds to their ranks' clocks; emit the event."""
+        """Add per-GPU seconds to their ranks' clocks; emit the event.
+
+        Every rank is charged, so the add is one whole-array pass; a
+        :meth:`~repro.fs.posix.PosixIO.charge` scatter would scan the
+        rank index on top of it.
+        """
         dur = per_gpu_seconds[self.gpu_of_rank]
         self.comm.clocks += dur
         bus = self.bus

@@ -183,8 +183,7 @@ class OriginalIOWriter:
     def read_checkpoint(self, sim, rank: int) -> dict:
         """Load one rank's .dmp back (restart support)."""
         fd = self.posix.open(rank, self.dmp_path(rank), api="STDIO")
-        ino = self.posix._fds[fd].ino
-        size = self.posix.fs.vfs.size_of(ino)
+        size = self.posix.fs.vfs.size_of(self.posix.ino_of(fd))
         blob = self.posix.read(rank, fd, size)
         self.posix.close(rank, fd)
         pos = blob.index(b"\n") + 1

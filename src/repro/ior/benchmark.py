@@ -78,9 +78,7 @@ def run_ior(machine: Machine, config: IORConfig,
             if config.fsync:
                 # fsync-on-close (-e): one commit per task
                 sync = fs.perf.fsync_cost(comm.size, 1, n_ops=1)
-                costs = np.full(comm.size, float(sync))
-                posix._charge(ranks, costs)
-                posix._notify("sync", ranks, 0, costs, "POSIX")
+                posix.charge(ranks, np.full(comm.size, float(sync)), "fsync")
             posix.close_group(ranks, fds)
         else:
             shared_path = f"{outdir}/testFile"
@@ -88,7 +86,7 @@ def run_ior(machine: Machine, config: IORConfig,
                 fs.lfs_setstripe(outdir, stripe_count=storage.num_osts,
                                  stripe_size="1M")
             fd = posix.open(0, shared_path, create=True)
-            ino = posix._fds[fd].ino
+            ino = posix.ino_of(fd)
             stripe_count = int(fs.vfs.cols.stripe_count[ino])
             # disjoint segments: parallelism bounded by the stripe count,
             # derated by extent-lock churn
@@ -100,15 +98,12 @@ def run_ior(machine: Machine, config: IORConfig,
             fs.vfs.write_group(np.full(comm.size, ino), per_rank_bytes)
             costs = (per_rank_bytes / (rate / comm.size)
                      * fs.perf.noise(comm.size))
-            posix._charge(ranks, costs)
-            posix._notify("write", ranks, per_rank_bytes, costs, "POSIX",
-                          inos=np.full(comm.size, ino),
-                          n_ops=config.writes_per_task)
+            posix.charge(ranks, costs, "write", nbytes=per_rank_bytes,
+                         inos=np.full(comm.size, ino),
+                         n_ops=config.writes_per_task)
             if config.fsync:
                 sync = fs.perf.fsync_cost(comm.size, stripe_count, n_ops=1)
-                sync_costs = np.full(comm.size, float(sync))
-                posix._charge(ranks, sync_costs)
-                posix._notify("sync", ranks, 0, sync_costs, "POSIX")
+                posix.charge(ranks, np.full(comm.size, float(sync)), "fsync")
             posix.close(0, fd)
 
     log = monitor.finalize(runtime_seconds=comm.max_time(),

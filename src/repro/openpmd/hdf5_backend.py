@@ -157,7 +157,26 @@ class HDF5Engine:
 
         offset = self._allocate(overwrite_key, total + per_var_meta)
         self._lay_out(offset)
-        self._charge_collective(staged, total + per_var_meta)
+        # shared-file collective write cost (the IOR-shared profile)
+        fs = self.posix.fs
+        ino = self.posix.ino_of(self._fd)
+        if isinstance(fs, LustreFilesystem):
+            streams = max(int(fs.vfs.cols.stripe_count[ino]), 1)
+        else:
+            streams = 1
+        rate = float(fs.perf.aggregate_write_rate(streams, streams))
+        rate *= SHARED_FILE_LOCK_EFFICIENCY
+        writers = max(int((staged > 0).sum()), 1)
+        costs = staged / (rate / writers) * fs.perf.noise(len(staged))
+        ranks = np.arange(n)
+        with self.posix.trace.scope(self._trace_scope):
+            # one collective_write event feeds both Darshan (POSIX
+            # module) and this engine's profile fold (scope match)
+            self.posix.charge(ranks, costs, "collective_write",
+                              nbytes=staged, inos=ino)
+            # collective metadata: every rank participates in the H5
+            # object creation handshake
+            self.posix.meta_group(ranks, "stat")
         self._in_step = False
         self.comm.barrier()
 
@@ -175,7 +194,7 @@ class HDF5Engine:
     def _lay_out(self, offset: int) -> None:
         """Write real chunk bytes and index entries at ``offset``."""
         vfs = self.posix.fs.vfs
-        ino = self.posix._fds[self._fd].ino
+        ino = self.posix.ino_of(self._fd)
         cursor = offset
         step_key = f"step{self._step}"
         for name in sorted(self._cur_vars):
@@ -198,35 +217,11 @@ class HDF5Engine:
         if cursor > vfs.size_of(ino):
             vfs.cols.size[ino] = cursor
 
-    def _charge_collective(self, staged: np.ndarray, total: int) -> None:
-        """Shared-file collective write cost (the IOR-shared profile)."""
-        fs = self.posix.fs
-        ino = self.posix._fds[self._fd].ino
-        stripe_count = int(fs.vfs.cols.stripe_count[ino])
-        if isinstance(fs, LustreFilesystem):
-            streams = max(stripe_count, 1)
-        else:
-            streams = 1
-        rate = float(fs.perf.aggregate_write_rate(streams, streams))
-        rate *= SHARED_FILE_LOCK_EFFICIENCY
-        writers = max(int((staged > 0).sum()), 1)
-        costs = staged / (rate / writers) * fs.perf.noise(len(staged))
-        ranks = np.arange(self.comm.size)
-        self.posix._charge(ranks, costs)
-        with self.posix.trace.scope(self._trace_scope):
-            # one collective_write event feeds both Darshan (POSIX
-            # module) and this engine's profile fold (scope match)
-            self.posix._notify("collective_write", ranks, staged, costs,
-                               "POSIX", inos=ino)
-            # collective metadata: every rank participates in the H5
-            # object creation handshake
-            self.posix.meta_group(ranks, "stat")
-
     # -- read protocol -----------------------------------------------------------
 
     def _open_for_read(self) -> None:
         self._fd = self.posix.open(0, self.path)
-        ino = self.posix._fds[self._fd].ino
+        ino = self.posix.ino_of(self._fd)
         size = self.posix.fs.vfs.size_of(ino)
         blob = self.posix.read(0, self._fd, size)
         footer_at = blob.rfind(b"\nH5FOOTER:")
@@ -257,7 +252,7 @@ class HDF5Engine:
         dtype = _numpy_dtype(entries[0]["dtype"])
         out = np.zeros(tuple(entries[0]["global_shape"]), dtype=dtype)
         vfs = self.posix.fs.vfs
-        ino = self.posix._fds[self._fd].ino
+        ino = self.posix.ino_of(self._fd)
         for e in entries:
             raw = vfs.read(ino, e["offset"], e["nbytes"])
             arr = np.frombuffer(raw, dtype=dtype).reshape(e["chunk_extent"])
@@ -279,7 +274,7 @@ class HDF5Engine:
                 "attributes": _jsonable(self._attributes),
             })).encode()
             vfs = self.posix.fs.vfs
-            ino = self.posix._fds[self._fd].ino
+            ino = self.posix.ino_of(self._fd)
             with self.posix.phase(writers=1):
                 self.posix.write(0, self._fd,
                                  RealPayload(footer, "metadata"),

@@ -40,7 +40,7 @@ class JSONEngine:
         self._closed = False
         if mode == "r":
             fd = self.posix.open(0, self.path)
-            size = self.posix.fs.vfs.size_of(self.posix._fds[fd].ino)
+            size = self.posix.fs.vfs.size_of(self.posix.ino_of(fd))
             self._doc = json.loads(self.posix.read(0, fd, size).decode())
             self.posix.close(0, fd)
 

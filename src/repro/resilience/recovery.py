@@ -117,18 +117,15 @@ def _restore_from_memory(store: MultiLevelStore, sim,
             group = next(g for g in gen.xor_groups if node in g)
             cost = comm.transfer_seconds(len(blob)) * max(1, len(group) - 1)
             api = "L2"
-        store.posix._charge(ranks, cost)
-        store._emit("rebuild", ranks, api=api,
-                    nbytes=len(blob) / max(1, len(ranks)), duration=cost)
+        store.posix.charge(ranks, cost, "rebuild", api=api, layer="faults",
+                           nbytes=len(blob) / max(1, len(ranks)))
         apply_node_state(sim, blob)
         if store.hybrid is not None:
             # device-resident state: pay the H2D restore onto the
             # (replacement) node's devices after the host copy lands
             h2d = store.hybrid.h2d_node(node, len(blob))
-            store.posix._charge(ranks, h2d)
-            store._emit("h2d", ranks, api="GPU",
-                        nbytes=len(blob) / max(1, len(ranks)),
-                        duration=h2d, layer="gpu")
+            store.posix.charge(ranks, h2d, "h2d", api="GPU", layer="gpu",
+                               nbytes=len(blob) / max(1, len(ranks)))
     sim.rng.restore(gen.rng_blob)
     sim.step_index = gen.step
 
@@ -139,7 +136,7 @@ def _restore_from_l3(store: MultiLevelStore, sim,
     posix = store.posix
     path = gen.l3_path
     fd = posix.open(0, path)
-    size = posix.fs.vfs.size_of(posix._fds[fd].ino)
+    size = posix.fs.vfs.size_of(posix.ino_of(fd))
     raw = posix.read(0, fd, size)
     posix.close(0, fd)
     try:
@@ -159,10 +156,8 @@ def _restore_from_l3(store: MultiLevelStore, sim,
             if store.hybrid is not None:
                 ranks = store.comm.ranks_on_node(node)
                 h2d = store.hybrid.h2d_node(node, length)
-                store.posix._charge(ranks, h2d)
-                store._emit("h2d", ranks, api="GPU",
-                            nbytes=length / max(1, len(ranks)),
-                            duration=h2d, layer="gpu")
+                store.posix.charge(ranks, h2d, "h2d", api="GPU", layer="gpu",
+                                   nbytes=length / max(1, len(ranks)))
             pos += length
     except (ValueError, KeyError) as exc:
         raise RingCheckpointError(

@@ -165,13 +165,6 @@ class MultiLevelStore:
         bus.emit(kind, ranks, nbytes=nbytes, duration=duration, start=start,
                  api=api, layer=layer)
 
-    def _charge_node(self, node: int, seconds: float, *, api: str,
-                     kind: str, nbytes: int, layer: str = "faults") -> None:
-        ranks = self.comm.ranks_on_node(node)
-        self.posix._charge(ranks, seconds)
-        self._emit(kind, ranks, api=api, nbytes=nbytes / max(1, len(ranks)),
-                   duration=seconds, layer=layer)
-
     # -- store ---------------------------------------------------------------
 
     @property
@@ -201,13 +194,14 @@ class MultiLevelStore:
             gen.shards[node] = blob
             gen.shard_crc[node] = zlib.crc32(blob)
             gen.resident_bytes += len(blob)
+            share = len(blob) / len(ranks)
             if self.hybrid is not None:
                 # device-resident state drains over the host link first
-                self._charge_node(
-                    node, self.hybrid.d2h_node(node, len(blob)),
-                    api="GPU", kind="d2h", nbytes=len(blob), layer="gpu")
-            self._charge_node(node, len(blob) / shm_bw, api="L0",
-                              kind="ckpt_store", nbytes=len(blob))
+                self.posix.charge(
+                    ranks, self.hybrid.d2h_node(node, len(blob)), "d2h",
+                    nbytes=share, api="GPU", layer="gpu")
+            self.posix.charge(ranks, len(blob) / shm_bw, "ckpt_store",
+                              nbytes=share, api="L0", layer="faults")
 
         # L1: partner replication over the NIC
         if policy.partner_due(index):
@@ -219,9 +213,10 @@ class MultiLevelStore:
                 gen.partner_copies[node] = blob
                 gen.partner_host[node] = host
                 gen.resident_bytes += len(blob)
-                self._charge_node(node, comm.transfer_seconds(len(blob)),
-                                  api="L1", kind="ckpt_store",
-                                  nbytes=len(blob))
+                ranks = comm.ranks_on_node(node)
+                self.posix.charge(
+                    ranks, comm.transfer_seconds(len(blob)), "ckpt_store",
+                    nbytes=len(blob) / len(ranks), api="L1", layer="faults")
 
         # L2: XOR parity per node group (ring-reduce at NIC speed)
         if policy.xor_due(index):
@@ -242,10 +237,11 @@ class MultiLevelStore:
                     n: len(gen.shards[n]) for n in group}
                 gen.resident_bytes += width
                 for n in group:
-                    self._charge_node(
-                        n, comm.transfer_seconds(len(gen.shards[n])),
-                        api="L2", kind="ckpt_store",
-                        nbytes=len(gen.shards[n]))
+                    ranks = comm.ranks_on_node(n)
+                    nbytes = len(gen.shards[n])
+                    self.posix.charge(
+                        ranks, comm.transfer_seconds(nbytes), "ckpt_store",
+                        nbytes=nbytes / len(ranks), api="L2", layer="faults")
 
         self._account.charge(gen.resident_bytes)
 
@@ -297,10 +293,8 @@ class MultiLevelStore:
         now = float(self.comm.clocks[0])
         wait = max(0.0, self._flush_end - now)
         if wait > 0.0:
-            posix._charge(0, wait)
+            posix.charge(0, wait, "ckpt_flush", api="WAIT", layer="faults")
             self.flush_wait_seconds += wait
-            self._emit("ckpt_flush", np.asarray([0]), api="WAIT",
-                       duration=wait)
             now += wait
         start = max(now, self._flush_end)
         cost = posix.write_scheduled(
@@ -317,7 +311,7 @@ class MultiLevelStore:
         """Block until the last async flush lands (run finalisation)."""
         now = float(self.comm.clocks[0])
         if self._flush_end > now:
-            self.posix._charge(0, self._flush_end - now)
+            self.posix.charge(0, self._flush_end - now)
 
     def _trim_ring(self) -> None:
         keep_l3 = [g for g in self._generations if g.l3_path is not None]

@@ -228,8 +228,8 @@ class ReaderFleet:
                 if entry is not None:
                     wait = max(0.0, entry.ready_at - t)
                     cost = wait + nbytes / self.memory_bandwidth
-                    posix._charge(r, cost)
-                    self._emit("read_hit", r, nbytes, cost, t)
+                    posix.charge(r, cost, "read_hit", nbytes=nbytes,
+                                 api="SERVING", layer="serving", start=t)
                     rep.hits += 1
                     rep.wait_seconds += wait
                     if stream is not None:
@@ -249,7 +249,7 @@ class ReaderFleet:
                 rep.max_latency_s = max(rep.max_latency_s, cost)
                 rep.bytes_requested += nbytes
                 # analysis window (prefetch hides its latency in here)
-                posix._charge(r, nbytes / self.analysis_rate)
+                posix.charge(r, nbytes / self.analysis_rate)
                 self.prefetcher.observe(r, prev[r], chunk)
                 prev[r] = chunk
                 if cache is not None:

@@ -122,8 +122,9 @@ class CachedSeriesReader:
             if hit is not None:
                 arr = hit.data
                 cost = e.stored_nbytes / self.memory_bandwidth
-                self.series.posix._charge(self.rank, cost)
-                self._emit("read_hit", e.stored_nbytes, cost, t)
+                self.series.posix.charge(
+                    self.rank, cost, "read_hit", nbytes=e.stored_nbytes,
+                    api="SERVING", layer="serving", start=t)
                 if stream is not None:
                     self.prefetcher.feedback(stream, True)
             else:

@@ -25,7 +25,7 @@ from repro.trace.export import (
     render_breakdown,
 )
 from repro.trace.session import TraceSession
-from repro.trace.subscribers import EventRecorder, LegacyMonitorAdapter, ProfileFold
+from repro.trace.subscribers import EventRecorder, ProfileFold
 
 __all__ = [
     "EVENT_KINDS",
@@ -33,7 +33,6 @@ __all__ = [
     "FS_LAYERS",
     "IOEvent",
     "LayerBreakdown",
-    "LegacyMonitorAdapter",
     "ProfileFold",
     "TraceBus",
     "TraceSession",

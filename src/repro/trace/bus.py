@@ -45,10 +45,6 @@ class TraceBus:
       ino)``: folds one single-rank event given as plain scalars (see
       :meth:`emit_scalar`).  Subscribers that need the event's scope,
       step or sequence id leave it out and receive an :class:`IOEvent`.
-
-    Legacy objects exposing only a Darshan-style ``record(...)`` method
-    can be attached through
-    :class:`~repro.trace.subscribers.LegacyMonitorAdapter`.
     """
 
     __slots__ = ("_subs", "_dispatch", "_wanted", "_scope_stack", "_step",
@@ -96,8 +92,8 @@ class TraceBus:
         """
         if not hasattr(subscriber, "on_event"):
             raise TypeError(
-                f"{type(subscriber).__name__} has no on_event(); wrap "
-                "record()-style monitors in LegacyMonitorAdapter")
+                f"{type(subscriber).__name__} has no on_event(), so it "
+                "cannot subscribe")
         if subscriber not in self._subs:
             self._subs.append(subscriber)
             self._refresh_wanted()

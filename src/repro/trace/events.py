@@ -64,13 +64,6 @@ EVENT_KINDS = frozenset({
 #: Layers whose events the Darshan subscriber folds into counters.
 FS_LAYERS = frozenset({"posix", "stdio", "mpiio"})
 
-#: Event kinds that move payload bytes to storage (used by DXT and the
-#: per-file byte accounting).  ``publish``/``deliver`` move bytes over
-#: the NIC instead; they carry no inode, so DXT skips them unless a
-#: producer explicitly pins a file identity on the stream.
-DATA_KINDS = frozenset({"write", "read", "collective_write", "meta_append",
-                        "publish", "deliver"})
-
 
 @dataclass(frozen=True, slots=True)
 class IOEvent:

@@ -16,11 +16,18 @@ import json
 
 import numpy as np
 
-from repro.trace.events import DATA_KINDS, IOEvent
+from repro.trace.events import IOEvent
 
 #: Order layers appear in breakdown reports (engine work on top of fs).
 _LAYER_ORDER = ("engine", "stream", "mpiio", "stdio", "posix", "mpi",
                 "faults")
+
+#: spine kinds DXT traces → the op ``darshan-dxt-parser`` prints.  DXT
+#: knows only reads and writes, so an aggregator flush or an index
+#: append is a ``write``.  ``publish``/``deliver`` move bytes over the
+#: NIC, not to a file, and are not traced.
+_DXT_OP = {"write": "write", "read": "read",
+           "collective_write": "write", "meta_append": "write"}
 
 
 def _node_lookup(node_of_rank):
@@ -115,18 +122,28 @@ def chrome_trace_json(events, node_of_rank=None, paths=None,
         indent=indent)
 
 
+def _dxt_line(module: str, rank: int, op: str, path: str, nbytes: int,
+              start: float, end: float) -> str:
+    """One ``darshan-dxt-parser``-style segment line."""
+    return f"{module} {rank} {op} {path} {nbytes} {start:.6f} {end:.6f}"
+
+
 def dxt_dump(events, paths=None, max_lines: int = 100_000) -> str:
     """DXT-style text dump of the data-moving events.
 
-    One line per (event, rank):
-    ``DXT_<API> <rank> <kind> <path> <bytes> <start> <end>`` —
+    One :func:`_dxt_line` per (event, rank):
+    ``DXT_<API> <rank> <op> <path> <bytes> <start> <end>`` —
     the same shape ``darshan-dxt-parser`` output takes in the paper's
-    §V analysis, with virtual seconds for the two timestamps.
+    §V analysis, with virtual seconds for the two timestamps.  Like real
+    DXT, only operations on a file are traced: events that name no
+    inode are skipped.  :class:`~repro.darshan.dxt.DXTRecorder` renders
+    the same lines from the live stream.
     """
     paths = paths or {}
     lines: list[str] = []
     for ev in events:
-        if ev.kind not in DATA_KINDS:
+        op = _DXT_OP.get(ev.kind)
+        if op is None or ev.inos is None:
             continue
         end = ev.end
         for i in range(ev.size):
@@ -134,12 +151,10 @@ def dxt_dump(events, paths=None, max_lines: int = 100_000) -> str:
                 lines.append(f"# ... truncated at {max_lines} lines")
                 return "\n".join(lines)
             ino = _ino_at(ev, i)
-            path = None if ino is None else paths.get(ino)
-            if path is None:
-                path = "<anon>" if ino is None else f"<ino {ino}>"
-            lines.append(
-                f"DXT_{ev.api} {int(ev.ranks[i])} {ev.kind} {path} "
-                f"{int(ev.nbytes[i])} {ev.start[i]:.6f} {end[i]:.6f}")
+            lines.append(_dxt_line(
+                f"DXT_{ev.api}", int(ev.ranks[i]), op,
+                paths.get(ino, f"<ino {ino}>"), int(ev.nbytes[i]),
+                ev.start[i], end[i]))
     return "\n".join(lines)
 
 

@@ -3,8 +3,7 @@
 The heavyweight consumers (Darshan counter fold, DXT segment tracer)
 live next to their data models in ``repro.darshan``; this module holds
 the small generic ones: the bounded in-memory recorder the exporters
-read from, the engine-profile fold, and the adapter that lets
-pre-spine ``record()``-style monitors ride the bus unchanged.
+read from and the engine-profile fold.
 """
 
 from __future__ import annotations
@@ -108,40 +107,3 @@ class ProfileFold:
         if self.scope is not None and event.scope != self.scope:
             return
         self.profile.fold_event(event)
-
-
-class LegacyMonitorAdapter:
-    """Adapts a pre-spine monitor (``record()``/``register_file()``) to
-    the subscriber protocol, translating event kinds back to the legacy
-    Darshan op vocabulary."""
-
-    #: spine kind -> legacy record() op
-    _LEGACY_OP = {
-        "fsync": "sync",
-        "collective_write": "write",
-        "meta_append": "write",
-    }
-
-    kinds = frozenset({
-        "open", "create", "close", "stat", "mkdir", "unlink", "seek",
-        "write", "read", "fsync", "collective_write", "meta_append",
-    })
-
-    def __init__(self, monitor):
-        self.monitor = monitor
-
-    def on_event(self, event: IOEvent) -> None:
-        self.monitor.record(
-            self._LEGACY_OP.get(event.kind, event.kind),
-            ranks=event.ranks,
-            nbytes=event.nbytes,
-            seconds=event.duration,
-            api=event.api,
-            inos=event.inos,
-            n_ops=event.n_ops,
-        )
-
-    def register_file(self, ino, path) -> None:
-        reg = getattr(self.monitor, "register_file", None)
-        if reg is not None:
-            reg(ino, path)

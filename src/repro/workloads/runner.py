@@ -600,7 +600,7 @@ def _read_sidecar(posix: PosixIO, outdir: str) -> tuple[int, bytes] | None:
         fd = posix.open(0, path)
     except FileNotFound:
         return None
-    size = posix.fs.vfs.size_of(posix._fds[fd].ino)
+    size = posix.fs.vfs.size_of(posix.ino_of(fd))
     raw = posix.read(0, fd, size)
     posix.close(0, fd)
     try:

@@ -302,8 +302,7 @@ def event_batch(draw):
                       inos=inos, seq0=0)
 
 
-#: every kind Darshan folds that the spine can carry (the legacy "sync"
-#: alias is renamed to "fsync" before it reaches an event)
+#: every kind Darshan folds that the spine can carry
 _FOLD_KINDS = sorted(DarshanMonitor.kinds & EVENT_KINDS)
 
 

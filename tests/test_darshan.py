@@ -21,6 +21,7 @@ from repro.darshan import (
 from repro.darshan.counters import size_bucket_index
 from repro.fs import PosixIO, SyntheticPayload, mount
 from repro.mpi import VirtualComm
+from repro.trace import TraceBus
 from repro.util.units import GiB, KiB, MiB
 
 
@@ -31,6 +32,14 @@ def monitored():
     mon = DarshanMonitor(4, jobid=99, exe="test")
     posix = PosixIO(fs, comm, mon)
     return fs, comm, mon, posix
+
+
+def _on_bus(nprocs):
+    """A Darshan monitor subscribed to a fresh spine: (monitor, bus)."""
+    mon = DarshanMonitor(nprocs)
+    bus = TraceBus()
+    bus.subscribe(mon)
+    return mon, bus
 
 
 class TestCounters:
@@ -137,25 +146,25 @@ class TestLogSerialization:
 
 class TestReports:
     def test_write_throughput_definition(self):
-        mon = DarshanMonitor(2)
-        mon.record("write", ranks=np.array([0, 1]), nbytes=GiB,
-                   seconds=np.array([1.0, 2.0]), api="POSIX")
+        mon, bus = _on_bus(2)
+        bus.emit("write", np.array([0, 1]), nbytes=GiB,
+                 duration=np.array([1.0, 2.0]))
         log = mon.finalize()
         # total 2 GiB over slowest rank (2 s) = 1 GiB/s
         assert write_throughput_gib(log) == pytest.approx(1.0)
 
     def test_meta_included_in_denominator(self):
-        mon = DarshanMonitor(1)
-        mon.record("write", ranks=0, nbytes=GiB, seconds=1.0, api="POSIX")
-        mon.record("sync", ranks=0, nbytes=0, seconds=3.0, api="POSIX")
+        mon, bus = _on_bus(1)
+        bus.emit("write", 0, nbytes=GiB, duration=1.0)
+        bus.emit("fsync", 0, duration=3.0)
         log = mon.finalize()
         assert write_throughput_gib(log) == pytest.approx(0.25)
         assert write_throughput_gib(log, include_meta=False) == pytest.approx(1.0)
 
     def test_agg_perf_by_slowest_counts_reads(self):
-        mon = DarshanMonitor(1)
-        mon.record("write", ranks=0, nbytes=GiB, seconds=1.0, api="POSIX")
-        mon.record("read", ranks=0, nbytes=GiB, seconds=1.0, api="POSIX")
+        mon, bus = _on_bus(1)
+        bus.emit("write", 0, nbytes=GiB, duration=1.0)
+        bus.emit("read", 0, nbytes=GiB, duration=1.0)
         log = mon.finalize()
         assert agg_perf_by_slowest(log) == pytest.approx(GiB)
 
@@ -164,26 +173,25 @@ class TestReports:
         assert write_throughput(log) == 0.0
 
     def test_cost_split_averages(self):
-        mon = DarshanMonitor(4)
-        mon.record("write", ranks=np.arange(4), nbytes=100,
-                   seconds=np.array([1.0, 1.0, 1.0, 1.0]), api="POSIX")
-        mon.record("open", ranks=0, nbytes=0, seconds=4.0, api="POSIX")
+        mon, bus = _on_bus(4)
+        bus.emit("write", np.arange(4), nbytes=100,
+                 duration=np.array([1.0, 1.0, 1.0, 1.0]))
+        bus.emit("open", 0, duration=4.0)
         split = cost_split(mon.finalize())
         assert split.write_seconds == pytest.approx(1.0)
         assert split.meta_seconds == pytest.approx(1.0)  # 4s over 4 procs
 
     def test_cost_split_normalized(self):
-        mon = DarshanMonitor(1)
-        mon.record("write", ranks=0, nbytes=10, seconds=2.0, api="POSIX")
-        mon.record("open", ranks=0, nbytes=0, seconds=4.0, api="POSIX")
+        mon, bus = _on_bus(1)
+        bus.emit("write", 0, nbytes=10, duration=2.0)
+        bus.emit("open", 0, duration=4.0)
         norm = cost_split(mon.finalize()).normalized()
         assert norm.meta_seconds == 1.0
         assert norm.write_seconds == 0.5
 
     def test_avg_seconds_per_write(self):
-        mon = DarshanMonitor(1)
-        mon.record("write", ranks=0, nbytes=100, seconds=0.5, api="POSIX",
-                   n_ops=5)
+        mon, bus = _on_bus(1)
+        bus.emit("write", 0, nbytes=100, duration=0.5, n_ops=5)
         assert avg_seconds_per_write(mon.finalize()) == pytest.approx(0.1)
 
     def test_file_stats(self):

@@ -205,13 +205,3 @@ class TestMachineNoiseIsolation:
         vals = [write_throughput_gib(
             run_original_scaled(vega(), 2, seed=s).log) for s in range(6)]
         assert max(vals) / min(vals) > 1.2
-
-
-class TestCorePackage:
-    def test_core_reexports_the_contribution(self):
-        import repro.core as core
-        from repro.io_adaptor import Bit1OpenPMDWriter
-
-        assert core.Bit1OpenPMDWriter is Bit1OpenPMDWriter
-        assert set(core.__all__) >= {"Bit1OpenPMDWriter", "Series",
-                                     "BP4Engine"}

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro.cluster.presets import dardel
-from repro.darshan import DarshanMonitor, DXTRecorder, TracingMonitor
+from repro.darshan import DarshanMonitor, DXTRecorder
 from repro.fs import PosixIO, SyntheticPayload, mount
 from repro.mpi import VirtualComm
 from repro.openpmd import Access, Dataset, Series, validate_path, validate_series
@@ -17,6 +17,7 @@ from repro.pic import (
     expected_drift_decay,
 )
 from repro.pic.constants import MD, ME, QE
+from repro.trace import TraceBus, TraceSession
 from repro.workloads import small_use_case
 
 
@@ -27,17 +28,24 @@ def env():
     return fs, comm
 
 
+def _traced(fs, comm, mode=None):
+    """A PosixIO whose bus carries Darshan and a DXT recorder side by
+    side; returns (posix, monitor, recorder, session)."""
+    monitor = DarshanMonitor(comm.size)
+    session = TraceSession(comm, monitor, mode=mode)
+    rec = session.bus.subscribe(DXTRecorder())
+    return PosixIO(fs, comm, trace=session.bus), monitor, rec, session
+
+
 class TestDXT:
     def test_segments_recorded_with_timestamps(self, env):
         fs, comm = env
-        base = DarshanMonitor(4)
-        tracer = TracingMonitor(base, comm)
-        posix = PosixIO(fs, comm, tracer)
+        posix, _monitor, rec, _session = _traced(fs, comm)
         fd = posix.open(1, "/f", create=True)
         posix.write(1, fd, SyntheticPayload(4096))
         clock_after_write = comm.clocks[1]
         posix.close(1, fd)
-        segs = tracer.dxt.by_rank(1)
+        segs = rec.by_rank(1)
         assert len(segs) == 1
         s = segs[0]
         assert s.kind == "write"
@@ -46,26 +54,131 @@ class TestDXT:
         assert s.end > s.start >= 0
         assert s.end == pytest.approx(clock_after_write)
 
-    def test_counters_still_flow_to_wrapped_monitor(self, env):
+    def test_counters_flow_to_the_monitor_beside_it(self, env):
         fs, comm = env
-        base = DarshanMonitor(4)
-        posix = PosixIO(fs, comm, TracingMonitor(base, comm))
+        posix, monitor, rec, _session = _traced(fs, comm)
         fd = posix.open(0, "/f", create=True)
         posix.write(0, fd, SyntheticPayload(100))
         posix.close(0, fd)
-        log = base.finalize()
+        log = monitor.finalize()
         assert log.counter_total("POSIX_BYTES_WRITTEN") == 100
+        assert [s.nbytes for s in rec.segments] == [100]
 
     def test_group_ops_traced_per_rank(self, env):
         fs, comm = env
-        tracer = TracingMonitor(DarshanMonitor(4), comm)
-        posix = PosixIO(fs, comm, tracer)
+        posix, _monitor, rec, _session = _traced(fs, comm)
         ranks = np.arange(4)
         fds = posix.open_group(ranks, [f"/r{i}" for i in range(4)])
         posix.write_group(ranks, fds, 256)
         posix.close_group(ranks, fds)
-        assert len(tracer.dxt.segments) == 4
-        assert {s.rank for s in tracer.dxt.segments} == {0, 1, 2, 3}
+        assert len(rec.segments) == 4
+        assert {s.rank for s in rec.segments} == {0, 1, 2, 3}
+        assert [s.path for s in rec.segments] == [f"/r{i}" for i in range(4)]
+
+    def test_scalar_lane_ops_are_traced_exactly(self, env):
+        """Single-rank ops take the bus's scalar lane; the recorder has
+        no ``on_scalar``, so it gets the event the array path builds."""
+        fs, comm = env
+        posix, monitor, rec, _session = _traced(fs, comm)
+        fd = posix.open(2, "/s", create=True)
+        spans = []
+        t = comm.clocks[2]
+        posix.write(2, fd, SyntheticPayload(512), offset=0)
+        spans.append((t, comm.clocks[2]))
+        t = comm.clocks[2]
+        posix.read(2, fd, 512, offset=0)
+        spans.append((t, comm.clocks[2]))
+        t = comm.clocks[2]
+        posix.read_synthetic(2, fd, 256)
+        spans.append((t, comm.clocks[2]))
+        cost = posix.write_scheduled(2, fd, SyntheticPayload(64),
+                                     start_at=10.0)
+        spans.append((10.0, 10.0 + cost))
+        posix.close(2, fd)
+        got = [(s.kind, s.rank, s.path, s.nbytes) for s in rec.segments]
+        assert got == [("write", 2, "/s", 512), ("read", 2, "/s", 512),
+                       ("read", 2, "/s", 256), ("write", 2, "/s", 64)]
+        for seg, (start, end) in zip(rec.segments, spans):
+            assert seg.start == pytest.approx(start, abs=1e-15)
+            assert seg.end == pytest.approx(end, abs=1e-15)
+        # Darshan took the same ops through its on_scalar fold
+        log = monitor.finalize()
+        assert log.counter_total("POSIX_BYTES_WRITTEN") == 576
+        assert log.counter_total("POSIX_BYTES_READ") == 768
+
+    def test_sync_each_chunk_batch_traces_the_writes(self, env):
+        """``write_group(sync_each_chunk=True)`` emits a write+fsync
+        batch: Darshan folds both rows, DXT traces the write row."""
+        fs, comm = env
+        posix, monitor, rec, session = _traced(fs, comm, mode="full")
+        ranks = np.arange(4)
+        fds = posix.open_group(ranks, [f"/c{i}" for i in range(4)])
+        posix.write_group(ranks, fds, 3000, chunk_size=1000,
+                          sync_each_chunk=True)
+        posix.close_group(ranks, fds)
+        assert [(s.kind, s.rank, s.nbytes) for s in rec.segments] == [
+            ("write", r, 3000) for r in range(4)]
+        write, fsync = [e for e in session.events
+                        if e.kind in ("write", "fsync")]
+        assert [s.end for s in rec.segments] == write.end.tolist()
+        np.testing.assert_allclose(write.end, fsync.start, rtol=1e-12)
+        log = monitor.finalize()
+        assert log.counter_total("POSIX_FSYNCS") == 12
+        assert log.counter_total("POSIX_WRITES") == 12
+
+    def test_batch_of_data_rows_folds_in_order(self):
+        bus = TraceBus()
+        rec = bus.subscribe(DXTRecorder())
+        bus.register_files([7, 8], ["/a", "/b"])
+        bus.emit_batch(("write", "read"), [0, 1], nbytes=(10.0, 20.0),
+                       duration=(1.0, 2.0), start=(0.0, 5.0),
+                       inos=[7, 8])
+        assert [(s.kind, s.rank, s.path, s.nbytes, s.start, s.end)
+                for s in rec.segments] == [
+            ("write", 0, "/a", 10, 0.0, 1.0), ("write", 1, "/b", 10, 0.0, 1.0),
+            ("read", 0, "/a", 20, 5.0, 7.0), ("read", 1, "/b", 20, 5.0, 7.0)]
+
+    def test_openpmd_engine_writes_are_traced(self, env):
+        """BP4 subfile flushes (``collective_write``) and index appends
+        (``meta_append``) land as DXT ``write`` segments."""
+        fs, comm = env
+        posix, _monitor, rec, session = _traced(fs, comm, mode="full")
+        posix.mkdir(0, "/run")
+        s = Series(posix, comm, "/run/d.bp4", Access.CREATE)
+        comp = s.iterations[0].particles["e"]["position"]["x"]
+        comp.reset_dataset(Dataset(np.float64, (40,)))
+        for r in range(4):
+            comp.store_chunk(np.zeros(10), (r * 10,), rank=r)
+        s.iterations[0].close()
+        s.close()
+        kinds = {e.kind for e in session.events}
+        assert {"collective_write", "meta_append"} <= kinds
+        paths = {seg.path for seg in rec.segments}
+        assert any("/data." in p for p in paths)
+        assert any(p.endswith(("/md.0", "/md.idx")) for p in paths)
+        assert {seg.kind for seg in rec.segments} == {"write"}
+
+    def test_dxt_text_matches_the_recorder(self, env):
+        """The session's post-hoc dump and the live recorder print the
+        same segment lines for one run."""
+        fs, comm = env
+        posix, _monitor, rec, session = _traced(fs, comm, mode="full")
+        posix.mkdir(0, "/run")
+        s = Series(posix, comm, "/run/m.bp4", Access.CREATE)
+        comp = s.iterations[0].particles["e"]["position"]["x"]
+        comp.reset_dataset(Dataset(np.float64, (40,)))
+        for r in range(4):
+            comp.store_chunk(np.arange(10.0), (r * 10,), rank=r)
+        s.iterations[0].close()
+        s.close()
+        ranks = np.arange(4)
+        fds = posix.open_group(ranks, [f"/run/r{i}" for i in range(4)])
+        posix.write_group(ranks, fds, 100, sync_each_chunk=True)
+        posix.read_group(ranks, fds, 50)
+        posix.close_group(ranks, fds)
+        lines = session.dxt_text().splitlines()
+        assert lines
+        assert rec.render().splitlines()[3:] == lines
 
     def test_ring_buffer_bounds_memory(self):
         rec = DXTRecorder(capacity=4)

@@ -1,6 +1,7 @@
 """Tests for the tooling layer: report generator, postproc driver,
 CLI entry points, BP5 buffering."""
 
+import ast
 import json
 import os
 import subprocess
@@ -120,6 +121,31 @@ class TestPackageImports:
                               *packages], capture_output=True, text=True,
                              env=env, timeout=240)
         assert out.returncode == 0, out.stdout + out.stderr
+
+
+#: PosixIO internals no other module may touch: clocks and events go
+#: through ``PosixIO.charge``, descriptors through ``PosixIO.ino_of``
+POSIX_PRIVATE = frozenset({"_charge", "_notify", "_fds", "_fd_ino",
+                           "_inos_of"})
+
+
+class TestAccountingBoundary:
+    def test_no_module_reaches_into_posix_privates(self):
+        import repro
+
+        root = Path(repro.__file__).parent
+        uses = []
+        for path in sorted(root.rglob("*.py")):
+            rel = path.relative_to(root).as_posix()
+            if rel == "fs/posix.py":
+                continue
+            tree = ast.parse(path.read_text(), filename=rel)
+            uses += [f"{rel}:{node.lineno} .{node.attr}"
+                     for node in ast.walk(tree)
+                     if isinstance(node, ast.Attribute)
+                     and node.attr in POSIX_PRIVATE]
+        assert not uses, (f"{len(uses)} uses of PosixIO private members "
+                          "outside fs/posix.py:\n" + "\n".join(uses))
 
 
 class TestCLIs:

@@ -18,6 +18,7 @@ import pytest
 from repro.adios2.profiling import EngineProfile
 from repro.cluster.presets import dardel
 from repro.darshan.runtime import DarshanMonitor
+from repro.fs import PosixIO, mount
 from repro.mpi.comm import VirtualComm
 from repro.trace import (
     EVENT_KINDS,
@@ -149,6 +150,15 @@ class TestEventsAndBus:
         sub = bus.subscribe(Sub())
         assert sub.files == {3: "/a", 4: "/b"}
         assert bus.path_of(3) == "/a"
+
+    def test_monitor_needs_on_event(self):
+        class RecordOnly:  # the pre-spine monitor protocol
+            def record(self, kind, ranks, nbytes, seconds, api):
+                pass
+
+        fs = mount(dardel().storage_named("lfs"))
+        with pytest.raises(TypeError, match="on_event"):
+            PosixIO(fs, VirtualComm(2, 2), RecordOnly())
 
     def test_session_rejects_unknown_mode(self):
         with pytest.raises(ValueError, match="mode"):
