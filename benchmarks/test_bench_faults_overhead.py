@@ -3,48 +3,34 @@
 The `repro.faults` guard sits in front of every PosixIO data operation,
 so the contract is that a run with an installed-but-inert FaultPlan (no
 spec ever fires) and a RetryPolicy pays <= 5 % wall time over the same
-run with no fault plan at all.  Measured against a live no-faults run in
-the same process, so machine speed cancels out; a small absolute floor
-absorbs timer noise at this ~80 ms scale.
+run with no fault plan at all.  Both runs go in pairs in one process
+(:func:`conftest.paired_ratio`), so machine speed cancels out.
 """
 
-import time
+from conftest import paired_ratio
 
 from repro.cluster.presets import dardel
 from repro.faults import FaultPlan, RetryPolicy, TransientError
 from repro.workloads.runner import run_original_scaled
 
-REPEATS = 5
+#: a single pair of ~80 ms runs reads mostly host noise; the median of
+#: 101 pairs holds still to about 1 %
+PAIRS = 101
 MAX_OVERHEAD = 0.05
-NOISE_FLOOR_SECONDS = 0.003
 
 #: armed far past the run's last step: the guard is installed and
 #: consulted at every step boundary, but no fault ever matches
 INERT_PLAN = FaultPlan((TransientError("write", step=10**9),), seed=0)
 
 
-def _best_of(n: int, fn) -> float:
-    best = float("inf")
-    for _ in range(n):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
-
-
 class TestFaultGuardOverhead:
     def test_inert_plan_under_five_percent(self):
-        no_faults = _best_of(
-            REPEATS,
-            lambda: run_original_scaled(dardel(), 2, seed=0))
-        with_faults = _best_of(
-            REPEATS,
+        ratio = paired_ratio(
+            PAIRS,
+            lambda: run_original_scaled(dardel(), 2, seed=0),
             lambda: run_original_scaled(dardel(), 2, seed=0,
                                         fault_plan=INERT_PLAN,
                                         retry_policy=RetryPolicy()))
-        limit = no_faults * (1 + MAX_OVERHEAD) + NOISE_FLOOR_SECONDS
-        assert with_faults <= limit, (
-            f"inert fault plan took {with_faults:.4f}s vs "
-            f"{no_faults:.4f}s without faults (best of {REPEATS}); "
-            f"allowed {limit:.4f}s ({MAX_OVERHEAD:.0%} + "
-            f"{NOISE_FLOOR_SECONDS * 1e3:.0f} ms floor)")
+        assert ratio <= 1 + MAX_OVERHEAD, (
+            f"inert fault plan took {ratio:.3f}x the run without faults "
+            f"(median of {PAIRS} pairs); allowed {1 + MAX_OVERHEAD:.2f}x")

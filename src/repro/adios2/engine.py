@@ -30,6 +30,7 @@ from __future__ import annotations
 import json
 import zlib
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -92,6 +93,25 @@ class EngineConfig:
     #: "rank" (real ADIOS2 layout) or "node": resolution of the
     #: profiling.json counter axis — "node" keeps the profile O(nodes)
     profile_granularity: str = "rank"
+
+    def __post_init__(self) -> None:
+        """Normalise names to lower case and counts and sizes to int,
+        then reject values no engine can run."""
+        setattr_ = partial(object.__setattr__, self)  # frozen dataclass
+        setattr_("compressor", str(self.compressor).lower()
+                 if self.compressor else None)
+        setattr_("profile_granularity", str(self.profile_granularity).lower())
+        for name in ("num_aggregators", "buffer_chunk_size",
+                     "host_memory_bound", "rank_block_size"):
+            if getattr(self, name) is not None:
+                setattr_(name, int(getattr(self, name)))
+        for name in ("num_aggregators", "rank_block_size"):
+            if getattr(self, name) is not None and getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if self.profile_granularity not in ("rank", "node"):
+            raise ValueError(
+                "profile_granularity must be 'rank' or 'node', got "
+                f"{self.profile_granularity!r}")
 
 
 @dataclass
@@ -200,10 +220,6 @@ class BPEngineBase:
             get_compressor(self.config.compressor)
             if self.config.compressor else None
         )
-        if self.config.profile_granularity not in ("rank", "node"):
-            raise ValueError(
-                "profile_granularity must be 'rank' or 'node', got "
-                f"{self.config.profile_granularity!r}")
         self.plan: AggregationPlan = plan_aggregation(
             comm, self.config.num_aggregators)
         self.profile = EngineProfile(
@@ -580,8 +596,7 @@ class BPEngineBase:
                 live = batch > 0
                 costs = self.posix.write_aggregate(
                     own[live], fds[live], batch[live],
-                    overwrite_offset=offs[live],
-                    charge_clocks=False, start_at=starts[live],
+                    overwrite_offset=offs[live], start_at=starts[live],
                 )
                 starts[live] += costs
                 for j in np.nonzero(live)[0]:
@@ -592,7 +607,7 @@ class BPEngineBase:
         else:
             costs = self.posix.write_aggregate(
                 own, fds, per_agg[act], overwrite_offset=offsets[act],
-                charge_clocks=False, start_at=starts,
+                start_at=starts,
             )
             starts = starts + costs
             for j in range(len(act)):

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 from repro.cluster.presets import dardel
 from repro.experiments.common import resolve_machine, subset
-from repro.experiments.points import engine_report
+from repro.experiments.points import openpmd_report
 from repro.experiments.sweep import sweep
 from repro.util.tables import Table
 from repro.util.units import to_gib
@@ -124,7 +124,7 @@ def run_agg_sweep(machine=None, nodes: int | None = None,
                     "engine_ext": ext, "async_drain": drain,
                     "compute_seconds_per_step": compute_seconds_per_step,
                     "seed": seed})
-    reports = sweep(engine_report, points)
+    reports = sweep(openpmd_report, points)
 
     result = AggSweepResult(machine=machine.name, nodes=nodes)
     for point, rep in zip(points, reports):

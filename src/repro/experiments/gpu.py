@@ -27,11 +27,11 @@ from dataclasses import dataclass, field, replace
 
 from repro.cluster.presets import dardel_gpu
 from repro.experiments.common import resolve_machine, subset, write_artifact
+from repro.experiments.points import openpmd_report
 from repro.experiments.sweep import sweep
 from repro.gpu import HybridConfig
 from repro.util.tables import Table
 from repro.util.units import MiB, to_gib
-from repro.workloads.runner import run_openpmd_scaled
 
 #: staging modes swept (host bounce buffer vs GPUDirect Storage)
 MODES = ("host", "gds")
@@ -45,27 +45,25 @@ NODES = 200
 STAGING_MIB = 2
 
 
-def gpu_report(machine, nodes: int, mode: str, aggregators: int,
-               gpus_per_node: int, staging_mib: int, engine_ext: str,
-               seed: int, config=None) -> dict:
+def gpu_report(machine, nodes: int, mode: str, gpus_per_node: int,
+               staging_mib: int, **run) -> dict:
     """One hybrid scaled run; module-level so the sweep can memoise it.
 
     ``machine`` provides the device template (its first
     :class:`~repro.cluster.machine.GpuSpec`) and everything else; the
-    node is rebuilt with ``gpus_per_node`` copies of that device.
+    node is rebuilt with ``gpus_per_node`` copies of that device;
+    ``run`` goes on to :func:`repro.experiments.points.openpmd_report`.
     """
     m = resolve_machine(machine)
     if not m.node.gpus:
         raise ValueError(f"{m.name} is not a GPU machine preset")
     device = m.node.gpus[0]
     m = replace(m, node=replace(m.node, gpus=(device,) * gpus_per_node))
-    result = run_openpmd_scaled(
-        m, nodes, config=config, num_aggregators=aggregators,
-        engine_ext=engine_ext, async_drain=True, seed=seed,
-        hybrid=HybridConfig(mode=mode, staging_bytes=staging_mib * MiB))
-    rep = dict(result.gpu_report)
-    rep["makespan_s"] = float(result.comm.max_time())
-    return rep
+    report = openpmd_report(
+        m, nodes, async_drain=True,
+        hybrid=HybridConfig(mode=mode, staging_bytes=staging_mib * MiB),
+        **run)
+    return {**report["gpu"], "makespan_s": report["makespan"]}
 
 
 @dataclass
@@ -249,7 +247,7 @@ def run_gpu(machine=None, modes=MODES, aggregators=AGGREGATORS,
         staging_mib = staging_mib * max(1, full // nodes)
 
     points = [{"machine": machine, "nodes": nodes, "mode": mode,
-               "aggregators": agg, "gpus_per_node": g,
+               "num_aggregators": agg, "gpus_per_node": g,
                "staging_mib": staging_mib, "engine_ext": engine_ext,
                "seed": seed, "config": config}
               for mode in modes for agg in aggregators
@@ -263,7 +261,7 @@ def run_gpu(machine=None, modes=MODES, aggregators=AGGREGATORS,
     for point, rep in zip(points, reports):
         drain = rep["drain_seconds_max"]
         result.rows.append(GpuRow(
-            mode=point["mode"], aggregators=point["aggregators"],
+            mode=point["mode"], aggregators=point["num_aggregators"],
             gpus_per_node=point["gpus_per_node"],
             makespan_s=rep["makespan_s"],
             staged_gib=to_gib(rep["staged_bytes"]),

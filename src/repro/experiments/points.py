@@ -24,6 +24,7 @@ from repro.darshan.report import (
 from repro.ior.benchmark import run_ior
 from repro.ior.config import table1_file_per_proc, table1_shared
 from repro.workloads.datamodel import Bit1DataModel
+from repro.workloads.presets import paper_use_case
 from repro.workloads.runner import run_openpmd_scaled, run_original_scaled
 
 
@@ -43,31 +44,15 @@ def original_report(machine, nodes, config=None, seed=0) -> dict:
                                        seed=seed))
 
 
-def openpmd_report(machine, nodes, config=None, num_aggregators=None,
-                   compressor=None, stripe_count=None, stripe_size=None,
-                   seed=0) -> dict:
-    """One openPMD+BP4 run (Figs. 3-7, 9, Table II, weak scaling)."""
-    return _report(run_openpmd_scaled(
-        machine, nodes, config=config, num_aggregators=num_aggregators,
-        compressor=compressor, stripe_count=stripe_count,
-        stripe_size=stripe_size, seed=seed))
+def openpmd_report(machine, nodes, **run) -> dict:
+    """One openPMD run; ``run`` is any :func:`run_openpmd_scaled` keyword.
 
-
-def engine_report(machine, nodes, config=None, num_aggregators=None,
-                  engine_ext=".bp4", async_drain=False,
-                  host_memory_bound=None, compute_seconds_per_step=0.0,
-                  seed=0) -> dict:
-    """One engine-comparison run (the BP4-vs-BP5 aggregator sweep).
-
-    On top of :func:`_report`'s metrics this exposes the makespan, the
-    folded aggregation-phase cost (where one-level and two-level shuffles
-    diverge) and the async-drain accounting.
+    On top of :func:`_report`'s metrics: the makespan, the folded
+    aggregation-phase cost and the async-drain accounting; with a summary
+    trace also Fig. 8's per-rank memcpy/compress time and the per-layer
+    breakdown, and for a hybrid run its GPU staging report.
     """
-    res = run_openpmd_scaled(
-        machine, nodes, config=config, num_aggregators=num_aggregators,
-        engine_ext=engine_ext, async_drain=async_drain,
-        host_memory_bound=host_memory_bound,
-        compute_seconds_per_step=compute_seconds_per_step, seed=seed)
+    res = run_openpmd_scaled(machine, nodes, **run)
     out = _report(res)
     out.update(
         makespan=res.comm.max_time(),
@@ -75,72 +60,51 @@ def engine_report(machine, nodes, config=None, num_aggregators=None,
         / 1e6,
         peak_host_bytes=res.peak_host_bytes,
         drain_wait_s=res.drain_wait_seconds,
-        drain_s=res.drain_seconds,
     )
+    profile = res.trace.stream_profile
+    if profile is not None:
+        out.update(
+            memcpy_us=profile.total_us("memcpy") / profile.nranks,
+            compress_us=profile.total_us("compress") / profile.nranks,
+            breakdown=res.trace.render_breakdown(),
+        )
+    if run.get("hybrid") is not None:
+        out["gpu"] = res.gpu_report
     return out
 
 
-def tuning_report(machine, nodes, config=None, engine_ext=".bp4",
-                  aggs_per_node=1.0, stripe_count=None, stripe_size=None,
-                  compressor=None, async_drain=False, queue_depth=2,
-                  ranks_per_node=128, compute_seconds_per_step=0.0,
-                  seed=0) -> dict:
+def tuning_report(machine, nodes, aggs_per_node=1.0, async_drain=False,
+                  queue_depth=2, ranks_per_node=128, **run) -> dict:
     """One joint-configuration probe of the I/O autotuner.
 
-    The tuner's whole search space in one point function: engine ×
-    aggregators-per-node × Lustre striping × compression × drain mode ×
-    queue depth.  ``aggs_per_node`` (not an absolute aggregator count)
-    keeps candidates comparable across node counts; ``queue_depth`` is
-    the number of per-step staging buffers each aggregator may hold
-    while async-draining — it maps onto the engine's
-    ``host_memory_bound`` (BP5 ``MaxShmSize``) as ``depth × the
-    aggregator's per-step diagnostic volume`` and is inert when
-    ``async_drain`` is off.
+    Translates the tuner's units for :func:`openpmd_report`.
+    ``aggs_per_node`` (not an absolute aggregator count) keeps candidates
+    comparable across node counts; ``queue_depth`` is the number of
+    per-step staging buffers each aggregator may hold while
+    async-draining — it maps onto the engine's ``host_memory_bound``
+    (BP5 ``MaxShmSize``) as ``depth × the aggregator's per-step
+    diagnostic volume`` and is inert when ``async_drain`` is off.
     """
-    if config is None:
-        from repro.workloads.presets import paper_use_case
-        config = paper_use_case()
     num_aggregators = max(1, int(round(nodes * aggs_per_node)))
     host_memory_bound = None
     if async_drain:
-        model = Bit1DataModel(config, nodes * ranks_per_node)
+        model = Bit1DataModel(run.get("config") or paper_use_case(),
+                              nodes * ranks_per_node)
         step_bytes = (model.diag_bytes_per_rank_per_event()
                       * nodes * ranks_per_node / num_aggregators)
         host_memory_bound = max(int(queue_depth * step_bytes), 1 << 20)
-    res = run_openpmd_scaled(
-        machine, nodes, config=config, ranks_per_node=ranks_per_node,
-        num_aggregators=num_aggregators, compressor=compressor,
-        stripe_count=stripe_count, stripe_size=stripe_size,
-        engine_ext=engine_ext, async_drain=async_drain,
-        host_memory_bound=host_memory_bound,
-        compute_seconds_per_step=compute_seconds_per_step, seed=seed)
-    out = _report(res)
-    out.update(
-        makespan=res.comm.max_time(),
-        aggregation_s=sum(p.total_us("aggregation") for p in res.profiles)
-        / 1e6,
-        peak_host_bytes=res.peak_host_bytes,
-        drain_wait_s=res.drain_wait_seconds,
-        host_memory_bound=host_memory_bound,
-    )
+    out = openpmd_report(
+        machine, nodes, ranks_per_node=ranks_per_node,
+        num_aggregators=num_aggregators, async_drain=async_drain,
+        host_memory_bound=host_memory_bound, **run)
+    out["host_memory_bound"] = host_memory_bound
     return out
 
 
-def openpmd_profile(machine, nodes, compressor=None, seed=0) -> dict:
-    """One profiled openPMD run, metrics folded from its event stream.
-
-    Separate from :func:`openpmd_report` because ``profiling=True`` and
-    the summary trace session change what the run records (Fig. 8).
-    """
-    res = run_openpmd_scaled(machine, nodes, num_aggregators=1,
-                             compressor=compressor, profiling=True,
-                             seed=seed, trace_mode="summary")
-    profile = res.trace.stream_profile
-    return {
-        "memcpy_us": profile.total_us("memcpy") / profile.nranks,
-        "compress_us": profile.total_us("compress") / profile.nranks,
-        "breakdown": res.trace.render_breakdown(),
-    }
+def openpmd_profile(machine, nodes, **run) -> dict:
+    """One profiled single-aggregator openPMD run (Fig. 8)."""
+    return openpmd_report(machine, nodes, num_aggregators=1, profiling=True,
+                          trace_mode="summary", **run)
 
 
 def streaming_report(machine, nodes, config=None, queue_depth=4,

@@ -35,11 +35,11 @@ import numpy as np
 
 from repro.cluster.presets import dardel
 from repro.experiments.common import resolve_machine, subset, write_artifact
+from repro.experiments.points import openpmd_report
 from repro.util.rng import make_rng
 from repro.util.tables import Table
 from repro.workloads.datamodel import Bit1DataModel
 from repro.workloads.presets import paper_use_case
-from repro.workloads.runner import run_openpmd_scaled
 
 #: MTBF sweep, hours (machine-wide failure rate seen by the job)
 MTBF_HOURS = (2.0, 6.0, 24.0)
@@ -153,16 +153,16 @@ def run_resilience(machine=None, nodes: int = 2, quick: bool = False,
     cfg_ckpt = paper_use_case().with_(last_step=meas_steps,
                                       datfile=1_000, dmpstep=1_000)
     cfg_none = cfg_ckpt.with_(dmpstep=meas_steps * 2)
-    res_ckpt = run_openpmd_scaled(machine, nodes, config=cfg_ckpt, seed=seed)
-    res_none = run_openpmd_scaled(machine, nodes, config=cfg_none, seed=seed,
-                                  trace_mode="summary")
+    rep_ckpt = openpmd_report(machine, nodes, config=cfg_ckpt, seed=seed)
+    rep_none = openpmd_report(machine, nodes, config=cfg_none, seed=seed,
+                              trace_mode="summary")
     n_ckpts = meas_steps // cfg_ckpt.dmpstep
     ckpt_cost = max(
-        (res_ckpt.comm.max_time() - res_none.comm.max_time()) / n_ckpts, 0.0)
+        (rep_ckpt["makespan"] - rep_none["makespan"]) / n_ckpts, 0.0)
 
     total_steps = paper_use_case().last_step
     step_s = (COMPUTE_SECONDS_PER_STEP
-              + res_none.comm.max_time() / cfg_none.last_step)
+              + rep_none["makespan"] / cfg_none.last_step)
 
     result = ResilienceResult(
         machine=machine.name, nodes=nodes, ckpt_cost_s=ckpt_cost,
@@ -173,7 +173,7 @@ def run_resilience(machine=None, nodes: int = 2, quick: bool = False,
         f"ms nominal compute), restart penalty "
         f"{RESTART_PENALTY_SECONDS:.0f} s")
     result.notes.append("I/O layer breakdown of the measurement run:")
-    result.notes.extend(res_none.trace.render_breakdown().splitlines())
+    result.notes.extend(rep_none["breakdown"].splitlines())
 
     for mtbf_h in mtbf_hours:
         # one seeded timeline per MTBF, shared across intervals, so the

@@ -115,6 +115,10 @@ class FaultInjector:
         #: remaining shot count per TransientError spec
         self._transient_remaining = {
             spec: spec.count for spec in plan.of_type(TransientError)}
+        #: whether begin_step has anything to apply; transient errors
+        #: act only in the per-op guard
+        self._step_faults = any(not isinstance(spec, TransientError)
+                                for spec in plan.specs)
         self._corruptions_done: set[SilentCorruption] = set()
         self._agg_failures_done: set[AggregatorFailure] = set()
         self._crashes_done: set[NodeCrash] = set()
@@ -147,6 +151,11 @@ class FaultInjector:
         corruption/outage state is already in place for the restart.
         """
         self.step = step
+        if not self._step_faults and not self.fs.dead_osts:
+            # nothing opens, closes, flips or crashes: every factor
+            # stays 1.0 and only the transient-error guard re-arms
+            self._arm_guard(step)
+            return []
 
         # stateless window factors: recomputed, not accumulated, so a
         # restart replaying from an earlier step sees identical state
@@ -201,10 +210,7 @@ class FaultInjector:
                 self._emit("fault", spec.rank, api="AGG")
                 directives.append(spec)
 
-        # arm the per-op guard only when it can actually fire
-        self._guard_active = bool(self.fs.dead_osts) or any(
-            n > 0 and spec.step <= step
-            for spec, n in self._transient_remaining.items())
+        self._arm_guard(step)
 
         # node crashes: all specs pinned to this step fire together as
         # ONE failure domain (a rack power event takes several nodes at
@@ -233,6 +239,12 @@ class FaultInjector:
         return directives
 
     # -- per-op guard --------------------------------------------------------
+
+    def _arm_guard(self, step: int) -> None:
+        """Arm the per-op guard only when it can actually fire."""
+        self._guard_active = bool(self.fs.dead_osts) or any(
+            n > 0 and spec.step <= step
+            for spec, n in self._transient_remaining.items())
 
     def _match(self, op: str, ranks, inos):
         """First armed fault hit by this op, or None.

@@ -344,9 +344,9 @@ class PosixIO:
 
         The content lands in the vfs immediately (so later reads see it)
         but no clock is charged: the caller owns the scheduling — this is
-        the store-level twin of :meth:`write_aggregate`'s
-        ``charge_clocks=False`` path, used by the resilience plane's
-        asynchronous L3 checkpoint flush.  Events are stamped at
+        the store-level twin of :meth:`write_aggregate` given
+        ``start_at``, used by the resilience plane's asynchronous L3
+        checkpoint flush.  Events are stamped at
         ``start_at`` so timeline exports show the drain where it actually
         runs.  Returns the modeled seconds (write plus any per-chunk
         fsyncs) for the caller's drain bookkeeping.
@@ -551,7 +551,7 @@ class PosixIO:
     def write_aggregate(self, ranks: np.ndarray, fds: np.ndarray,
                         nbytes_each: int | np.ndarray,
                         overwrite_offset: int | np.ndarray | None = None,
-                        api: str = "POSIX", charge_clocks: bool = True,
+                        api: str = "POSIX",
                         start_at: np.ndarray | None = None) -> np.ndarray:
         """Collective write phase of M aggregator streams (ADIOS2 BP path).
 
@@ -563,10 +563,10 @@ class PosixIO:
         ``its_bytes / (rate/M)`` plus its per-RPC latencies.  The RPC size
         is bounded by the file's stripe size (the Fig. 9 mechanism).
 
-        Returns per-rank elapsed seconds (charged to the clocks unless
-        ``charge_clocks=False`` — the async drain path schedules the
-        phase in the future and passes its planned ``start_at`` times so
-        the emitted event is stamped when the drain actually runs).
+        Returns per-rank elapsed seconds, charged to the clocks unless
+        the caller passes planned ``start_at`` times: the async drain
+        path schedules the phase in the future, so no clock moves and
+        the emitted event is stamped when the drain actually runs.
         """
         ranks = np.asarray(ranks)
         fds = np.asarray(fds)
@@ -590,9 +590,9 @@ class PosixIO:
         # the write() system calls the engine issues are stripe-sized
         # buffer flushes; the per-RPC fan-out below them is the cost model
         n_writes = np.maximum(np.ceil(nbytes / stripe_size), 1.0)
-        if charge_clocks:
+        if start_at is None:
             self.charge(ranks, costs, "collective_write", nbytes=nbytes,
-                        api=api, inos=inos, n_ops=n_writes, start=start_at)
+                        api=api, inos=inos, n_ops=n_writes)
         else:
             self._notify("collective_write", ranks, costs, nbytes=nbytes,
                          api=api, inos=inos, n_ops=n_writes, start=start_at)

@@ -47,19 +47,10 @@ class Bit1OpenPMDWriter:
         self.options = parse_options(options, env)
         self.diag_series = Series(
             posix, comm, f"{self.outdir}/{prefix}_dat{engine_ext}",
-            Access.CREATE, options=options, env=env)
-        # the checkpoint series writes one shared subfile unless the user
-        # pinned an explicit aggregator count (the "+ 1 AGGR" and Lustre
-        # striping studies do) — this is the layout behind Table II's
-        # constant-size checkpoint file
-        ckpt_options = dict(self.options.raw)
-        if self.options.num_aggregators is None:
-            ckpt_options.setdefault("adios2", {}).setdefault(
-                "engine", {}).setdefault("parameters", {})[
-                "NumAggregators"] = 1
+            Access.CREATE, options=self.options)
         self.ckpt_series = Series(
             posix, comm, f"{self.outdir}/{prefix}_dmp{engine_ext}",
-            Access.CREATE, options=ckpt_options, env=env)
+            Access.CREATE, options=self.options.for_checkpoints())
         self._snapshots = 0
 
     # -- diagnostics ------------------------------------------------------------

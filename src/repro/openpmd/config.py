@@ -24,8 +24,10 @@ Environment-variable style overrides (``OPENPMD_ADIOS2_BP5_NumAgg``,
 from __future__ import annotations
 
 import tomllib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Mapping
+
+from repro.adios2.engine import EngineConfig
 
 ITERATION_ENCODINGS = ("group_based", "group_based_with_steps", "file_based")
 
@@ -35,23 +37,9 @@ class SeriesOptions:
     """Parsed, validated series configuration."""
 
     engine_type: str = "bp4"
-    num_aggregators: int | None = None
-    compressor: str | None = None
-    profiling: bool = False
     iteration_encoding: str = "group_based_with_steps"
-    #: BP5 ``AsyncWrite``: overlap subfile drains with the next step
-    async_write: bool = False
-    #: staging-batch bound per aggregator (``BufferChunkSize``), bytes
-    buffer_chunk_size: int | None = None
-    #: resident staging cap per aggregator (``MaxShmSize``-style), bytes
-    max_shm: int | None = None
-    #: memory plane: evaluate flushes in rank blocks of this size
-    #: (``RankBlockSize``); None = whole-job evaluation
-    rank_block_size: int | None = None
-    #: memory plane: profiling counter axis — "rank" or "node"
-    #: (``ProfileGranularity``)
-    profile_granularity: str = "rank"
-    raw: dict = field(default_factory=dict)
+    #: the knobs of every engine the series opens (validated there)
+    engine: EngineConfig = field(default_factory=EngineConfig)
 
     def __post_init__(self) -> None:
         if self.iteration_encoding not in ITERATION_ENCODINGS:
@@ -59,14 +47,14 @@ class SeriesOptions:
                 f"unknown iteration encoding {self.iteration_encoding!r}; "
                 f"choose from {ITERATION_ENCODINGS}"
             )
-        if self.num_aggregators is not None and self.num_aggregators < 1:
-            raise ValueError("NumAggregators must be >= 1")
-        if self.profile_granularity not in ("rank", "node"):
-            raise ValueError(
-                "ProfileGranularity must be 'rank' or 'node', got "
-                f"{self.profile_granularity!r}")
-        if self.rank_block_size is not None and self.rank_block_size < 1:
-            raise ValueError("RankBlockSize must be >= 1")
+
+    def for_checkpoints(self) -> "SeriesOptions":
+        """BIT1's checkpoint series writes one shared subfile unless the
+        caller pinned an aggregator count (the "+ 1 AGGR" and striping
+        studies do): the layout behind Table II's constant-size file."""
+        if self.engine.num_aggregators is not None:
+            return self
+        return replace(self, engine=replace(self.engine, num_aggregators=1))
 
 
 def _as_bool(value: Any) -> bool:
@@ -92,28 +80,19 @@ def parse_options(options: str | Mapping[str, Any] | None = None,
     params = engine.get("parameters", {})
     engine_type = str(engine.get("type", "bp4")).lower()
 
-    num_agg: int | None = None
+    num_agg = None
     for key in ("NumAggregators", "NumSubFiles", "numaggregators"):
         if key in params:
-            num_agg = int(params[key])
+            num_agg = params[key]
             break
 
     profiling = _as_bool(params.get("Profile", False))
-    async_write = _as_bool(params.get("AsyncWrite", False))
-    buffer_chunk = params.get("BufferChunkSize")
-    buffer_chunk_size = None if buffer_chunk is None else int(buffer_chunk)
-    max_shm_param = params.get("MaxShmSize")
-    max_shm = None if max_shm_param is None else int(max_shm_param)
-    rank_block = params.get("RankBlockSize")
-    rank_block_size = None if rank_block is None else int(rank_block)
-    profile_granularity = str(params.get("ProfileGranularity",
-                                         "rank")).lower()
 
-    compressor: str | None = None
+    compressor = None
     dataset = adios2.get("dataset", {})
     operators = dataset.get("operators", [])
     if operators:
-        compressor = str(operators[0].get("type", "")).lower() or None
+        compressor = operators[0].get("type")
 
     encoding = str(
         data.get("iteration", {}).get("encoding", "group_based_with_steps")
@@ -121,22 +100,23 @@ def parse_options(options: str | Mapping[str, Any] | None = None,
 
     if env:
         if "OPENPMD_ADIOS2_BP5_NumAgg" in env:
-            num_agg = int(env["OPENPMD_ADIOS2_BP5_NumAgg"])
+            num_agg = env["OPENPMD_ADIOS2_BP5_NumAgg"]
         if "OPENPMD_ADIOS2_HAVE_PROFILING" in env:
             profiling = _as_bool(env["OPENPMD_ADIOS2_HAVE_PROFILING"])
 
     return SeriesOptions(
         engine_type=engine_type,
-        num_aggregators=num_agg,
-        compressor=compressor,
-        profiling=profiling,
         iteration_encoding=encoding,
-        async_write=async_write,
-        buffer_chunk_size=buffer_chunk_size,
-        max_shm=max_shm,
-        rank_block_size=rank_block_size,
-        profile_granularity=profile_granularity,
-        raw=data,
+        engine=EngineConfig(
+            num_aggregators=num_agg,
+            compressor=compressor,
+            profiling=profiling,
+            async_drain=_as_bool(params.get("AsyncWrite", False)),
+            buffer_chunk_size=params.get("BufferChunkSize"),
+            host_memory_bound=params.get("MaxShmSize"),
+            rank_block_size=params.get("RankBlockSize"),
+            profile_granularity=params.get("ProfileGranularity", "rank"),
+        ),
     )
 
 

@@ -9,7 +9,8 @@ and owns the attribute schema of the openPMD standard.
 Write path (the step-by-step procedure of §III-B):
 
 1. construct the Series with path, access mode, communicator and the
-   TOML options (compressor configuration goes to the engine);
+   TOML options or parsed ``SeriesOptions`` (the engine knobs go to the
+   engine);
 2. open an iteration (``series.iterations[i]``);
 3. ``storeChunk`` per rank on record components (local vectors appended
    to global vectors);
@@ -29,7 +30,7 @@ from typing import Any, Iterator, Mapping
 
 import numpy as np
 
-from repro.adios2 import EngineConfig, engine_for_path
+from repro.adios2 import engine_for_path
 from repro.adios2.bp4 import BP4Engine
 from repro.adios2.bp5 import BP5Engine
 from repro.fs.posix import PosixIO
@@ -122,13 +123,17 @@ class Series:
 
     def __init__(self, posix: PosixIO, comm: VirtualComm, path: str,
                  access: Access = Access.CREATE,
-                 options: str | Mapping[str, Any] | None = None,
+                 options: str | Mapping[str, Any] | SeriesOptions
+                 | None = None,
                  env: Mapping[str, str] | None = None):
         self.posix = posix
         self.comm = comm
         self.path = path
         self.access = access
-        self.options: SeriesOptions = parse_options(options, env)
+        # env overrides apply while parsing TOML or dict options
+        self.options: SeriesOptions = (
+            options if isinstance(options, SeriesOptions)
+            else parse_options(options, env))
         self.iterations = _IterationsProxy(self)
         self.attributes: dict[str, Any] = {
             "openPMD": OPENPMD_VERSION,
@@ -153,18 +158,6 @@ class Series:
         return (self.options.iteration_encoding == "file_based"
                 or "%T" in self.path)
 
-    def _engine_config(self) -> EngineConfig:
-        return EngineConfig(
-            num_aggregators=self.options.num_aggregators,
-            compressor=self.options.compressor,
-            profiling=self.options.profiling,
-            async_drain=self.options.async_write,
-            buffer_chunk_size=self.options.buffer_chunk_size,
-            host_memory_bound=self.options.max_shm,
-            rank_block_size=self.options.rank_block_size,
-            profile_granularity=self.options.profile_granularity,
-        )
-
     def _engine_path(self, iteration: int | None) -> str:
         if self.file_based:
             if "%T" not in self.path:
@@ -180,7 +173,7 @@ class Series:
         if eng is None:
             path = self._engine_path(iteration)
             cls = self._engine_class(path)
-            eng = cls(self.posix, self.comm, path, mode, self._engine_config())
+            eng = cls(self.posix, self.comm, path, mode, self.options.engine)
             self._engines[key] = eng
         return eng
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.adios2.engine import IntegrityError
+from repro.adios2.engine import EngineConfig, IntegrityError
 from repro.adios2.profiling import EngineProfile
 from repro.cluster.machine import Machine, StorageSystem
 from repro.darshan.log import DarshanLog
@@ -43,6 +43,7 @@ from repro.mem import (
     use_budget,
 )
 from repro.mpi.comm import VirtualComm, comm_for_nodes
+from repro.openpmd.config import SeriesOptions
 from repro.openpmd.record import Dataset
 from repro.openpmd.series import Access, Series
 from repro.pic.config import Bit1Config
@@ -352,33 +353,19 @@ def run_openpmd_scaled(machine: Machine, nodes: int,
                     "striping controls require a Lustre filesystem")
             fs.lfs_setstripe(outdir, stripe_count or 1, stripe_size or "1M")
 
-        def series(path: str, num_agg: int | None) -> Series:
-            options: dict = {"adios2": {"engine": {"type": engine_ext.strip("."),
-                                                   "parameters": {}},
-                                        "dataset": {}}}
-            params = options["adios2"]["engine"]["parameters"]
-            if num_agg is not None:
-                params["NumAggregators"] = num_agg
-            if profiling:
-                params["Profile"] = "On"
-            if async_drain:
-                params["AsyncWrite"] = "On"
-            if host_memory_bound is not None:
-                params["MaxShmSize"] = int(host_memory_bound)
-            if block is not None:
-                params["RankBlockSize"] = int(block)
-            if counter_granularity == "node":
-                params["ProfileGranularity"] = "node"
-            if compressor:
-                options["adios2"]["dataset"]["operators"] = [
-                    {"type": compressor}]
-            return Series(posix, comm, path, Access.CREATE, options=options)
+        engine = EngineConfig(
+            num_aggregators=num_aggregators, compressor=compressor,
+            profiling=profiling, async_drain=async_drain,
+            host_memory_bound=host_memory_bound, rank_block_size=block,
+            profile_granularity=counter_granularity)
+        options = SeriesOptions(engine_type=engine_ext.strip("."),
+                                engine=engine)
 
         _read_startup_inputs(posix, comm, model, outdir)
-        diag_series = series(f"{outdir}/dat_file{engine_ext}",
-                             num_aggregators)
-        ckpt_series = series(f"{outdir}/dmp_file{engine_ext}",
-                             1 if num_aggregators is None else num_aggregators)
+        diag_series = Series(posix, comm, f"{outdir}/dat_file{engine_ext}",
+                             Access.CREATE, options=options)
+        ckpt_series = Series(posix, comm, f"{outdir}/dmp_file{engine_ext}",
+                             Access.CREATE, options=options.for_checkpoints())
 
         # per-rank chunk sizes as O(1) span descriptors — never
         # materialised job-wide (the engine slices per rank block)

@@ -221,6 +221,31 @@ class TestAggregation:
         assert failed.node_of_rank is plan.node_of_rank
 
 
+class TestEngineConfig:
+    def test_invalid_values_raise_at_construction(self):
+        # rank_block_size=0 used to reach the first span-staged end_step
+        # and fail there on range(0, n, 0)
+        for bad in (dict(rank_block_size=0), dict(num_aggregators=0),
+                    dict(profile_granularity="rack")):
+            with pytest.raises(ValueError):
+                EngineConfig(**bad)
+
+    def test_normalised_like_the_toml_parameters(self):
+        cfg = EngineConfig(compressor="Blosc", profile_granularity="NODE",
+                           num_aggregators=np.int64(4),
+                           host_memory_bound=1.5e6, rank_block_size="64",
+                           buffer_chunk_size=np.float64(2 ** 20))
+        assert cfg.compressor == "blosc"
+        assert cfg.profile_granularity == "node"
+        assert (cfg.num_aggregators, cfg.host_memory_bound,
+                cfg.rank_block_size, cfg.buffer_chunk_size) == (
+            4, 1_500_000, 64, 2 ** 20)
+        assert all(type(v) is int for v in (
+            cfg.num_aggregators, cfg.host_memory_bound,
+            cfg.rank_block_size, cfg.buffer_chunk_size))
+        assert EngineConfig(compressor="").compressor is None
+
+
 class TestEngineLayout:
     def test_bp4_directory_contents(self, env):
         _fs, comm, posix = env

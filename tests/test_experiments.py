@@ -19,6 +19,7 @@ from repro.experiments import (
 )
 from repro.experiments.common import ExperimentResult, SeriesResult, subset
 from repro.experiments.paper_data import NODE_COUNTS, TABLE2
+from repro.experiments.points import openpmd_profile, openpmd_report
 from repro.util.units import MiB
 
 QUICK_NODES = (1, 10, 50)
@@ -128,6 +129,22 @@ class TestFig8:
         assert r.compress_us_compressed > 0
         assert r.compress_us_uncompressed == 0
         assert "True (paper: True)" in r.render()
+
+
+class TestOpenPMDReport:
+    #: what every openPMD report carries
+    BASE = {"gib", "split", "files", "seconds_per_write", "makespan",
+            "aggregation_s", "peak_host_bytes", "drain_wait_s"}
+
+    def test_profile_is_the_report_with_its_preset(self):
+        profile = openpmd_profile(dardel(), 1, compressor="blosc", seed=1)
+        assert profile == openpmd_report(
+            dardel(), 1, num_aggregators=1, compressor="blosc",
+            profiling=True, trace_mode="summary", seed=1)
+        # a summary trace adds the Fig. 8 section
+        assert set(profile) == self.BASE | {"memcpy_us", "compress_us",
+                                            "breakdown"}
+        assert profile["compress_us"] > 0 and profile["memcpy_us"] == 0
 
 
 class TestFig9:

@@ -24,6 +24,8 @@ from hypothesis import strategies as st
 
 from repro.cluster import GpuSpec, dardel, dardel_gpu, machine_by_name
 from repro.cluster.machine import NodeSpec, replace
+from repro.experiments.gpu import gpu_report
+from repro.experiments.points import openpmd_report
 from repro.faults import (
     RECOVERABLE_TYPES,
     DeviceOOM,
@@ -176,6 +178,21 @@ class TestStagingModel:
     def _stager(self, gpus, config=None, bus=None, rpn=2, size=4):
         comm = VirtualComm(size, rpn)
         return comm, HybridStager(comm, gpus, config, bus=bus)
+
+    def test_openpmd_report_gpu_section_matches_gpu_report(self):
+        machine = dardel_gpu()
+        rep = gpu_report(machine, 2, "host", len(machine.node.gpus), 2,
+                         num_aggregators=2, engine_ext=".bp5", seed=3,
+                         config=_config())
+        hybrid = openpmd_report(
+            machine, 2, config=_config(), num_aggregators=2,
+            engine_ext=".bp5", async_drain=True, seed=3,
+            hybrid=HybridConfig(mode="host", staging_bytes=2 * MiB))
+        assert hybrid["gpu"] == {k: v for k, v in rep.items()
+                                 if k != "makespan_s"}
+        assert hybrid["makespan"] == rep["makespan_s"]
+        assert "gpu" not in openpmd_report(machine, 2, config=_config(),
+                                           seed=3)
 
     def test_rank_to_gpu_mapping(self):
         comm, stager = self._stager((GpuSpec(), GpuSpec()), rpn=4, size=8)

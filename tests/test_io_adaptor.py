@@ -1,5 +1,7 @@
 """Tests for BIT1's I/O adaptors (original stdio path, openPMD path)."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -131,6 +133,21 @@ class TestOpenPMDWriter:
         # diag: one subfile per node (+md.0 +md.idx); ckpt: single subfile
         assert len([f for f in dat if "/data." in f]) == comm.nnodes
         assert len([f for f in dmp if "/data." in f]) == 1
+
+    def test_writers_leave_the_callers_options_unchanged(self):
+        """The checkpoint series' one-subfile default must not leak into
+        the caller's options, or a second writer built from the same
+        dict writes its diagnostics through one aggregator."""
+        comm = VirtualComm(8, 4)
+        posix = PosixIO(mount(dardel().storage_named("lfs")), comm)
+        options = {"adios2": {"engine": {"type": "bp4"}}}
+        before = copy.deepcopy(options)
+        writers = [Bit1OpenPMDWriter(posix, comm, f"/w{i}", options=options)
+                   for i in range(2)]
+        assert options == before
+        for writer in writers:
+            assert writer.diag_series.options.engine.num_aggregators is None
+            assert writer.ckpt_series.options.engine.num_aggregators == 1
 
     def test_checkpoint_restart_different_rank_count(self, env, config):
         fs, comm, _mon, posix = env

@@ -34,16 +34,16 @@ class TestConfig:
     def test_default_options(self):
         opts = parse_options(None)
         assert opts.engine_type == "bp4"
-        assert opts.num_aggregators is None
-        assert not opts.profiling
+        assert opts.engine.num_aggregators is None
+        assert not opts.engine.profiling
 
     def test_paper_toml(self):
         opts = parse_options(BIT1_BLOSC_TOML)
-        assert opts.compressor == "blosc"
+        assert opts.engine.compressor == "blosc"
         assert opts.iteration_encoding == "group_based_with_steps"
 
     def test_default_toml_no_compressor(self):
-        assert parse_options(BIT1_DEFAULT_TOML).compressor is None
+        assert parse_options(BIT1_DEFAULT_TOML).engine.compressor is None
 
     def test_numagg_from_toml(self):
         opts = parse_options("""
@@ -54,8 +54,8 @@ NumAggregators = 16
 Profile = "On"
 """)
         assert opts.engine_type == "bp5"
-        assert opts.num_aggregators == 16
-        assert opts.profiling
+        assert opts.engine.num_aggregators == 16
+        assert opts.engine.profiling
 
     def test_env_overrides(self):
         # the paper's OPENPMD_ADIOS2_BP5_NumAgg environment control
@@ -63,19 +63,19 @@ Profile = "On"
             "OPENPMD_ADIOS2_BP5_NumAgg": "1",
             "OPENPMD_ADIOS2_HAVE_PROFILING": "1",
         })
-        assert opts.num_aggregators == 1
-        assert opts.profiling
+        assert opts.engine.num_aggregators == 1
+        assert opts.engine.profiling
 
     def test_dict_options(self):
         opts = parse_options({"adios2": {"dataset": {
             "operators": [{"type": "bzip2"}]}}})
-        assert opts.compressor == "bzip2"
+        assert opts.engine.compressor == "bzip2"
 
     def test_async_write_defaults_off(self):
         opts = parse_options(None)
-        assert opts.async_write is False
-        assert opts.buffer_chunk_size is None
-        assert opts.max_shm is None
+        assert opts.engine.async_drain is False
+        assert opts.engine.buffer_chunk_size is None
+        assert opts.engine.host_memory_bound is None
 
     def test_bp5_drain_parameters(self):
         # BP5's AsyncWrite / BufferChunkSize / MaxShmSize knobs
@@ -87,14 +87,30 @@ AsyncWrite = "On"
 BufferChunkSize = 16777216
 MaxShmSize = 536870912
 """)
-        assert opts.async_write is True
-        assert opts.buffer_chunk_size == 16 * 1024 * 1024
-        assert opts.max_shm == 512 * 1024 * 1024
+        assert opts.engine.async_drain is True
+        assert opts.engine.buffer_chunk_size == 16 * 1024 * 1024
+        assert opts.engine.host_memory_bound == 512 * 1024 * 1024
 
     def test_async_write_accepts_booleans(self):
         opts = parse_options({"adios2": {"engine": {
             "parameters": {"AsyncWrite": True}}}})
-        assert opts.async_write is True
+        assert opts.engine.async_drain is True
+
+    def test_checkpoint_options_default_to_one_subfile(self):
+        opts = parse_options(BIT1_BLOSC_TOML)
+        ckpt = opts.for_checkpoints()
+        assert ckpt.engine.num_aggregators == 1
+        assert ckpt.engine.compressor == "blosc"
+        assert opts.engine.num_aggregators is None
+        pinned = parse_options(None, env={"OPENPMD_ADIOS2_BP5_NumAgg": "3"})
+        assert pinned.for_checkpoints() == pinned
+
+    def test_series_takes_parsed_options(self, env):
+        _fs, comm, posix = env
+        opts = parse_options(BIT1_BLOSC_TOML)
+        series = Series(posix, comm, "/run/parsed.bp4", Access.CREATE,
+                        options=opts)
+        assert series.options is opts
 
     def test_invalid_encoding(self):
         with pytest.raises(ValueError):

@@ -123,6 +123,18 @@ class TestPackageImports:
         assert out.returncode == 0, out.stdout + out.stderr
 
 
+def _src_nodes(skip: str):
+    """(module path, AST node) over every ``repro`` module but ``skip``."""
+    import repro
+
+    root = Path(repro.__file__).parent
+    for path in sorted(root.rglob("*.py")):
+        rel = path.relative_to(root).as_posix()
+        if rel != skip:
+            for node in ast.walk(ast.parse(path.read_text(), filename=rel)):
+                yield rel, node
+
+
 #: PosixIO internals no other module may touch: clocks and events go
 #: through ``PosixIO.charge``, descriptors through ``PosixIO.ino_of``
 POSIX_PRIVATE = frozenset({"_charge", "_notify", "_fds", "_fd_ino",
@@ -131,21 +143,30 @@ POSIX_PRIVATE = frozenset({"_charge", "_notify", "_fds", "_fd_ino",
 
 class TestAccountingBoundary:
     def test_no_module_reaches_into_posix_privates(self):
-        import repro
-
-        root = Path(repro.__file__).parent
-        uses = []
-        for path in sorted(root.rglob("*.py")):
-            rel = path.relative_to(root).as_posix()
-            if rel == "fs/posix.py":
-                continue
-            tree = ast.parse(path.read_text(), filename=rel)
-            uses += [f"{rel}:{node.lineno} .{node.attr}"
-                     for node in ast.walk(tree)
-                     if isinstance(node, ast.Attribute)
-                     and node.attr in POSIX_PRIVATE]
+        uses = [f"{rel}:{node.lineno} .{node.attr}"
+                for rel, node in _src_nodes("fs/posix.py")
+                if isinstance(node, ast.Attribute)
+                and node.attr in POSIX_PRIVATE]
         assert not uses, (f"{len(uses)} uses of PosixIO private members "
                           "outside fs/posix.py:\n" + "\n".join(uses))
+
+
+#: ADIOS2 engine parameter names: the TOML parser decodes them into an
+#: ``EngineConfig``, and everything else passes that object
+ENGINE_PARAMETERS = frozenset({
+    "NumAggregators", "NumSubFiles", "Profile", "AsyncWrite", "MaxShmSize",
+    "RankBlockSize", "ProfileGranularity", "BufferChunkSize"})
+
+
+class TestEngineParameterNames:
+    def test_only_the_options_parser_spells_engine_parameters(self):
+        uses = [f"{rel}:{node.lineno} {node.value!r}"
+                for rel, node in _src_nodes("openpmd/config.py")
+                if isinstance(node, ast.Constant)
+                and isinstance(node.value, str)
+                and node.value in ENGINE_PARAMETERS]
+        assert not uses, (f"{len(uses)} ADIOS2 engine parameter names "
+                          "outside openpmd/config.py:\n" + "\n".join(uses))
 
 
 class TestCLIs:

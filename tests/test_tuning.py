@@ -211,6 +211,14 @@ class TestTuningPoint:
         assert d4["host_memory_bound"] == 2 * d2["host_memory_bound"]
         assert d2["gib"] > 0 and d2["makespan"] > 0
 
+    def test_report_keys(self, quick_cfg):
+        # the tuner's cached probes and the tuner_cold result digest
+        # hold exactly these
+        rep = tuning_report(dardel(), 1, config=quick_cfg, async_drain=True)
+        assert set(rep) == {"gib", "split", "files", "seconds_per_write",
+                            "makespan", "aggregation_s", "peak_host_bytes",
+                            "drain_wait_s", "host_memory_bound"}
+
     def test_striping_and_codec_change_the_report(self, quick_cfg):
         plain = tuning_report(dardel(), 1, config=quick_cfg)
         striped = tuning_report(dardel(), 1, config=quick_cfg,
