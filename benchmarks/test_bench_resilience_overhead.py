@@ -7,11 +7,11 @@ disabled (``checkpoint_policy=None`` — the default everywhere) pays
 plumbing at all.  The baseline replicates the runner's fault-free loop
 inline — step, diagnostics, checkpoint + sidecar, finalize — so the
 measured delta is exactly the per-step/per-checkpoint store checks.
-Measured in the same process, so machine speed cancels out; a small
-absolute floor absorbs timer noise at this scale.
+Both go in pairs in one process (:func:`conftest.paired_ratio`), so
+machine speed cancels out.
 """
 
-import time
+from conftest import paired_ratio
 
 from repro.cluster.presets import dardel
 from repro.fs import PosixIO, mount
@@ -22,9 +22,10 @@ from repro.trace.session import TraceSession
 from repro.workloads import run_crash_restart, small_use_case
 from repro.workloads.runner import _write_sidecar
 
-REPEATS = 5
+#: a single pair of runs reads mostly host noise; the median of 101
+#: pairs holds still to about 1 %
+PAIRS = 101
 MAX_OVERHEAD = 0.05
-NOISE_FLOOR_SECONDS = 0.003
 
 CFG = small_use_case(ncells=32, particles_per_cell=10, last_step=40,
                      datfile=20, dmpstep=20)
@@ -64,22 +65,9 @@ def _store_disabled():
     assert rep.crashes == 0
 
 
-def _best_of(n: int, fn) -> float:
-    best = float("inf")
-    for _ in range(n):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
-    return best
-
-
 class TestResilienceOverhead:
     def test_disabled_store_under_five_percent(self):
-        base = _best_of(REPEATS, _baseline)
-        disabled = _best_of(REPEATS, _store_disabled)
-        limit = base * (1 + MAX_OVERHEAD) + NOISE_FLOOR_SECONDS
-        assert disabled <= limit, (
-            f"store-disabled run took {disabled:.4f}s vs {base:.4f}s "
-            f"inline baseline (best of {REPEATS}); allowed {limit:.4f}s "
-            f"({MAX_OVERHEAD:.0%} + {NOISE_FLOOR_SECONDS * 1e3:.0f} ms "
-            f"floor)")
+        ratio = paired_ratio(PAIRS, _baseline, _store_disabled)
+        assert ratio <= 1 + MAX_OVERHEAD, (
+            f"store-disabled run took {ratio:.3f}x the inline baseline "
+            f"(median of {PAIRS} pairs); allowed {1 + MAX_OVERHEAD:.2f}x")

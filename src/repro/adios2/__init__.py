@@ -8,7 +8,7 @@ from repro.adios2.aggregation import (
 )
 from repro.adios2.bp4 import BP3Engine, BP4Engine
 from repro.adios2.bp5 import BP5Engine
-from repro.adios2.engine import BPEngineBase, EngineConfig, IntegrityError
+from repro.adios2.engine import BPEngineBase, Engine, EngineConfig, IntegrityError
 from repro.adios2.profiling import PROFILE_CATEGORIES, EngineProfile
 from repro.adios2.sst import (
     SSTEngine,
@@ -21,7 +21,14 @@ from repro.adios2.sst import (
     open_streams,
     reset_streams,
 )
-from repro.adios2.variables import Attribute, Chunk, Variable, dtype_name, element_size
+from repro.adios2.variables import (
+    Attribute,
+    Chunk,
+    Variable,
+    dtype_name,
+    element_size,
+    numpy_dtype,
+)
 
 #: file extension → engine class ("The file's extension dictates the
 #: engine used by openPMD for data storage", §III-B)
@@ -54,6 +61,7 @@ __all__ = [
     "BP5Engine",
     "BPEngineBase",
     "Chunk",
+    "Engine",
     "SSTEngine",
     "SSTReader",
     "StagingBackpressure",
@@ -69,6 +77,7 @@ __all__ = [
     "element_size",
     "engine_for_path",
     "gather_cost_seconds",
+    "numpy_dtype",
     "open_streams",
     "plan_aggregation",
     "reset_streams",

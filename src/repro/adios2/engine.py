@@ -23,13 +23,17 @@ Functional mode (real payloads) produces a self-describing container:
 ``md.0`` holds JSON-lines chunk records and the subfiles hold the (maybe
 compressed) bytes, so a fresh engine can re-open the directory and read
 every variable back — checkpoint/restart round-trips work end to end.
+
+:class:`Engine`, the base of these engines, holds the step protocol
+once for every backend: the BP engines here, the HDF5 and JSON backends
+of :mod:`repro.openpmd` and the SST writer.
 """
 
 from __future__ import annotations
 
 import json
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -43,7 +47,7 @@ from repro.adios2.aggregation import (
 )
 from repro.mem import SplitValues, current_budget
 from repro.adios2.profiling import EngineProfile
-from repro.adios2.variables import Attribute, Chunk, Variable
+from repro.adios2.variables import Attribute, Chunk, Variable, numpy_dtype
 from repro.compression.api import Compressor, get_compressor
 from repro.fs.payload import RealPayload, SyntheticPayload
 from repro.fs.posix import PosixIO
@@ -194,20 +198,27 @@ class IntegrityError(RuntimeError):
                         "expected": expected, "actual": actual}
 
 
-class BPEngineBase:
-    """Shared implementation of the BP-family file engines."""
+class Engine:
+    """The step protocol every engine shares: BP4/BP5, HDF5, JSON, SST.
 
-    engine_type = "BP"
-    extension = ".bp"
-    extra_meta_files: tuple[str, ...] = ()
-    #: engine-default staging bound (overridden per subclass); None =
-    #: buffer the whole step (BP4)
-    default_buffer_chunk: int | None = None
-    #: BP5 ships chunks through a node-local shm funnel before the
-    #: inter-node subfile shuffle; BP4/BP3 shuffle rank→owner directly
-    two_level_shuffle: bool = False
+    A writer opens a step (``begin_step``), declares variables and puts
+    chunks into them (``put`` for one rank's payload, ``put_group`` for
+    per-rank byte counts or a span descriptor), then flushes the step
+    with the engine's own ``end_step``.  Attributes may be defined at
+    any time and persist on ``close``.
 
-    def __init__(self, posix: PosixIO, comm: VirtualComm, path: str,
+    The base owns the step state and its guards, the staged variables
+    and their per-rank byte sum, the attributes and their serialiser,
+    the profile with its scoped fold, the context manager and the crash
+    semantics.  An engine supplies ``end_step``, its closing I/O
+    (``_finish``), the descriptors it holds open (``_descriptors``) and
+    its read side.
+    """
+
+    engine_type = "ENGINE"
+    extension = ""
+
+    def __init__(self, posix: PosixIO | None, comm: VirtualComm, path: str,
                  mode: str = "w", config: EngineConfig | None = None):
         if mode not in ("w", "r", "a"):
             raise ValueError(f"unsupported engine mode {mode!r}")
@@ -216,12 +227,6 @@ class BPEngineBase:
         self.path = path if path.endswith(self.extension) else path + self.extension
         self.mode = mode
         self.config = config or EngineConfig()
-        self.compressor: Compressor | None = (
-            get_compressor(self.config.compressor)
-            if self.config.compressor else None
-        )
-        self.plan: AggregationPlan = plan_aggregation(
-            comm, self.config.num_aggregators)
         self.profile = EngineProfile(
             comm.size, self.engine_type,
             bin_of_rank=(comm.node_of_rank
@@ -229,104 +234,30 @@ class BPEngineBase:
                          else None))
         # this engine's profiling.json is a fold over the event spine:
         # the engine emits typed events (scoped to itself, so two open
-        # engines on one bus stay separate) and the fold accumulates
-        self._trace_scope = f"{self.engine_type}:{self.path}"
-        self._fold = ProfileFold(self.profile, scope=self._trace_scope)
-        posix.trace.subscribe(self._fold)
-        self._index: list[_IndexEntry] = []
-        self._slots: dict[str, _SlotSpans] = {}
-        self._subfile_tails = np.zeros(self.plan.num_aggregators, dtype=np.int64)
-        m = self.plan.num_aggregators
-        #: async-drain bookkeeping (virtual time the in-flight drain of
-        #: each subfile completes, plus its batch schedule for residual
-        #: host-memory accounting) — inert in sync mode
-        self._drain_until = np.zeros(m, dtype=np.float64)
-        self._drain_ends: list[np.ndarray] = [np.zeros(0)] * m
-        self._drain_bytes: list[np.ndarray] = [np.zeros(0)] * m
-        #: high-water resident staging bytes per subfile buffer
-        self.peak_host_bytes = np.zeros(m, dtype=np.float64)
-        #: per-rank seconds stalled waiting on an unfinished drain —
-        #: only the async path writes it, so the sync path keeps an
-        #: empty array instead of an O(ranks) block of zeros
-        self.drain_wait_seconds = np.zeros(
-            comm.size if self.config.async_drain else 0, dtype=np.float64)
-        #: engine staging bytes ledger on the ambient memory budget
-        self._mem_account = current_budget().account("engine")
-        #: per-subfile seconds the background drain was busy
-        self.drain_seconds = np.zeros(m, dtype=np.float64)
+        # engines on one bus stay separate) and the fold accumulates;
+        # an engine with no POSIX layer has no bus to subscribe to
+        self._trace_scope = f"{self.engine_type}:{self._scope_name()}"
+        self._fold = None
+        if posix is not None:
+            self._fold = ProfileFold(self.profile, scope=self._trace_scope)
+            posix.trace.subscribe(self._fold)
         self._step = -1
         self._in_step = False
         self._closed = False
         self._cur_vars: dict[str, Variable] = {}
-        self._cur_bulk: list[tuple[str, np.ndarray, np.ndarray, str]] = []
+        self._cur_bulk: list[tuple[str, np.ndarray | None,
+                                   np.ndarray | SplitValues, str]] = []
         self._attributes: dict[str, Attribute] = {}
-        if mode in ("w", "a"):
-            self._create_layout(truncate=(mode == "w"))
-        else:
-            self._open_for_read()
+        #: high-water staging bytes per subfile buffer, per-rank drain
+        #: stalls and per-subfile drain seconds: only engines with
+        #: aggregators fill them
+        self.peak_host_bytes = np.zeros(0, dtype=np.float64)
+        self.drain_wait_seconds = np.zeros(0, dtype=np.float64)
+        self.drain_seconds = np.zeros(0, dtype=np.float64)
 
-    # -- layout ---------------------------------------------------------------
-
-    def _subfile_path(self, i: int) -> str:
-        return f"{self.path}/data.{i}"
-
-    def _create_layout(self, truncate: bool) -> None:
-        root_rank = 0
-        if not self.posix.exists(self.path):
-            self.posix.mkdir(root_rank, self.path, parents=True)
-        m = self.plan.num_aggregators
-        agg_ranks = self.plan.aggregator_ranks
-        self._data_fds = self.posix.open_group(
-            agg_ranks, [self._subfile_path(i) for i in range(m)],
-            create=True, truncate=truncate,
-        )
-        self._md_fd = self.posix.open(root_rank, f"{self.path}/md.0",
-                                      create=True, truncate=truncate)
-        self._idx_fd = self.posix.open(root_rank, f"{self.path}/md.idx",
-                                       create=True, truncate=truncate)
-        self._extra_fds = {
-            name: self.posix.open(root_rank, f"{self.path}/{name}",
-                                  create=True, truncate=truncate)
-            for name in self.extra_meta_files
-        }
-        if truncate:
-            self._append_md(MD0_HEADER, real=self._header_json())
-            self._append_idx(MDIDX_HEADER)
-
-    def _header_json(self) -> bytes:
-        head = {
-            "engine": self.engine_type,
-            "nranks": self.comm.size,
-            "aggregators": int(self.plan.num_aggregators),
-            "compressor": self.config.compressor,
-        }
-        return (json.dumps({"header": head}) + "\n").encode()
-
-    def _attributes_json(self) -> bytes:
-        doc = {"attributes": {name: attr.value
-                              for name, attr in self._attributes.items()}}
-        try:
-            return (json.dumps(doc) + "\n").encode()
-        except TypeError:  # non-JSON attribute values: store repr
-            doc = {"attributes": {name: repr(attr.value)
-                                  for name, attr in self._attributes.items()}}
-            return (json.dumps(doc) + "\n").encode()
-
-    def _append_md(self, nbytes_model: int, real: bytes | None = None) -> None:
-        # metadata appends are buffered rank-0 stream writes, not part of
-        # the contended data phase — cost them uncontended
-        payload = (RealPayload(real, entropy="metadata") if real is not None
-                   else SyntheticPayload(nbytes_model, "metadata"))
-        with self.posix.phase(writers=1):
-            self.posix.write(0, self._md_fd, payload, meta=True)
-            for fd in getattr(self, "_extra_fds", {}).values():
-                self.posix.write(0, fd, SyntheticPayload(
-                    max(nbytes_model // 2, 16), "metadata"), meta=True)
-
-    def _append_idx(self, nbytes: int) -> None:
-        with self.posix.phase(writers=1):
-            self.posix.write(0, self._idx_fd,
-                             SyntheticPayload(nbytes, "metadata"), meta=True)
+    def _scope_name(self) -> str:
+        """The name this engine's events are scoped under."""
+        return self.path
 
     # -- write-side API -----------------------------------------------------------
 
@@ -349,6 +280,24 @@ class BPEngineBase:
     def attributes(self) -> dict:
         """Attribute values (write side: as defined; read side: loaded)."""
         return {name: attr.value for name, attr in self._attributes.items()}
+
+    def _adopt_attributes(self, values: dict) -> None:
+        """Take the attributes a writer stored (read side)."""
+        for name, value in values.items():
+            self._attributes[name] = Attribute(name, value)
+
+    def _attributes_doc(self) -> dict:
+        """Attribute values as JSON data; a value JSON cannot encode is
+        stored as its ``repr``, and only that value."""
+        doc = {}
+        for name, attr in self._attributes.items():
+            try:
+                json.dumps(attr.value)
+            except TypeError:
+                doc[name] = repr(attr.value)
+            else:
+                doc[name] = attr.value
+        return doc
 
     def declare_variable(self, name: str, dtype: str,
                          global_shape: tuple[int, ...],
@@ -394,6 +343,179 @@ class BPEngineBase:
             np.asarray(nbytes_each, dtype=np.int64), ranks.shape).copy()
         self._cur_bulk.append((name, ranks, nbytes, entropy))
 
+    def _staged_bytes(self) -> np.ndarray:
+        """Bytes the open step stages, per rank."""
+        n = self.comm.size
+        staged = np.zeros(n, dtype=np.float64)
+        for var in self._cur_vars.values():
+            staged += var.per_rank_bytes(n)
+        for _name, ranks, nbytes, _entropy in self._cur_bulk:
+            if ranks is None:
+                staged += nbytes.slice(0, n).astype(np.float64)
+            else:
+                scatter_add(staged, ranks, nbytes.astype(np.float64))
+        return staged
+
+    # -- fault plane --------------------------------------------------------------------
+
+    def handle_rank_failure(self, dead_ranks) -> None:
+        """Fail aggregation over when ranks die (no aggregators: no-op)."""
+
+    def abandon(self) -> None:
+        """Drop the engine as a crashed process would: no closing I/O.
+
+        Descriptors are reaped without metadata cost and the profile fold
+        is unsubscribed; whatever was flushed stays on disk exactly as
+        the crash left it.
+        """
+        if self._closed:
+            return
+        for fds in self._descriptors():
+            self.posix.release_fds(fds)
+        self._release_fold()
+        self._in_step = False
+        self._closed = True
+
+    def _descriptors(self) -> list:
+        """The descriptors the engine holds open (fds or fd arrays)."""
+        return []
+
+    # -- lifecycle ----------------------------------------------------------------------
+
+    def close(self) -> None:
+        if self._closed:
+            return
+        if self._in_step:
+            raise RuntimeError("cannot close an engine mid-step")
+        self._finish()
+        self._release_fold()
+        self._closed = True
+
+    def _finish(self) -> None:
+        """The engine's closing I/O."""
+
+    def _release_fold(self) -> None:
+        if self._fold is not None:
+            self.posix.trace.unsubscribe(self._fold)
+
+    # -- guards --------------------------------------------------------------------------
+
+    def _check_writable(self) -> None:
+        if self._closed:
+            raise RuntimeError("engine is closed")
+        if self.mode == "r":
+            raise RuntimeError("engine opened read-only")
+
+    def _check_in_step(self) -> None:
+        self._check_writable()
+        if not self._in_step:
+            raise RuntimeError("call begin_step() first")
+
+    def __enter__(self) -> "Engine":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
+class BPEngineBase(Engine):
+    """Shared implementation of the BP-family file engines."""
+
+    engine_type = "BP"
+    extension = ".bp"
+    extra_meta_files: tuple[str, ...] = ()
+    #: engine-default staging bound (overridden per subclass); None =
+    #: buffer the whole step (BP4)
+    default_buffer_chunk: int | None = None
+    #: BP5 ships chunks through a node-local shm funnel before the
+    #: inter-node subfile shuffle; BP4/BP3 shuffle rank→owner directly
+    two_level_shuffle: bool = False
+
+    def __init__(self, posix: PosixIO, comm: VirtualComm, path: str,
+                 mode: str = "w", config: EngineConfig | None = None):
+        config = config or EngineConfig()
+        self.compressor: Compressor | None = (
+            get_compressor(config.compressor) if config.compressor else None)
+        super().__init__(posix, comm, path, mode, config)
+        self.plan: AggregationPlan = plan_aggregation(
+            comm, self.config.num_aggregators)
+        self._index: list[_IndexEntry] = []
+        self._slots: dict[str, _SlotSpans] = {}
+        self._subfile_tails = np.zeros(self.plan.num_aggregators, dtype=np.int64)
+        m = self.plan.num_aggregators
+        #: async-drain bookkeeping (virtual time the in-flight drain of
+        #: each subfile completes, plus its batch schedule for residual
+        #: host-memory accounting) — inert in sync mode
+        self._drain_until = np.zeros(m, dtype=np.float64)
+        self._drain_ends: list[np.ndarray] = [np.zeros(0)] * m
+        self._drain_bytes: list[np.ndarray] = [np.zeros(0)] * m
+        self.peak_host_bytes = np.zeros(m, dtype=np.float64)
+        #: only the async path writes the per-rank drain stalls, so the
+        #: sync path keeps an empty array instead of an O(ranks) block
+        #: of zeros
+        if self.config.async_drain:
+            self.drain_wait_seconds = np.zeros(comm.size, dtype=np.float64)
+        #: engine staging bytes ledger on the ambient memory budget
+        self._mem_account = current_budget().account("engine")
+        self.drain_seconds = np.zeros(m, dtype=np.float64)
+        if mode in ("w", "a"):
+            self._create_layout(truncate=(mode == "w"))
+        else:
+            self._open_for_read()
+
+    # -- layout ---------------------------------------------------------------
+
+    def _subfile_path(self, i: int) -> str:
+        return f"{self.path}/data.{i}"
+
+    def _create_layout(self, truncate: bool) -> None:
+        root_rank = 0
+        if not self.posix.exists(self.path):
+            self.posix.mkdir(root_rank, self.path, parents=True)
+        m = self.plan.num_aggregators
+        agg_ranks = self.plan.aggregator_ranks
+        self._data_fds = self.posix.open_group(
+            agg_ranks, [self._subfile_path(i) for i in range(m)],
+            create=True, truncate=truncate,
+        )
+        self._md_fd = self.posix.open(root_rank, f"{self.path}/md.0",
+                                      create=True, truncate=truncate)
+        self._idx_fd = self.posix.open(root_rank, f"{self.path}/md.idx",
+                                       create=True, truncate=truncate)
+        self._extra_fds = {
+            name: self.posix.open(root_rank, f"{self.path}/{name}",
+                                  create=True, truncate=truncate)
+            for name in self.extra_meta_files
+        }
+        if truncate:
+            self._append_md(MD0_HEADER, real=self._header_json())
+            self._append_idx(MDIDX_HEADER)
+
+    def _header_json(self) -> bytes:
+        head = {
+            "engine": self.engine_type,
+            "nranks": self.comm.size,
+            "aggregators": int(self.plan.num_aggregators),
+            "compressor": self.config.compressor,
+        }
+        return (json.dumps({"header": head}) + "\n").encode()
+
+    def _append_md(self, nbytes_model: int, real: bytes | None = None) -> None:
+        # metadata appends are buffered rank-0 stream writes, not part of
+        # the contended data phase — cost them uncontended
+        payload = (RealPayload(real, entropy="metadata") if real is not None
+                   else SyntheticPayload(nbytes_model, "metadata"))
+        with self.posix.phase(writers=1):
+            self.posix.write(0, self._md_fd, payload, meta=True)
+            for fd in self._extra_fds.values():
+                self.posix.write(0, fd, SyntheticPayload(
+                    max(nbytes_model // 2, 16), "metadata"), meta=True)
+
+    def _append_idx(self, nbytes: int) -> None:
+        with self.posix.phase(writers=1):
+            self.posix.write(0, self._idx_fd,
+                             SyntheticPayload(nbytes, "metadata"), meta=True)
+
     # -- flush ------------------------------------------------------------------------
 
     def end_step(self, overwrite_key: str | None = None) -> None:
@@ -428,15 +550,7 @@ class BPEngineBase:
                 and all(r is None for _nm, r, _b, _e in self._cur_bulk)):
             per_agg = self._flush_blocked(block)
         else:
-            staged = np.zeros(n, dtype=np.float64)
-            for var in self._cur_vars.values():
-                staged += var.per_rank_bytes(n)
-            for _name, ranks, nbytes, _entropy in self._cur_bulk:
-                if ranks is None:
-                    staged += nbytes.slice(0, n).astype(np.float64)
-                else:
-                    scatter_add(staged, ranks, nbytes.astype(np.float64))
-
+            staged = self._staged_bytes()
             stored = self._apply_operator(staged)
             gather_fn = (two_level_gather_cost if self.two_level_shuffle
                          else gather_cost_seconds)
@@ -801,8 +915,7 @@ class BPEngineBase:
             if "header" in d:
                 continue
             if "attributes" in d:
-                for name, value in d["attributes"].items():
-                    self._attributes[name] = Attribute(name, value)
+                self._adopt_attributes(d["attributes"])
                 continue
             d["global_shape"] = tuple(d["global_shape"])
             d["chunk_offset"] = tuple(d["chunk_offset"])
@@ -860,14 +973,14 @@ class BPEngineBase:
         if e.compressed:
             codec = self.compressor or get_compressor("blosc")
             raw = codec.decompress_bytes(raw)
-        arr = np.frombuffer(raw[: e.raw_nbytes], dtype=_numpy_dtype(e.dtype))
+        arr = np.frombuffer(raw[: e.raw_nbytes], dtype=numpy_dtype(e.dtype))
         return arr.reshape(e.chunk_extent)
 
     def get(self, name: str, step_key: str | None = None,
             rank: int = 0) -> np.ndarray:
         """Assemble a variable from its chunks (functional mode)."""
         entries = self.chunk_entries(name, step_key)
-        dtype = _numpy_dtype(entries[0].dtype)
+        dtype = numpy_dtype(entries[0].dtype)
         out = np.zeros(entries[0].global_shape, dtype=dtype)
         for e in entries:
             out[e.selection] = self.read_chunk(e, rank)
@@ -900,78 +1013,38 @@ class BPEngineBase:
         self.plan = new_plan
 
     def abandon(self) -> None:
-        """Drop the engine as a crashed process would: no closing I/O.
-
-        Descriptors are reaped without metadata cost and the profile fold
-        is unsubscribed; whatever was flushed stays on disk exactly as
-        the crash left it (``md.0`` is JSON-lines appended per step, so
-        it stays readable up to the last completed flush).
-        """
-        if self._closed:
-            return
+        """Drop the engine as a crashed process would (see
+        :meth:`Engine.abandon`); ``md.0`` is JSON-lines appended per step,
+        so it stays readable up to the last completed flush."""
         # a crashed process's drain thread dies with it: pending drains
         # are dropped, nobody waits on them
         self._drain_until[:] = 0.0
-        if len(self._data_fds):
-            self.posix.release_fds(self._data_fds)
-        for attr in ("_md_fd", "_idx_fd"):
-            fd = getattr(self, attr, None)
-            if fd is not None:
-                self.posix.release_fds(fd)
-        for fd in getattr(self, "_extra_fds", {}).values():
-            self.posix.release_fds(fd)
-        self.posix.trace.unsubscribe(self._fold)
-        self._in_step = False
-        self._closed = True
+        super().abandon()
+
+    def _descriptors(self) -> list:
+        if self.mode == "r":
+            return []
+        return [self._data_fds, self._md_fd, self._idx_fd,
+                *self._extra_fds.values()]
 
     # -- lifecycle ----------------------------------------------------------------------
 
-    def close(self) -> None:
-        if self._closed:
-            return
-        if self._in_step:
-            raise RuntimeError("cannot close an engine mid-step")
-        if self.mode in ("w", "a"):
-            with self.posix.trace.scope(self._trace_scope):
-                self._settle_drains()
-            if self._attributes:
-                self._append_md(0, real=self._attributes_json())
-            if self.config.profiling:
-                fd = self.posix.open(0, f"{self.path}/profiling.json",
-                                     create=True, truncate=True)
-                self.posix.write(0, fd, RealPayload(
-                    self.profile.to_json().encode(), entropy="metadata"))
-                self.posix.close(0, fd)
-            self.posix.close_group(self.plan.aggregator_ranks, self._data_fds)
-            self.posix.close(0, self._md_fd)
-            self.posix.close(0, self._idx_fd)
-            for fd in self._extra_fds.values():
-                self.posix.close(0, fd)
-        self.posix.trace.unsubscribe(self._fold)
-        self._closed = True
-
-    # -- guards --------------------------------------------------------------------------
-
-    def _check_writable(self) -> None:
-        if self._closed:
-            raise RuntimeError("engine is closed")
+    def _finish(self) -> None:
         if self.mode == "r":
-            raise RuntimeError("engine opened read-only")
-
-    def _check_in_step(self) -> None:
-        self._check_writable()
-        if not self._in_step:
-            raise RuntimeError("call begin_step() first")
-
-    def __enter__(self) -> "BPEngineBase":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
-def _numpy_dtype(adios_name: str) -> np.dtype:
-    table = {"float": np.float32, "double": np.float64,
-             "int32_t": np.int32, "int64_t": np.int64,
-             "uint64_t": np.uint64, "uint8_t": np.uint8}
-    return np.dtype(table[adios_name])
+            return
+        with self.posix.trace.scope(self._trace_scope):
+            self._settle_drains()
+        if self._attributes:
+            doc = {"attributes": self._attributes_doc()}
+            self._append_md(0, real=(json.dumps(doc) + "\n").encode())
+        if self.config.profiling:
+            fd = self.posix.open(0, f"{self.path}/profiling.json",
+                                 create=True, truncate=True)
+            self.posix.write(0, fd, RealPayload(
+                self.profile.to_json().encode(), entropy="metadata"))
+            self.posix.close(0, fd)
+        self.posix.close_group(self.plan.aggregator_ranks, self._data_fds)
+        self.posix.close(0, self._md_fd)
+        self.posix.close(0, self._idx_fd)
+        for fd in self._extra_fds.values():
+            self.posix.close(0, fd)

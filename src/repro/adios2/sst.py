@@ -46,12 +46,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.adios2.engine import EngineConfig
-from repro.adios2.profiling import EngineProfile
-from repro.adios2.variables import Variable
+from repro.adios2.engine import Engine, EngineConfig
+from repro.adios2.variables import numpy_dtype
 from repro.fs.payload import SyntheticPayload
 from repro.mpi.comm import VirtualComm
-from repro.trace.subscribers import ProfileFold
 
 #: valid backpressure policies (ADIOS2 ``QueueFullPolicy``)
 POLICIES = ("discard", "block")
@@ -229,8 +227,6 @@ def assemble_variable(data: StepData, name: str) -> np.ndarray:
     shape — the reader-side counterpart of the §III-B ``storeChunk``
     procedure.  Synthetic chunks (modeled runs) carry no data.
     """
-    from repro.adios2.engine import _numpy_dtype
-
     entry = data.variables.get(name)
     if entry is None:
         raise KeyError(f"step {data.step} carries no variable {name!r}")
@@ -238,7 +234,7 @@ def assemble_variable(data: StepData, name: str) -> np.ndarray:
         raise NotImplementedError(
             "synthetic chunks carry no data to assemble")
     out = np.zeros(entry["global_shape"],
-                   dtype=_numpy_dtype(entry["dtype"]))
+                   dtype=numpy_dtype(entry["dtype"]))
     for chunk in entry["chunks"]:
         payload = chunk["payload"]
         if isinstance(payload, SyntheticPayload):
@@ -251,7 +247,7 @@ def assemble_variable(data: StepData, name: str) -> np.ndarray:
     return out
 
 
-class SSTEngine:
+class SSTEngine(Engine):
     """Writer side of the staging transport."""
 
     engine_type = "SST"
@@ -269,9 +265,6 @@ class SSTEngine:
                              f"valid: {POLICIES}")
         if queue_depth < 1:
             raise ValueError("queue_depth must be >= 1")
-        self.posix = posix  # unused for data; kept for protocol parity
-        self.comm = comm
-        self.config = config or EngineConfig()
         self.registry = registry if registry is not None else \
             _DEFAULT_REGISTRY
         name = path.rsplit("/", 1)[-1]
@@ -281,102 +274,43 @@ class SSTEngine:
                               policy=policy,
                               max_buffer_bytes=max_buffer_bytes)
         self.registry.advertise(self.stream)
-        self.profile = EngineProfile(comm.size, "SST")
-        self._trace_scope = f"SST:{name}"
-        self._fold = None
-        if posix is not None:
-            self._fold = ProfileFold(self.profile, scope=self._trace_scope)
-            posix.trace.subscribe(self._fold)
-        self._step = -1
-        self._in_step = False
-        self._cur_vars: dict[str, Variable] = {}
-        self._cur_groups: list[tuple] = []
+        # ``posix`` may be None: a stream needs no filesystem, and an
+        # engine without one folds its profile directly
+        super().__init__(posix, comm, path, mode, config)
         self._cur_attrs: dict = {}
         #: (index, StepData) pairs the most recent end_step discarded
         self.last_dropped: list[tuple[int, StepData]] = []
-        self._closed = False
 
-    # -- write protocol (matches the BP engines) ----------------------------
+    def _scope_name(self) -> str:
+        return self.stream.name
 
-    def begin_step(self) -> int:
-        if self._closed:
-            raise RuntimeError("engine is closed")
-        if self._in_step:
-            raise RuntimeError("previous step not ended")
-        self._step += 1
-        self._in_step = True
-        self._cur_vars = {}
-        self._cur_groups = []
-        self._cur_attrs = {}
-        return self._step
-
-    def declare_variable(self, name: str, dtype: str,
-                         global_shape: tuple[int, ...],
-                         entropy: str = "particle_float32") -> Variable:
-        if not self._in_step:
-            raise RuntimeError("call begin_step() first")
-        var = self._cur_vars.get(name)
-        if var is None:
-            var = Variable(name=name, dtype=dtype,
-                           global_shape=tuple(global_shape), entropy=entropy)
-            self._cur_vars[name] = var
-        return var
-
-    def put(self, name: str, dtype: str, global_shape, rank, offset,
-            extent, data, entropy: str = "particle_float32"):
-        var = self.declare_variable(name, dtype, global_shape, entropy)
-        return var.put_chunk(rank, tuple(offset), tuple(extent), data)
-
-    def put_group(self, name: str, ranks: np.ndarray, nbytes_each,
-                  entropy: str = "particle_float32") -> None:
-        """Stage a synthetic per-rank byte group (modeled runs).
-
-        Only sizes matter; the whole rank vector is kept as one record,
-        so scaled runs never loop over ranks.
-        """
-        if not self._in_step:
-            raise RuntimeError("call begin_step() first")
-        ranks = np.atleast_1d(np.asarray(ranks, dtype=np.int64))
-        sizes = np.broadcast_to(np.asarray(nbytes_each, dtype=np.int64),
-                                ranks.shape).copy()
-        self._cur_groups.append((name, ranks, sizes, entropy))
+    # -- write protocol (shared with the BP engines) ------------------------
 
     def put_attribute(self, name: str, value) -> None:
         """Tag the current step (rides along in ``StepData.attributes``)."""
-        if not self._in_step:
-            raise RuntimeError("call begin_step() first")
+        self._check_in_step()
         self._cur_attrs[name] = value
 
     def pending_bytes(self) -> int:
         """Bytes the current (un-ended) step would publish."""
         total = sum(var.total_bytes for var in self._cur_vars.values())
-        total += sum(int(sizes.sum()) for _, _, sizes, _ in self._cur_groups)
+        total += sum(int(sizes.sum()) for _, _, sizes, _ in self._cur_bulk)
         return int(total)
 
     def end_step(self) -> StepData:
         """Publish the step to the stream (network cost, no storage)."""
-        if not self._in_step:
-            raise RuntimeError("call begin_step() first")
+        self._check_in_step()
         data = StepData(step=self._step, attributes=dict(self._cur_attrs))
-        per_rank = np.zeros(self.comm.size)
         for name, var in self._cur_vars.items():
-            chunks = []
-            for c in var.chunks:
-                per_rank[c.rank] += c.nbytes
-                chunks.append({
-                    "rank": c.rank,
-                    "offset": c.offset,
-                    "extent": c.extent,
-                    "payload": c.payload,
-                })
             data.variables[name] = {
                 "dtype": var.dtype,
                 "global_shape": var.global_shape,
-                "chunks": chunks,
+                "chunks": [{"rank": c.rank, "offset": c.offset,
+                            "extent": c.extent, "payload": c.payload}
+                           for c in var.chunks],
             }
             data.total_bytes += var.total_bytes
-        for name, ranks_g, sizes_g, entropy in self._cur_groups:
-            np.add.at(per_rank, ranks_g, sizes_g)
+        for name, ranks_g, sizes_g, entropy in self._cur_bulk:
             total = int(sizes_g.sum())
             data.variables[name] = {
                 "dtype": "uint8_t",
@@ -399,6 +333,7 @@ class SSTEngine:
         # producers ship their chunks over the NIC (derated live by any
         # active NIC-flap fault — the repro.cluster network model, not
         # the storage model)
+        per_rank = self._staged_bytes()
         cost = per_rank / self.comm.effective_bandwidth()
         self.comm.clocks += cost
         ranks = np.arange(self.comm.size)
@@ -424,21 +359,11 @@ class SSTEngine:
                              start=self.comm.clocks[:1], api="SST",
                              layer="stream")
         self._in_step = False
+        self._cur_attrs = {}
         return data
 
-    def close(self) -> None:
-        if self._in_step:
-            raise RuntimeError("cannot close an engine mid-step")
+    def _finish(self) -> None:
         self.stream.closed = True
-        if self._fold is not None:
-            self.posix.trace.unsubscribe(self._fold)
-        self._closed = True
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
 
 
 class SSTReader:

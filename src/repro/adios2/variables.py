@@ -27,12 +27,23 @@ DTYPE_NAMES = {
 }
 
 
+_NUMPY_DTYPES = {name: np.dtype(key) for key, name in DTYPE_NAMES.items()}
+
+
 def dtype_name(dtype: np.dtype | str) -> str:
     """ADIOS2 name for a numpy dtype."""
     key = np.dtype(dtype).name
     if key not in DTYPE_NAMES:
         raise TypeError(f"unsupported ADIOS2 datatype: {dtype!r}")
     return DTYPE_NAMES[key]
+
+
+def numpy_dtype(name: str) -> np.dtype:
+    """numpy dtype for an ADIOS2 datatype name (inverse of :func:`dtype_name`)."""
+    dtype = _NUMPY_DTYPES.get(name)
+    if dtype is None:
+        raise TypeError(f"unknown ADIOS2 datatype name {name!r}")
+    return dtype
 
 
 @dataclass(frozen=True)
@@ -109,8 +120,4 @@ class Variable:
 
 def element_size(dtype: str) -> int:
     """Bytes per element for an ADIOS2 datatype name."""
-    table = {"float": 4, "double": 8, "int32_t": 4, "int64_t": 8,
-             "uint64_t": 8, "uint8_t": 1}
-    if dtype not in table:
-        raise TypeError(f"unknown ADIOS2 datatype name {dtype!r}")
-    return table[dtype]
+    return numpy_dtype(dtype).itemsize

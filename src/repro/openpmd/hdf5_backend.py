@@ -26,58 +26,37 @@ import json
 
 import numpy as np
 
-from repro.adios2.engine import EngineConfig, _numpy_dtype
-from repro.adios2.profiling import EngineProfile
-from repro.adios2.variables import Variable
+from repro.adios2.engine import Engine, EngineConfig
+from repro.adios2.variables import numpy_dtype
 from repro.fs.lustre import LustreFilesystem
 from repro.fs.payload import RealPayload, SyntheticPayload
 from repro.fs.posix import PosixIO
 from repro.ior.benchmark import SHARED_FILE_LOCK_EFFICIENCY
-from repro.mem import SplitValues
 from repro.mpi.comm import VirtualComm
-from repro.trace.subscribers import ProfileFold
-from repro.util.scatter import scatter_add
 
 #: HDF5's metadata is heavier per object than BP's index entries
 H5_SUPERBLOCK = 2048
 H5_OBJECT_HEADER = 544
 
 
-class HDF5Engine:
+class HDF5Engine(Engine):
     """Shared-file engine with the engine protocol the Series expects."""
 
     engine_type = "HDF5"
     extension = ".h5"
-    default_buffer_chunk = None
 
     def __init__(self, posix: PosixIO, comm: VirtualComm, path: str,
                  mode: str = "w", config: EngineConfig | None = None):
-        if mode not in ("w", "r", "a"):
-            raise ValueError(f"unsupported engine mode {mode!r}")
-        self.posix = posix
-        self.comm = comm
-        self.path = path if path.endswith(".h5") else path + ".h5"
-        self.mode = mode
-        self.config = config or EngineConfig()
-        if self.config.compressor:
+        if config is not None and config.compressor:
             raise NotImplementedError(
                 "parallel HDF5 cannot apply filters to collectively-written "
                 "datasets (the classic PHDF5 limitation); use a BP engine "
                 "for compressed output"
             )
-        self.profile = EngineProfile(comm.size, self.engine_type)
-        self._trace_scope = f"{self.engine_type}:{self.path}"
-        self._fold = ProfileFold(self.profile, scope=self._trace_scope)
-        posix.trace.subscribe(self._fold)
+        super().__init__(posix, comm, path, mode, config)
         self._index: list[dict] = []
-        self._attributes: dict[str, object] = {}
         self._slots: dict[str, tuple[int, int]] = {}
         self._tail = H5_SUPERBLOCK
-        self._step = -1
-        self._in_step = False
-        self._cur_vars: dict[str, Variable] = {}
-        self._cur_bulk: list[tuple[str, np.ndarray, np.ndarray, str]] = []
-        self._closed = False
         if mode in ("w", "a"):
             self._fd = posix.open(0, self.path, create=True,
                                   truncate=(mode == "w"))
@@ -90,67 +69,11 @@ class HDF5Engine:
 
     # -- write protocol -------------------------------------------------------
 
-    def begin_step(self) -> int:
-        self._check_writable()
-        if self._in_step:
-            raise RuntimeError("previous step not ended")
-        self._step += 1
-        self._in_step = True
-        self._cur_vars = {}
-        self._cur_bulk = []
-        return self._step
-
-    def define_attribute(self, name: str, value) -> None:
-        self._attributes[name] = value
-
-    @property
-    def attributes(self) -> dict:
-        return dict(self._attributes)
-
-    def declare_variable(self, name: str, dtype: str,
-                         global_shape: tuple[int, ...],
-                         entropy: str = "particle_float32") -> Variable:
-        self._check_in_step()
-        var = self._cur_vars.get(name)
-        if var is None:
-            var = Variable(name=name, dtype=dtype,
-                           global_shape=tuple(global_shape), entropy=entropy)
-            self._cur_vars[name] = var
-        return var
-
-    def put(self, name: str, dtype: str, global_shape, rank, offset,
-            extent, data, entropy: str = "particle_float32"):
-        var = self.declare_variable(name, dtype, global_shape, entropy)
-        return var.put_chunk(rank, tuple(offset), tuple(extent), data)
-
-    def put_group(self, name: str, ranks: np.ndarray | None, nbytes_each,
-                  entropy: str = "particle_float32") -> None:
-        self._check_in_step()
-        if ranks is None:
-            # span descriptor covering every rank (memory-plane staging)
-            if not isinstance(nbytes_each, SplitValues) \
-                    or len(nbytes_each) != self.comm.size:
-                raise TypeError(
-                    "ranks=None requires a SplitValues spanning the job")
-            self._cur_bulk.append((name, None, nbytes_each, entropy))
-            return
-        ranks = np.asarray(ranks)
-        nbytes = np.broadcast_to(
-            np.asarray(nbytes_each, dtype=np.int64), ranks.shape).copy()
-        self._cur_bulk.append((name, ranks, nbytes, entropy))
-
     def end_step(self, overwrite_key: str | None = None) -> None:
         """Collective shared-file write of every staged dataset."""
         self._check_in_step()
         n = self.comm.size
-        staged = np.zeros(n)
-        for var in self._cur_vars.values():
-            staged += var.per_rank_bytes(n)
-        for _name, ranks, nbytes, _e in self._cur_bulk:
-            if ranks is None:
-                staged += nbytes.slice(0, n).astype(np.float64)
-            else:
-                scatter_add(staged, ranks, nbytes.astype(np.float64))
+        staged = self._staged_bytes()
         total = int(staged.sum())
         per_var_meta = (len(self._cur_vars) + len(self._cur_bulk)) \
             * H5_OBJECT_HEADER
@@ -230,7 +153,7 @@ class HDF5Engine:
                              "(synthetic-only file?)")
         doc = json.loads(blob[footer_at + len(b"\nH5FOOTER:"):].decode())
         self._index = doc["index"]
-        self._attributes = doc.get("attributes", {})
+        self._adopt_attributes(doc.get("attributes", {}))
 
     def available_variables(self) -> dict[str, list[str]]:
         out: dict[str, list[str]] = {}
@@ -249,7 +172,7 @@ class HDF5Engine:
             raise KeyError(name)
         last = entries[-1]["step_key"]
         entries = [e for e in entries if e["step_key"] == last]
-        dtype = _numpy_dtype(entries[0]["dtype"])
+        dtype = numpy_dtype(entries[0]["dtype"])
         out = np.zeros(tuple(entries[0]["global_shape"]), dtype=dtype)
         vfs = self.posix.fs.vfs
         ino = self.posix.ino_of(self._fd)
@@ -263,15 +186,14 @@ class HDF5Engine:
 
     # -- lifecycle -----------------------------------------------------------------
 
-    def close(self) -> None:
-        if self._closed:
-            return
-        if self._in_step:
-            raise RuntimeError("cannot close an engine mid-step")
+    def _descriptors(self) -> list:
+        return [self._fd]
+
+    def _finish(self) -> None:
         if self.mode in ("w", "a"):
             footer = ("\nH5FOOTER:" + json.dumps({
                 "index": self._index,
-                "attributes": _jsonable(self._attributes),
+                "attributes": self._attributes_doc(),
             })).encode()
             vfs = self.posix.fs.vfs
             ino = self.posix.ino_of(self._fd)
@@ -280,27 +202,3 @@ class HDF5Engine:
                                  RealPayload(footer, "metadata"),
                                  offset=vfs.size_of(ino))
         self.posix.close(0, self._fd)
-        self.posix.trace.unsubscribe(self._fold)
-        self._closed = True
-
-    def _check_writable(self) -> None:
-        if self._closed:
-            raise RuntimeError("engine is closed")
-        if self.mode == "r":
-            raise RuntimeError("engine opened read-only")
-
-    def _check_in_step(self) -> None:
-        self._check_writable()
-        if not self._in_step:
-            raise RuntimeError("call begin_step() first")
-
-
-def _jsonable(attrs: dict) -> dict:
-    out = {}
-    for k, v in attrs.items():
-        try:
-            json.dumps(v)
-            out[k] = v
-        except TypeError:
-            out[k] = repr(v)
-    return out

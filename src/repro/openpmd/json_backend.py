@@ -13,14 +13,14 @@ import json
 
 import numpy as np
 
-from repro.adios2.engine import EngineConfig
-from repro.adios2.variables import Variable
+from repro.adios2.engine import Engine, EngineConfig
+from repro.adios2.variables import numpy_dtype
 from repro.fs.payload import RealPayload, SyntheticPayload
 from repro.fs.posix import PosixIO
 from repro.mpi.comm import VirtualComm
 
 
-class JSONEngine:
+class JSONEngine(Engine):
     """Minimal engine-protocol implementation over one JSON file."""
 
     engine_type = "JSON"
@@ -28,39 +28,16 @@ class JSONEngine:
 
     def __init__(self, posix: PosixIO, comm: VirtualComm, path: str,
                  mode: str = "w", config: EngineConfig | None = None):
-        self.posix = posix
-        self.comm = comm
-        self.path = path if path.endswith(".json") else path + ".json"
-        self.mode = mode
-        self.config = config or EngineConfig()
+        super().__init__(posix, comm, path, mode, config)
         self._doc: dict = {"openPMD-json": 1, "variables": {}}
-        self._step = -1
-        self._in_step = False
-        self._cur_vars: dict[str, Variable] = {}
-        self._closed = False
         if mode == "r":
             fd = self.posix.open(0, self.path)
             size = self.posix.fs.vfs.size_of(self.posix.ino_of(fd))
             self._doc = json.loads(self.posix.read(0, fd, size).decode())
             self.posix.close(0, fd)
+            self._adopt_attributes(self._doc.get("attributes", {}))
 
     # -- write protocol -----------------------------------------------------
-
-    def begin_step(self) -> int:
-        self._step += 1
-        self._in_step = True
-        self._cur_vars = {}
-        return self._step
-
-    def declare_variable(self, name: str, dtype: str,
-                         global_shape: tuple[int, ...],
-                         entropy: str = "particle_float32") -> Variable:
-        var = self._cur_vars.get(name)
-        if var is None:
-            var = Variable(name=name, dtype=dtype,
-                           global_shape=tuple(global_shape), entropy=entropy)
-            self._cur_vars[name] = var
-        return var
 
     def put_group(self, *a, **kw) -> None:
         raise NotImplementedError(
@@ -69,10 +46,9 @@ class JSONEngine:
         )
 
     def end_step(self, overwrite_key: str | None = None) -> None:
-        from repro.adios2.engine import _numpy_dtype
-
+        self._check_in_step()
         for name, var in self._cur_vars.items():
-            arr = np.zeros(var.global_shape, dtype=_numpy_dtype(var.dtype))
+            arr = np.zeros(var.global_shape, dtype=numpy_dtype(var.dtype))
             for chunk in var.chunks:
                 if isinstance(chunk.payload, SyntheticPayload):
                     raise NotImplementedError(
@@ -97,22 +73,18 @@ class JSONEngine:
 
     def get(self, name: str, step_key: str | None = None,
             rank: int = 0) -> np.ndarray:
-        from repro.adios2.engine import _numpy_dtype
-
         entry = self._doc["variables"].get(name)
         if entry is None:
             raise KeyError(name)
         return np.asarray(entry["data"],
-                          dtype=_numpy_dtype(entry["dtype"]))
+                          dtype=numpy_dtype(entry["dtype"]))
 
     # -- lifecycle -----------------------------------------------------------------
 
-    def close(self) -> None:
-        if self._closed:
-            return
+    def _finish(self) -> None:
         if self.mode in ("w", "a"):
+            self._doc["attributes"] = self._attributes_doc()
             blob = json.dumps(self._doc).encode()
             fd = self.posix.open(0, self.path, create=True, truncate=True)
             self.posix.write(0, fd, RealPayload(blob, entropy="metadata"))
             self.posix.close(0, fd)
-        self._closed = True

@@ -33,6 +33,7 @@ import numpy as np
 from repro.adios2 import engine_for_path
 from repro.adios2.bp4 import BP4Engine
 from repro.adios2.bp5 import BP5Engine
+from repro.adios2.engine import Engine
 from repro.fs.posix import PosixIO
 from repro.mpi.comm import VirtualComm
 from repro.openpmd.config import SeriesOptions, parse_options
@@ -145,7 +146,8 @@ class Series:
             "iterationFormat": "%T",
             "software": "repro-bit1",
         }
-        self._engines: dict[int | None, Any] = {}
+        self._engines: dict[int | None, Engine] = {}
+        self._read_engine: Engine | None = None
         self._closed = False
         self._bytes_flushed = 0
         if access == Access.READ_ONLY:
@@ -256,14 +258,11 @@ class Series:
     # -- read side ------------------------------------------------------------------
 
     def _load_index(self) -> None:
-        engine = self._engine_for(None, "r")
-        self._read_engine = engine
+        self._read_engine = self._engine_for(None, "r")
         # adopt the attributes the writing series stored on disk
-        stored = getattr(engine, "attributes", None)
-        if stored:
-            for name, value in stored.items():
-                if not name.startswith("/data/"):
-                    self.attributes[name] = value
+        for name, value in self._read_engine.attributes.items():
+            if not name.startswith("/data/"):
+                self.attributes[name] = value
 
     def attribute(self, name: str, default: Any = None) -> Any:
         """One stored attribute by name (read side: as written to disk).
@@ -273,9 +272,8 @@ class Series:
         attributes the writer defined (``/data/<i>/<key>``), so readers
         need not dig into the private read engine.
         """
-        engine = getattr(self, "_read_engine", None)
-        if engine is not None:
-            stored = getattr(engine, "attributes", {})
+        if self._read_engine is not None:
+            stored = self._read_engine.attributes
             if name in stored:
                 return stored[name]
         return self.attributes.get(name, default)
@@ -341,7 +339,7 @@ class Series:
     @property
     def engine(self):
         """The live engine (group-based encodings only; for inspection)."""
-        return self._engines.get(None) or getattr(self, "_read_engine", None)
+        return self._engines.get(None) or self._read_engine
 
     @property
     def bytes_flushed(self) -> int:
@@ -357,17 +355,13 @@ class Series:
         if self._closed:
             return
         for eng in self._engines.values():
-            if hasattr(eng, "abandon"):
-                eng.abandon()
-            else:  # pragma: no cover - non-BP backends
-                eng.close()
+            eng.abandon()
         self._closed = True
 
     def handle_rank_failure(self, dead_ranks) -> None:
         """Forward an aggregator-rank failure to every live engine."""
         for eng in self._engines.values():
-            if hasattr(eng, "handle_rank_failure"):
-                eng.handle_rank_failure(dead_ranks)
+            eng.handle_rank_failure(dead_ranks)
 
     def close(self) -> None:
         """"If no further iterations are needed, the series is closed."""
@@ -380,8 +374,7 @@ class Series:
             ):
                 it.close()
         for eng in self._engines.values():
-            if self.access != Access.READ_ONLY and hasattr(
-                    eng, "define_attribute"):
+            if self.access != Access.READ_ONLY:
                 for name, value in self.attributes.items():
                     eng.define_attribute(name, value)
                 for it in self.iterations.values():

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.adios2.engine import _numpy_dtype
+from repro.adios2.variables import numpy_dtype
 from repro.mem import current_budget
 from repro.serving.cache import ReadCache
 from repro.serving.config import ServingConfig, current_serving_config
@@ -92,33 +92,32 @@ class CachedSeriesReader:
                pinned_by: int | None = None):
         """Engine-path read of one chunk, inserted into the cache."""
         arr = self.series._read_engine.read_chunk(e, self.rank)
-        if self.cache is not None:
-            outcome = self.cache.insert(
-                self._key(variable_path, e), arr.nbytes,
-                ready_at=self._clock(), data=arr, pinned_by=pinned_by)
-            for victim in outcome.evicted:
-                if victim.pinned_by is not None:
-                    self.prefetcher.feedback(victim.pinned_by, False)
-            for stream, _key in outcome.expired:
-                self.prefetcher.feedback(stream, False)
+        outcome = self.cache.insert(
+            self._key(variable_path, e), arr.nbytes,
+            ready_at=self._clock(), data=arr, pinned_by=pinned_by)
+        for victim in outcome.evicted:
+            if victim.pinned_by is not None:
+                self.prefetcher.feedback(victim.pinned_by, False)
+        for stream, _key in outcome.expired:
+            self.prefetcher.feedback(stream, False)
         return arr
 
     def load(self, variable_path: str, step_key: str | None = None):
         """Assemble a variable through the cache (byte-identical to
         the uncached ``Series.load``)."""
         engine = self.series._read_engine
+        if self.cache is None:
+            # nothing to hit, fill or predict for: the engine's own read
+            return engine.get(variable_path, step_key, self.rank)
         entries = engine.chunk_entries(variable_path, step_key)
         out = np.zeros(entries[0].global_shape,
-                       dtype=_numpy_dtype(entries[0].dtype))
+                       dtype=numpy_dtype(entries[0].dtype))
         # intern every chunk up front so readahead/Markov predictions
         # within this variable resolve to fetchable entries
         cids = [self._intern(variable_path, e) for e in entries]
         for e, cid in zip(entries, cids):
             t = self._clock()
-            hit = None
-            stream = None
-            if self.cache is not None:
-                hit, stream = self.cache.lookup(self._key(variable_path, e))
+            hit, stream = self.cache.lookup(self._key(variable_path, e))
             if hit is not None:
                 arr = hit.data
                 cost = e.stored_nbytes / self.memory_bandwidth
@@ -129,14 +128,12 @@ class CachedSeriesReader:
                     self.prefetcher.feedback(stream, True)
             else:
                 arr = self._fetch(variable_path, e, cid)
-                if self.cache is not None:
-                    self._emit("read_miss", e.stored_nbytes,
-                               self._clock() - t, t)
+                self._emit("read_miss", e.stored_nbytes,
+                           self._clock() - t, t)
             out[e.selection] = arr
             self.prefetcher.observe(0, self._prev, cid)
             self._prev = cid
-            if self.cache is not None:
-                self._prefetch(cid)
+            self._prefetch(cid)
         return out
 
     def _prefetch(self, cid: int) -> None:

@@ -457,14 +457,13 @@ def run_openpmd_scaled(machine: Machine, nodes: int,
         peak_host = wait_s = drain_s = 0.0
         for s in (diag_series, ckpt_series):
             eng = s.engine
-            if eng is not None and hasattr(eng, "profile"):
-                profiles.append(eng.profile)
-            if eng is not None and hasattr(eng, "peak_host_bytes"):
-                peak_host = max(peak_host,
-                                float(np.max(eng.peak_host_bytes,
-                                             initial=0.0)))
-                wait_s += float(eng.drain_wait_seconds.sum())
-                drain_s += float(eng.drain_seconds.sum())
+            if eng is None:
+                continue
+            profiles.append(eng.profile)
+            peak_host = max(peak_host,
+                            float(np.max(eng.peak_host_bytes, initial=0.0)))
+            wait_s += float(eng.drain_wait_seconds.sum())
+            drain_s += float(eng.drain_seconds.sum())
         log = monitor.finalize(runtime_seconds=comm.max_time(),
                                machine=machine.name,
                                config="+".join(label_parts))

@@ -301,17 +301,20 @@ class TestEngineLayout:
 
 class TestEngineSemantics:
     def test_step_protocol_enforced(self, env):
+        from repro.openpmd import HDF5Engine, JSONEngine
+
         _fs, comm, posix = env
-        eng = BP4Engine(posix, comm, "/out/p", "w")
-        with pytest.raises(RuntimeError):
-            eng.end_step()  # no begin
-        eng.begin_step()
-        with pytest.raises(RuntimeError):
-            eng.begin_step()  # nested
-        eng.end_step()
-        eng.close()
-        with pytest.raises(RuntimeError):
-            eng.begin_step()  # closed
+        for cls in (BP4Engine, HDF5Engine, JSONEngine):
+            eng = cls(posix, comm, "/out/p", "w")
+            with pytest.raises(RuntimeError):
+                eng.end_step()  # no begin
+            eng.begin_step()
+            with pytest.raises(RuntimeError):
+                eng.begin_step()  # nested
+            eng.end_step()
+            eng.close()
+            with pytest.raises(RuntimeError):
+                eng.begin_step()  # closed
 
     def test_read_mode_rejects_writes(self, env):
         _fs, comm, posix = env

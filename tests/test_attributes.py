@@ -18,10 +18,11 @@ def env():
     return fs, comm, posix
 
 
-def _write(posix, comm, path, author=None, iteration=0, time=0.0):
+def _write(posix, comm, path, author=None, iteration=0, time=0.0, **attrs):
     s = Series(posix, comm, path, Access.CREATE)
     if author:
         s.attributes["author"] = author
+    s.attributes.update(attrs)
     it = s.iterations[iteration]
     it.set_time(time, 1e-12)
     comp = it.meshes["m"].scalar
@@ -72,3 +73,20 @@ class TestAttributePersistence:
         eng.define_attribute("custom", 3.14)
         assert eng.attributes["custom"] == 3.14
         eng.close()
+
+    @pytest.mark.parametrize("ext", [".bp4", ".h5", ".json"])
+    def test_every_backend_round_trips_attributes(self, env, ext):
+        _fs, comm, posix = env
+        _write(posix, comm, f"/run/r{ext}", author="me", time=1.5)
+        rd = Series(posix, comm, f"/run/r{ext}", Access.READ_ONLY)
+        assert rd.attribute("author") == "me"
+        assert rd.attribute("/data/0/time") == 1.5
+
+    def test_one_unencodable_attribute_keeps_the_others(self, env):
+        _fs, comm, posix = env
+        # JSON cannot encode an array
+        _write(posix, comm, "/run/u.bp4", time=1.5, grid=np.arange(3))
+        rd = Series(posix, comm, "/run/u.bp4", Access.READ_ONLY)
+        assert rd.attribute("openPMD") == "1.1.0"
+        assert rd.attribute("/data/0/time") == 1.5
+        assert rd.attribute("grid") == repr(np.arange(3))

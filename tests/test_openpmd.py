@@ -324,6 +324,40 @@ class TestSeries:
         s.close()
 
 
+class _Recorder:
+    """Trace subscriber that keeps every event."""
+
+    def __init__(self):
+        self.events = []
+
+    def on_event(self, event):
+        self.events.append(event)
+
+
+class TestAbandon:
+    @pytest.mark.parametrize("ext", [".bp4", ".h5", ".json"])
+    def test_abandon_does_no_io(self, env, ext):
+        fs, comm, posix = env
+        open_before = posix.open_fd_count
+        s = Series(posix, comm, f"/run/crash{ext}", Access.CREATE)
+        it = s.iterations[0]
+        comp = it.meshes["m"].scalar
+        comp.reset_dataset(Dataset(np.float64, (4,)))
+        comp.store_chunk(np.ones(4), (0,), rank=0)
+        it.close()
+        rec = posix.trace.subscribe(_Recorder())
+        clocks = comm.clocks.copy()
+        s.abandon()
+        assert rec.events == []
+        assert np.array_equal(comm.clocks, clocks)
+        assert posix.open_fd_count == open_before
+        if ext == ".json":  # the file is written on close only
+            assert not fs.vfs.exists("/run/crash.json")
+        if ext == ".h5":  # no footer: the file cannot be read back
+            with pytest.raises(ValueError):
+                Series(posix, comm, "/run/crash.h5", Access.READ_ONLY)
+
+
 class TestJSONBackend:
     def test_roundtrip(self, env):
         _fs, comm, posix = env

@@ -123,7 +123,7 @@ class TestPackageImports:
         assert out.returncode == 0, out.stdout + out.stderr
 
 
-def _src_nodes(skip: str):
+def _src_nodes(skip: str | None = None):
     """(module path, AST node) over every ``repro`` module but ``skip``."""
     import repro
 
@@ -167,6 +167,31 @@ class TestEngineParameterNames:
                 and node.value in ENGINE_PARAMETERS]
         assert not uses, (f"{len(uses)} ADIOS2 engine parameter names "
                           "outside openpmd/config.py:\n" + "\n".join(uses))
+
+
+#: the step protocol the engine base class owns for every engine
+ENGINE_PROTOCOL = ("declare_variable", "define_attribute", "_check_in_step")
+
+
+class TestEngineProtocol:
+    def test_protocol_is_defined_once(self):
+        defs = {name: [] for name in ENGINE_PROTOCOL}
+        for rel, node in _src_nodes():
+            if isinstance(node, ast.FunctionDef) and node.name in defs:
+                defs[node.name].append(f"{rel}:{node.lineno}")
+        repeated = {name: where for name, where in defs.items()
+                    if len(where) != 1}
+        assert not repeated, ("engine protocol methods not defined exactly "
+                              f"once under src/repro: {repeated}")
+
+    def test_every_engine_subclasses_the_base(self):
+        from repro.adios2 import ENGINES_BY_EXTENSION, Engine, SSTEngine
+        from repro.openpmd import HDF5Engine, JSONEngine
+
+        engines = [*ENGINES_BY_EXTENSION.values(), HDF5Engine, JSONEngine,
+                   SSTEngine]
+        assert [cls.__name__ for cls in engines
+                if not issubclass(cls, Engine)] == []
 
 
 class TestCLIs:
