@@ -445,10 +445,13 @@ class BPEngineBase(Engine):
         m = self.plan.num_aggregators
         #: async-drain bookkeeping (virtual time the in-flight drain of
         #: each subfile completes, plus its batch schedule for residual
-        #: host-memory accounting) — inert in sync mode
+        #: host-memory accounting) — inert in sync mode.  The schedule
+        #: is an aggregator × batch ledger: when each batch of the last
+        #: drain ends and how many bytes it holds; an unused slot ends
+        #: at -inf and holds 0 bytes
         self._drain_until = np.zeros(m, dtype=np.float64)
-        self._drain_ends: list[np.ndarray] = [np.zeros(0)] * m
-        self._drain_bytes: list[np.ndarray] = [np.zeros(0)] * m
+        self._drain_ends = np.full((m, 1), -np.inf)
+        self._drain_bytes = np.zeros((m, 1))
         self.peak_host_bytes = np.zeros(m, dtype=np.float64)
         #: only the async path writes the per-rank drain stalls, so the
         #: sync path keeps an empty array instead of an O(ranks) block
@@ -674,12 +677,11 @@ class BPEngineBase(Engine):
         entry = clocks[own].copy()
 
         # residual bytes of the previous drain still resident at entry:
-        # the old and new buffer coexist until the old one finishes
-        residual = np.zeros(len(act), dtype=np.float64)
-        for j, i in enumerate(act):
-            ends = self._drain_ends[i]
-            if len(ends):
-                residual[j] = self._drain_bytes[i][ends > entry[j]].sum()
+        # the old and new buffer coexist until the old one finishes.
+        # Every ledger entry is a whole byte count, so the float64 row
+        # sum is exact in any grouping (below 2**53 bytes per subfile)
+        in_flight = self._drain_ends[act] > entry[:, None]
+        residual = self._drain_bytes[act].sum(axis=1, where=in_flight)
         peak = per_agg[act] + residual
         bound_bytes = self.config.host_memory_bound
         if bound_bytes is not None:
@@ -699,13 +701,17 @@ class BPEngineBase(Engine):
         begin = clocks[own].copy()
         starts = begin.copy()
         bound = self.config.buffer_chunk_size or self.default_buffer_chunk
-        sched_ends: list[list[float]] = [[] for _ in act]
-        sched_bytes: list[list[float]] = [[] for _ in act]
         fds = self._data_fds[act]
-        if bound is not None and int(per_agg[act].max()) > bound:
+        most = int(per_agg[act].max())
+        batched = bound is not None and most > bound
+        n_batches = -(-most // bound) if batched else 1
+        self._widen_drain_ledger(n_batches)
+        ends = np.full((len(act), self._drain_ends.shape[1]), -np.inf)
+        nbytes = np.zeros(ends.shape)
+        if batched:
             remaining = per_agg[act].astype(np.int64).copy()
             offs = offsets[act].astype(np.int64).copy()
-            while (remaining > 0).any():
+            for b in range(n_batches):
                 batch = np.minimum(remaining, bound)
                 live = batch > 0
                 costs = self.posix.write_aggregate(
@@ -713,9 +719,8 @@ class BPEngineBase(Engine):
                     overwrite_offset=offs[live], start_at=starts[live],
                 )
                 starts[live] += costs
-                for j in np.nonzero(live)[0]:
-                    sched_ends[j].append(float(starts[j]))
-                    sched_bytes[j].append(float(batch[j]))
+                ends[live, b] = starts[live]
+                nbytes[:, b] = batch
                 offs += batch
                 remaining -= batch
         else:
@@ -724,15 +729,13 @@ class BPEngineBase(Engine):
                 start_at=starts,
             )
             starts = starts + costs
-            for j in range(len(act)):
-                sched_ends[j].append(float(starts[j]))
-                sched_bytes[j].append(float(per_agg[act][j]))
+            ends[:, 0] = starts
+            nbytes[:, 0] = per_agg[act]
 
         self._drain_until[act] = starts
         self.drain_seconds[act] += starts - begin
-        for j, i in enumerate(act):
-            self._drain_ends[i] = np.asarray(sched_ends[j])
-            self._drain_bytes[i] = np.asarray(sched_bytes[j])
+        self._drain_ends[act] = ends
+        self._drain_bytes[act] = nbytes
         bus = self.posix.trace
         if bus.wants("drain"):
             # explicit future start: _emit would back-date from the
@@ -740,6 +743,16 @@ class BPEngineBase(Engine):
             bus.emit("drain", own, nbytes=per_agg[act].astype(np.float64),
                      duration=starts - begin, start=begin,
                      api="ENGINE", layer="engine")
+
+    def _widen_drain_ledger(self, n_batches: int) -> None:
+        """Give the ledger at least ``n_batches`` batch columns."""
+        extra = n_batches - self._drain_ends.shape[1]
+        if extra > 0:
+            m = len(self._drain_ends)
+            self._drain_ends = np.hstack(
+                (self._drain_ends, np.full((m, extra), -np.inf)))
+            self._drain_bytes = np.hstack(
+                (self._drain_bytes, np.zeros((m, extra))))
 
     def _settle_drains(self) -> None:
         """Block until every in-flight drain completes (close barrier).

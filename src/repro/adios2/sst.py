@@ -365,6 +365,16 @@ class SSTEngine(Engine):
     def _finish(self) -> None:
         self.stream.closed = True
 
+    def abandon(self) -> None:
+        """Drop the producer as a crash would: its contact file goes.
+
+        The stream is marked closed, so readers drain the steps already
+        published and then reach end of stream, and a restarted producer
+        may advertise the same name.
+        """
+        self.stream.closed = True
+        super().abandon()
+
 
 class SSTReader:
     """Consumer side: an independent cursor over a live stream."""

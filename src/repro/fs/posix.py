@@ -24,7 +24,6 @@ vectorise, don't loop).
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -53,17 +52,6 @@ MD_OPS = {
 }
 
 
-@dataclass
-class OpenFile:
-    """One open file descriptor."""
-
-    ino: int
-    path: str
-    rank: int
-    pos: int = 0
-    api: str = "POSIX"
-
-
 class PosixIO:
     """The syscall surface: open/read/write/fsync/close + group variants."""
 
@@ -82,9 +70,14 @@ class PosixIO:
             # a monitor passed directly becomes the first subscriber
             # (modern callers subscribe via the session)
             self.trace.subscribe(monitor)
-        self._fds: dict[int, OpenFile] = {}
-        self._fd_ino = np.full(256, -1, dtype=np.int64)  # fd -> ino map
+        # the descriptor table: one row per fd, columnar like the vfs
+        # inode table; ``_fd_ino`` is -1 on a free row
+        self._new_fd_table(256)
         self._next_fd = 3  # 0-2 are stdin/out/err, as tradition demands
+        self._n_open = 0
+        #: ``_fd_api`` codes: index into the api names seen so far
+        self._api_names: list[str] = []
+        self._api_codes: dict[str, int] = {}
         self._writers = comm.size if comm is not None else 1
         self._md_clients = comm.size if comm is not None else 1
         #: optional :class:`repro.faults.injector.FaultInjector`; when
@@ -186,50 +179,63 @@ class PosixIO:
 
     # -- descriptors ----------------------------------------------------------
 
-    def _alloc_fd(self, of: OpenFile) -> int:
-        fd = self._next_fd
-        self._next_fd += 1
-        if fd >= len(self._fd_ino):
-            grown = np.full(len(self._fd_ino) * 2, -1, dtype=np.int64)
-            grown[: len(self._fd_ino)] = self._fd_ino
-            self._fd_ino = grown
-        self._fd_ino[fd] = of.ino
-        self._fds[fd] = of
-        return fd
+    def _new_fd_table(self, rows: int) -> None:
+        self._fd_ino = np.full(rows, -1, dtype=np.int64)
+        self._fd_rank = np.zeros(rows, dtype=np.int64)
+        self._fd_pos = np.zeros(rows, dtype=np.int64)
+        self._fd_api = np.zeros(rows, dtype=np.uint8)
 
-    def _alloc_fd_group(self, ranks: np.ndarray, inos: np.ndarray,
-                        paths: Sequence[str], api: str,
-                        positions: np.ndarray | None = None) -> np.ndarray:
-        """Allocate a consecutive run of descriptors in one shot."""
-        k = len(inos)
+    def _alloc_fds(self, k: int, inos, ranks, api: str, pos=0) -> int:
+        """Allocate ``k`` consecutive descriptors; returns the first.
+
+        ``inos``, ``ranks`` and ``pos`` are scalars or length-``k``
+        arrays.  A group open costs one slice assignment per column,
+        however many ranks it spans.
+        """
         fd0 = self._next_fd
-        self._next_fd += k
-        while self._next_fd > len(self._fd_ino):
-            grown = np.full(len(self._fd_ino) * 2, -1, dtype=np.int64)
-            grown[: len(self._fd_ino)] = self._fd_ino
-            self._fd_ino = grown
-        fds = np.arange(fd0, fd0 + k, dtype=np.int64)
-        self._fd_ino[fds] = inos
-        mkfile = OpenFile
-        pos_list = ([0] * k if positions is None else positions.tolist())
-        self._fds.update(
-            (fd, mkfile(ino=ino, path=p, rank=r, pos=pos, api=api))
-            for fd, ino, p, r, pos in zip(fds.tolist(), inos.tolist(), paths,
-                                          ranks.tolist(), pos_list))
-        return fds
+        end = self._next_fd = fd0 + k
+        rows = len(self._fd_ino)
+        if end > rows:
+            old = (self._fd_ino, self._fd_rank, self._fd_pos, self._fd_api)
+            while end > rows:
+                rows *= 2
+            self._new_fd_table(rows)
+            for new, col in zip((self._fd_ino, self._fd_rank, self._fd_pos,
+                                 self._fd_api), old):
+                new[: len(col)] = col
+        code = self._api_codes.get(api)
+        if code is None:
+            code = self._api_codes[api] = len(self._api_names)
+            self._api_names.append(api)
+        self._fd_ino[fd0:end] = inos
+        self._fd_rank[fd0:end] = ranks
+        self._fd_pos[fd0:end] = pos
+        self._fd_api[fd0:end] = code
+        self._n_open += k
+        return fd0
+
+    def _row(self, fd: int, api: str | None) -> tuple[int, str]:
+        """Inode and api of one open descriptor (a given ``api`` wins).
+
+        Raises ``KeyError`` when the descriptor is not open.
+        """
+        ino = self._fd_ino.item(fd) if 0 <= fd < len(self._fd_ino) else -1
+        if ino < 0:
+            raise KeyError(f"operation on closed file descriptor {fd}")
+        return ino, api or self._api_names[self._fd_api.item(fd)]
 
     def _maybe_recycle_fds(self) -> None:
         """Reset descriptor numbering once every file is closed.
 
         Real kernels reuse the lowest free fd; the monotonic counter
-        here would instead grow the fd→ino map to O(total opens) when a
-        chunked workload opens and closes rank-blocks repeatedly.  A
-        full drain is the cheap safe point to rewind at.
+        here would instead grow the descriptor table to O(total opens)
+        when a chunked workload opens and closes rank-blocks repeatedly.
+        A full drain is the cheap safe point to rewind at.
         """
-        if not self._fds:
+        if not self._n_open:
             self._next_fd = 3
             if len(self._fd_ino) > 4096:
-                self._fd_ino = np.full(256, -1, dtype=np.int64)
+                self._new_fd_table(256)
 
     def _md(self, rank: int, op: str, api: str = "POSIX",
             ino: int | None = None) -> None:
@@ -272,20 +278,17 @@ class PosixIO:
         if truncate:
             self.fs.vfs.truncate(ino, 0)
         pos = self.fs.vfs.size_of(ino) if append else 0
-        fd = self._alloc_fd(OpenFile(ino=ino, path=path, rank=rank, pos=pos,
-                                     api=api))
+        fd = self._alloc_fds(1, ino, rank, api, pos)
         self.trace.register_file(ino, path)
         self._md(rank, op, api, ino=ino)
         return fd
 
     def close(self, rank: int, fd: int, api: str | None = None) -> None:
-        of = self._fds.pop(fd)
+        ino, api = self._row(fd, api)  # before a recycle drops the table
         self._fd_ino[fd] = -1
+        self._n_open -= 1
         self._maybe_recycle_fds()
-        self._md(rank, "close", api or of.api, ino=of.ino)
-
-    def fileno_path(self, fd: int) -> str:
-        return self._fds[fd].path
+        self._md(rank, "close", api, ino=ino)
 
     # -- data ---------------------------------------------------------------------
 
@@ -307,16 +310,15 @@ class PosixIO:
         ``meta_append`` so profile folds can separate it from data.
         """
         payload = as_payload(data)
-        of = self._fds[fd]
-        api = api or of.api
+        ino, api = self._row(fd, api)
         if self.faults is not None:
-            self.faults.guard(self, "write", of.rank, of.ino, api)
-        pos = of.pos if offset is None else offset
-        n = self.fs.vfs.write(of.ino, pos, payload)
-        of.pos = pos + n
+            self.faults.guard(self, "write", self._fd_rank.item(fd), ino, api)
+        pos = self._fd_pos.item(fd) if offset is None else offset
+        n = self.fs.vfs.write(ino, pos, payload)
+        self._fd_pos[fd] = pos + n
         st = self.fs.vfs.cols
-        stripe_count = int(st.stripe_count[of.ino])
-        stripe_size = int(st.stripe_size[of.ino])
+        stripe_count = int(st.stripe_count[ino])
+        stripe_size = int(st.stripe_size[ino])
         n_chunks = 1
         per_chunk = n
         if chunk_size is not None and n > 0:
@@ -326,11 +328,11 @@ class PosixIO:
             per_chunk, self._writers, stripe_count, stripe_size,
             n_ops=n_chunks)) * float(self.fs.perf.noise())
         self.charge(rank, cost, "meta_append" if meta else "write",
-                    nbytes=n, api=api, inos=of.ino, n_ops=n_chunks)
+                    nbytes=n, api=api, inos=ino, n_ops=n_chunks)
         if sync_each_chunk:
             sync_cost = float(self.fs.perf.fsync_cost(
                 self._writers, stripe_count, n_ops=n_chunks))
-            self.charge(rank, sync_cost, "fsync", api=api, inos=of.ino,
+            self.charge(rank, sync_cost, "fsync", api=api, inos=ino,
                         n_ops=n_chunks)
         return n
 
@@ -352,15 +354,15 @@ class PosixIO:
         fsyncs) for the caller's drain bookkeeping.
         """
         payload = as_payload(data)
-        of = self._fds[fd]
-        api = api or of.api
+        ino, api = self._row(fd, api)
         if self.faults is not None:
-            self.faults.guard(self, "write", of.rank, of.ino, api)
-        n = self.fs.vfs.write(of.ino, of.pos, payload)
-        of.pos += n
+            self.faults.guard(self, "write", self._fd_rank.item(fd), ino, api)
+        pos = self._fd_pos.item(fd)
+        n = self.fs.vfs.write(ino, pos, payload)
+        self._fd_pos[fd] = pos + n
         st = self.fs.vfs.cols
-        stripe_count = int(st.stripe_count[of.ino])
-        stripe_size = int(st.stripe_size[of.ino])
+        stripe_count = int(st.stripe_count[ino])
+        stripe_size = int(st.stripe_size[ino])
         n_chunks = 1
         per_chunk = n
         if chunk_size is not None and n > 0:
@@ -369,37 +371,36 @@ class PosixIO:
         cost = float(self.fs.perf.write_op_cost(
             per_chunk, self._writers, stripe_count, stripe_size,
             n_ops=n_chunks)) * float(self.fs.perf.noise())
-        self._notify("write", rank, cost, nbytes=n, api=api, inos=of.ino,
+        self._notify("write", rank, cost, nbytes=n, api=api, inos=ino,
                      n_ops=n_chunks, start=start_at)
         total = cost
         if sync_each_chunk:
             sync_cost = float(self.fs.perf.fsync_cost(
                 self._writers, stripe_count, n_ops=n_chunks))
-            self._notify("fsync", rank, sync_cost, api=api, inos=of.ino,
+            self._notify("fsync", rank, sync_cost, api=api, inos=ino,
                          n_ops=n_chunks, start=start_at + cost)
             total += sync_cost
         return total
 
     def fsync(self, rank: int, fd: int, api: str | None = None) -> None:
-        of = self._fds[fd]
+        ino, api = self._row(fd, api)
         if self.faults is not None:
-            self.faults.guard(self, "fsync", rank, of.ino, api or of.api)
+            self.faults.guard(self, "fsync", rank, ino, api)
         st = self.fs.vfs.cols
         cost = float(self.fs.perf.fsync_cost(
-            self._writers, int(st.stripe_count[of.ino])))
-        self.charge(rank, cost, "fsync", api=api or of.api, inos=of.ino)
+            self._writers, int(st.stripe_count[ino])))
+        self.charge(rank, cost, "fsync", api=api, inos=ino)
 
     def read(self, rank: int, fd: int, nbytes: int,
              offset: int | None = None, api: str | None = None) -> bytes:
-        of = self._fds[fd]
+        ino, api = self._row(fd, api)
         if self.faults is not None:
-            self.faults.guard(self, "read", rank, of.ino, api or of.api)
-        pos = of.pos if offset is None else offset
-        data = self.fs.vfs.read(of.ino, pos, nbytes)
-        of.pos = pos + len(data)
+            self.faults.guard(self, "read", rank, ino, api)
+        pos = self._fd_pos.item(fd) if offset is None else offset
+        data = self.fs.vfs.read(ino, pos, nbytes)
+        self._fd_pos[fd] = pos + len(data)
         cost = float(self.fs.perf.read_op_cost(len(data), self._md_clients))
-        self.charge(rank, cost, "read", nbytes=len(data), api=api or of.api,
-                    inos=of.ino)
+        self.charge(rank, cost, "read", nbytes=len(data), api=api, inos=ino)
         return data
 
     def read_scheduled(self, rank: int, fd: int, nbytes: int,
@@ -413,25 +414,24 @@ class PosixIO:
         events are stamped at ``start_at`` so timeline exports show the
         fill where it actually runs.  Returns the modeled seconds.
         """
-        of = self._fds[fd]
+        ino, api = self._row(fd, api)
         if self.faults is not None:
-            self.faults.guard(self, "read", rank, of.ino, api or of.api)
-        self.fs.vfs.account_read(of.ino, nbytes)
+            self.faults.guard(self, "read", rank, ino, api)
+        self.fs.vfs.account_read(ino, nbytes)
         cost = float(self.fs.perf.read_op_cost(nbytes, self._md_clients))
-        self._notify("read", rank, cost, nbytes=nbytes, api=api or of.api,
-                     inos=of.ino, start=start_at)
+        self._notify("read", rank, cost, nbytes=nbytes, api=api, inos=ino,
+                     start=start_at)
         return cost
 
     def read_synthetic(self, rank: int, fd: int, nbytes: int,
                        api: str | None = None) -> int:
         """Account a read without materialised content (modeled mode)."""
-        of = self._fds[fd]
+        ino, api = self._row(fd, api)
         if self.faults is not None:
-            self.faults.guard(self, "read", rank, of.ino, api or of.api)
-        self.fs.vfs.account_read(of.ino, nbytes)
+            self.faults.guard(self, "read", rank, ino, api)
+        self.fs.vfs.account_read(ino, nbytes)
         cost = float(self.fs.perf.read_op_cost(nbytes, self._md_clients))
-        self.charge(rank, cost, "read", nbytes=nbytes, api=api or of.api,
-                    inos=of.ino)
+        self.charge(rank, cost, "read", nbytes=nbytes, api=api, inos=ino)
         return nbytes
 
     # -- group (vectorised symmetric-rank) operations ----------------------------
@@ -450,9 +450,20 @@ class PosixIO:
             inos = self.fs.vfs.lookup_many(paths)
         if truncate:
             self.fs.vfs.truncate_many(inos)
-        positions = self.fs.vfs.cols.size[inos].copy() if append else None
-        fds = self._alloc_fd_group(ranks, inos, paths, api, positions)
-        self.trace.register_files(inos, paths)
+        k = len(inos)
+        pos = self.fs.vfs.cols.size[inos] if append else 0
+        fd0 = self._alloc_fds(k, inos, ranks, api, pos)
+        fds = np.arange(fd0, fd0 + k, dtype=np.int64)
+        # every registry is first-registration-wins, so each inode's
+        # first row, in order, registers exactly what all k rows would
+        # (a shared input deck: one row instead of k)
+        first = np.unique(inos, return_index=True)[1]
+        if len(first) < k:
+            first.sort()
+            self.trace.register_files(
+                inos[first], [paths[i] for i in first.tolist()])
+        else:
+            self.trace.register_files(inos, paths)
         op = "create" if create else "open"
         weight = MD_OPS[op]
         cost = self.fs.perf.metadata_op_cost(self._md_clients, weight)
@@ -605,19 +616,25 @@ class PosixIO:
         metadata ops are charged and no events are emitted.  Used by the
         ``abandon()`` paths of writers when a node-crash fault fires.
         """
-        for fd in np.atleast_1d(np.asarray(fds, dtype=np.int64)):
-            self._fds.pop(int(fd), None)
-            self._fd_ino[int(fd)] = -1
+        fds = np.atleast_1d(np.asarray(fds, dtype=np.int64))
+        fds = fds[(fds >= 0) & (fds < len(self._fd_ino))]
+        live = np.unique(fds[self._fd_ino[fds] >= 0])
+        self._fd_ino[live] = -1
+        self._n_open -= len(live)
         self._maybe_recycle_fds()
 
     def close_group(self, ranks: np.ndarray, fds: np.ndarray,
                     api: str = "POSIX") -> None:
         ranks = np.asarray(ranks)
         fds = np.asarray(fds)
-        inos = self._fd_ino[fds].copy()
+        inos = self.ino_of(fds)
+        # an fd listed twice is closed twice; open_group's ascending
+        # runs skip the sort
+        if (len(fds) > 1 and not (np.diff(fds) > 0).all()
+                and len(np.unique(fds)) < len(fds)):
+            raise KeyError("file descriptor closed twice")
         self._fd_ino[fds] = -1
-        for fd in fds:
-            self._fds.pop(int(fd))
+        self._n_open -= len(fds)
         self._maybe_recycle_fds()
         cost = float(self.fs.perf.metadata_op_cost(self._md_clients, MD_OPS["close"]))
         costs = np.full(len(ranks), cost)
@@ -634,4 +651,4 @@ class PosixIO:
 
     @property
     def open_fd_count(self) -> int:
-        return len(self._fds)
+        return self._n_open

@@ -178,6 +178,10 @@ class HDF5Engine(Engine):
         ino = self.posix.ino_of(self._fd)
         for e in entries:
             raw = vfs.read(ino, e["offset"], e["nbytes"])
+            # charged like a BP chunk read (BPEngineBase.read_chunk)
+            cost = float(self.posix.fs.perf.read_op_cost(e["nbytes"]))
+            self.posix.charge(rank, cost, "read", nbytes=e["nbytes"],
+                              inos=ino)
             arr = np.frombuffer(raw, dtype=dtype).reshape(e["chunk_extent"])
             sel = tuple(slice(o, o + x) for o, x in
                         zip(e["chunk_offset"], e["chunk_extent"]))

@@ -57,7 +57,8 @@ class Iteration:
     """One iteration: meshes + particles + time metadata."""
 
     def __init__(self, series: "Series", index: int):
-        self.series = series
+        #: the owning series; None once it is closed
+        self.series: Series | None = series
         self.index = index
         self.meshes = _Container(lambda name: Mesh(name))
         self.particles = _Container(lambda name: ParticleSpecies(name))
@@ -77,6 +78,8 @@ class Iteration:
         Closing the same iteration again after storing fresh chunks
         overwrites the previous contents on disk.
         """
+        if self.series is None:
+            raise RuntimeError("series is closed")
         flushed = self.series._flush_iteration(self)
         self._closed = True
         return flushed
@@ -112,6 +115,11 @@ class _IterationsProxy(dict):
     def __init__(self, series: "Series"):
         super().__init__()
         self._series = series
+
+    def __getitem__(self, index: int) -> Iteration:
+        if self._series is None:
+            raise RuntimeError("series is closed")
+        return super().__getitem__(index)
 
     def __missing__(self, index: int) -> Iteration:
         it = self._series._make_iteration(int(index))
@@ -356,7 +364,7 @@ class Series:
             return
         for eng in self._engines.values():
             eng.abandon()
-        self._closed = True
+        self._release()
 
     def handle_rank_failure(self, dead_ranks) -> None:
         """Forward an aggregator-rank failure to every live engine."""
@@ -382,7 +390,19 @@ class Series:
                         eng.define_attribute(
                             f"/data/{it.index}/{key}", value)
             eng.close()
+        self._release()
+
+    def _release(self) -> None:
+        """Mark the series closed and drop its iterations' back-references.
+
+        A closed series is then no reference cycle: dropping the last
+        reference frees its engines, and through them the run's clocks
+        and I/O state, without waiting for the cyclic collector.
+        """
         self._closed = True
+        self.iterations._series = None
+        for it in self.iterations.values():
+            it.series = None
 
     def __enter__(self) -> "Series":
         return self

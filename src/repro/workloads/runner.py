@@ -70,8 +70,8 @@ from repro.workloads.presets import paper_use_case
 #: window, byte-for-byte the pre-chunking behaviour.  Per-rank costs and
 #: counters are invariant to this value (metadata costs use the phase's
 #: client count and ``clients=`` pins read contention), so it is sized
-#: purely for the transient working set: ~300 B of fd-table state per
-#: open rank makes 8192 a ~2.5 MB peak.
+#: purely for the transient working set: the block's rank ids, fds, byte
+#: counts and descriptor-table rows, all O(block) arrays.
 STARTUP_READ_BLOCK = 8192
 
 

@@ -1,5 +1,7 @@
 """Tests for the Lustre mount, POSIX layer and stdio layer."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -208,6 +210,96 @@ class TestPosix:
         assert posix.stat(0, "/d/f").size == 0
         posix.unlink(0, "/d/f")
         assert not posix.exists("/d/f")
+
+
+class _Recorder:
+    """Trace subscriber that keeps every event."""
+
+    def __init__(self):
+        self.events = []
+
+    def on_event(self, event):
+        self.events.append(event)
+
+
+class TestDescriptorTable:
+    def test_held_group_descriptors_are_not_objects(self, lfs):
+        # 50 000 ranks holding the shared input deck open: table rows
+        # and one path registration, not one Python object per fd
+        n = 50_000
+        posix = PosixIO(lfs, VirtualComm(n, 128))
+        posix.close(0, posix.open(0, "/deck", create=True))
+        ranks = np.arange(n)
+        paths = ["/deck"] * n
+        before = sys.getallocatedblocks()
+        fds = posix.open_group(ranks, paths, create=False)
+        assert sys.getallocatedblocks() - before < 1000
+        assert posix.open_fd_count == n
+        posix.close_group(ranks, fds)
+        assert posix.open_fd_count == 0
+
+    def test_group_open_of_repeated_files(self, posix):
+        # one registration per inode, its first row's path; every
+        # rank's open event still names its own file
+        ino = {p: posix.fs.vfs.create(p) for p in ("/a", "/b")}
+        rec = posix.trace.subscribe(_Recorder())
+        ranks = np.arange(4)
+        fds = posix.open_group(ranks, ["/b", "/a/", "/b/", "/a"],
+                               create=False)
+        (event,) = rec.events
+        assert event.inos.tolist() == [ino["/b"], ino["/a"], ino["/b"],
+                                       ino["/a"]]
+        assert posix.trace.paths() == {ino["/a"]: "/a/", ino["/b"]: "/b"}
+        posix.close_group(ranks, fds)
+
+    def test_closed_or_unknown_descriptor_raises_key_error(self, posix):
+        fd = posix.open(0, "/f", create=True)
+        posix.close(0, fd)
+        ops = (lambda f: posix.write(0, f, b"x"),
+               lambda f: posix.read(0, f, 1),
+               lambda f: posix.read_synthetic(0, f, 1),
+               lambda f: posix.fsync(0, f),
+               lambda f: posix.close(0, f))
+        for bad in (fd, -1, 0, 10 ** 6):
+            for op in ops:
+                with pytest.raises(KeyError):
+                    op(bad)
+
+    def test_fd_listed_twice_in_close_group_raises(self, posix):
+        ranks = np.arange(2)
+        fds = posix.open_group(ranks, ["/a", "/b"])
+        with pytest.raises(KeyError):
+            posix.close_group(np.arange(3), fds[[0, 1, 0]])
+        posix.close_group(ranks, fds)
+        with pytest.raises(KeyError):
+            posix.close_group(ranks, fds)
+        assert posix.open_fd_count == 0
+
+    def test_release_is_idempotent(self, posix):
+        fds = posix.open_group(np.arange(4), [f"/r{i}" for i in range(4)])
+        fd = posix.open(0, "/one", create=True)
+        posix.release_fds(fds)
+        posix.release_fds(fds)
+        assert posix.open_fd_count == 1
+        posix.release_fds(fd)
+        posix.release_fds(fd)
+        assert posix.open_fd_count == 0
+
+    def test_group_descriptor_keeps_position_and_api(self, posix):
+        fd = posix.open(0, "/log", create=True)
+        posix.write(0, fd, b"x" * 100)
+        posix.close(0, fd)
+        posix.close(0, posix.open(0, "/other", create=True))
+        ranks = np.arange(2)
+        fds = posix.open_group(ranks, ["/log", "/other"], create=False,
+                               append=True, api="STDIO")
+        rec = posix.trace.subscribe(_Recorder())
+        posix.write(0, int(fds[0]), b"yz")  # appends at the old size
+        posix.close(1, int(fds[1]))
+        assert posix.fs.vfs.stat("/log").size == 102
+        assert [(e.kind, e.api) for e in rec.events] == [
+            ("write", "STDIO"), ("close", "STDIO")]
+        posix.close(0, int(fds[0]))
 
 
 class TestStdio:

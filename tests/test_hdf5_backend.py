@@ -72,6 +72,27 @@ class TestHDF5Engine:
         # one slot allocated, rewritten in place
         assert tail_after < 3 * 4000 + 4096
 
+    def test_load_charges_reads_like_bp4(self, env):
+        # an .h5 load costs the reader what the same .bp4 load costs,
+        # and Darshan counts the bytes it reads
+        fs, comm, mon, posix = env
+        data = np.arange(64.0)
+        advance, counted = {}, {}
+        for ext in (".bp4", ".h5"):
+            s = Series(posix, comm, f"/run/load{ext}", Access.CREATE)
+            comp = s.iterations[0].meshes["rho"].scalar
+            comp.reset_dataset(Dataset(np.float64, data.shape))
+            comp.store_chunk(data, (0,), rank=0)
+            s.close()
+            rd = Series(posix, comm, f"/run/load{ext}", Access.READ_ONLY)
+            clock, read = comm.clocks[0], mon.total_bytes_read()
+            assert np.array_equal(rd.load_mesh(0, "rho"), data)
+            advance[ext] = comm.clocks[0] - clock
+            counted[ext] = mon.total_bytes_read() - read
+        assert advance[".h5"] > 0
+        assert advance[".h5"] == pytest.approx(advance[".bp4"], rel=1e-12)
+        assert counted[".h5"] == counted[".bp4"] == data.nbytes
+
     def test_compression_rejected(self, env):
         from repro.adios2 import EngineConfig
 

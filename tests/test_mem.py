@@ -11,7 +11,9 @@ The plane's contract has two halves, and both are pinned here:
   engine/compressor/fault configuration.
 """
 
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -347,6 +349,26 @@ class TestBusPathCaching:
             bus.register_files(inos, paths)
         assert len(bus._path_batches) < 20  # compaction kicked in
         assert bus.paths() == dict(zip(range(8), paths))
+
+
+# ---------------------------------------------------------------------------
+# a finished run is freed by reference counting
+
+
+class TestRunLifetime:
+    def test_dropping_the_result_frees_the_run(self):
+        # a closed series is no reference cycle: the run's clocks and
+        # filesystem go with its result, without the cyclic collector
+        gc.disable()
+        try:
+            res = run_openpmd_scaled(
+                dardel(), 2, config=paper_use_case().with_(last_step=2000))
+            comm, fs = weakref.ref(res.comm), weakref.ref(res.fs)
+            del res
+            assert comm() is None
+            assert fs() is None
+        finally:
+            gc.enable()
 
 
 # ---------------------------------------------------------------------------

@@ -358,6 +358,25 @@ class TestAbandon:
                 Series(posix, comm, "/run/crash.h5", Access.READ_ONLY)
 
 
+class TestClosedSeries:
+    @pytest.mark.parametrize("end", ["close", "abandon"])
+    @pytest.mark.parametrize("path", ["/run/done.bp4", "/run/done_%T.bp4"])
+    def test_iterations_of_a_closed_series_raise(self, env, end, path):
+        _fs, comm, posix = env
+        s = Series(posix, comm, path, Access.CREATE)
+        it = s.iterations[0]
+        comp = it.meshes["m"].scalar
+        comp.reset_dataset(Dataset(np.float64, (4,)))
+        comp.store_chunk(np.ones(4), (0,), rank=0)
+        it.close()
+        getattr(s, end)()
+        for index in (0, 1):
+            with pytest.raises(RuntimeError, match="series is closed"):
+                s.iterations[index]
+        with pytest.raises(RuntimeError, match="series is closed"):
+            it.close()
+
+
 class TestJSONBackend:
     def test_roundtrip(self, env):
         _fs, comm, posix = env

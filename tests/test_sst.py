@@ -92,6 +92,23 @@ class TestStreaming:
         assert reader.begin_step() is not None
         assert reader.begin_step() is None  # producer gone, queue drained
 
+    def test_abandoned_producer_ends_its_stream(self, env):
+        # a crashed producer's contact file disappears: readers drain
+        # what it published, then see end of stream, and a restarted
+        # producer may take the name
+        _fs, comm, posix = env
+        eng = SSTEngine(posix, comm, "/run/crash.sst")
+        reader = SSTReader("crash")
+        eng.begin_step()
+        eng.end_step()
+        eng.abandon()
+        assert "crash" not in open_streams()
+        assert reader.begin_step().step == 0
+        assert reader.begin_step() is None
+        again = SSTEngine(posix, comm, "/run/crash.sst")
+        assert open_streams() == ["crash"]
+        again.close()
+
     def test_reader_blocks_while_producer_active(self, env):
         _fs, comm, posix = env
         SSTEngine(posix, comm, "/run/b.sst")

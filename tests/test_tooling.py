@@ -136,9 +136,13 @@ def _src_nodes(skip: str | None = None):
 
 
 #: PosixIO internals no other module may touch: clocks and events go
-#: through ``PosixIO.charge``, descriptors through ``PosixIO.ino_of``
+#: through ``PosixIO.charge``, descriptors through ``PosixIO.ino_of``;
+#: the descriptor table's columns and allocator stay private, as did
+#: the names they replaced
 POSIX_PRIVATE = frozenset({"_charge", "_notify", "_fds", "_fd_ino",
-                           "_inos_of"})
+                           "_inos_of", "_fd_rank", "_fd_pos", "_fd_api",
+                           "_n_open", "_alloc_fds", "_alloc_fd",
+                           "_alloc_fd_group"})
 
 
 class TestAccountingBoundary:
