@@ -680,6 +680,16 @@ class ExtentStore:
             self._segs.insert(i, bytearray(data))
             self._adjust(n)
             return
+        if j == i + 1 and offset >= starts[i]:
+            seg = self._segs[i]
+            if not isinstance(seg, _Spilled):
+                # one resident segment, written inside or at its end:
+                # overwrite/extend in place, so k appends cost O(k)
+                old_len = len(seg)
+                s = offset - starts[i]
+                seg[s:s + n] = data
+                self._adjust(len(seg) - old_len)
+                return
         new_start = min(offset, starts[i])
         new_end = max(end, self._seg_end(j - 1))
         buf = bytearray(new_end - new_start)

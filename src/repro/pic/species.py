@@ -79,11 +79,11 @@ class ParticleArrays:
         self._ensure(k)
         n = self._n
         self.x[n:n + k] = x
-        self.vx[n:n + k] = np.broadcast_to(np.asarray(vx, dtype=np.float64), (k,))
-        self.vy[n:n + k] = np.broadcast_to(np.asarray(vy, dtype=np.float64), (k,))
-        self.vz[n:n + k] = np.broadcast_to(np.asarray(vz, dtype=np.float64), (k,))
-        self.weight[n:n + k] = np.broadcast_to(
-            np.asarray(weight, dtype=np.float64), (k,))
+        # slice assignment broadcasts scalars and checks lengths
+        self.vx[n:n + k] = vx
+        self.vy[n:n + k] = vy
+        self.vz[n:n + k] = vz
+        self.weight[n:n + k] = weight
         self._n = n + k
 
     def remove(self, mask: np.ndarray) -> int:

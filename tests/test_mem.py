@@ -248,6 +248,56 @@ class TestExtentStore:
         assert vfs.read(ino0, 0, 800) == b"a" * 800
         assert vfs.read(ino1, 2 * GiB, 800) == b"b" * 800
 
+    def test_appends_load_no_existing_bytes(self, monkeypatch):
+        """k appends to one file cost O(k · chunk): none of them copies
+        the bytes already written (a merge-on-append store loads
+        O(k² · chunk))."""
+        loaded = []
+        real_load = ExtentStore._load
+
+        def spy(seg):
+            loaded.append(len(seg))
+            return real_load(seg)
+
+        monkeypatch.setattr(ExtentStore, "_load", staticmethod(spy))
+        acct = MemoryBudget().account("vfs")
+        store = ExtentStore(account=acct)
+        chunks = [bytes([i]) * 1000 for i in range(64)]
+        for i, chunk in enumerate(chunks):
+            store.write(i * 1000, chunk)
+        # overwrites inside the segment and across its end stay in place
+        store.write(500, b"m" * 10)
+        store.write(63_500, b"t" * 1000)
+        assert loaded == []
+        expected = bytearray(b"".join(chunks))
+        expected[500:510] = b"m" * 10
+        expected[63_500:] = b"t" * 1000
+        assert store.read(0, len(store)) == bytes(expected)
+        assert len(store) == store.resident_bytes == acct.used == 64_500
+
+    def test_account_tracks_residency_through_spill_append_read(self):
+        budget = MemoryBudget(quotas={"vfs": 4096}, hard=("vfs",))
+        vfs = VirtualFS()
+        account = vfs.configure_memory(budget.account("vfs"), spill=True)
+        vfs.create("/a")
+        vfs.create("/b")
+        ino_a, ino_b = vfs.lookup("/a"), vfs.lookup("/b")
+        for i in range(3):
+            vfs.write_content(ino_a, i * 1000, b"a" * 1000)
+        assert account.used == vfs.resident_content_bytes == 3000
+        for i in range(3):  # crosses the quota: /a spills
+            vfs.write_content(ino_b, i * 1000, b"b" * 1000)
+        assert account.spilled_bytes >= 3000
+        assert account.used == vfs.resident_content_bytes
+        # appending to the spilled extent pulls it back in, then grows
+        vfs.write_content(ino_a, 3000, b"c" * 500)
+        vfs.write_content(ino_a, 3500, b"d" * 500)
+        assert account.used == vfs.resident_content_bytes <= 4096
+        assert vfs.read(ino_a, 0, 4000) == (b"a" * 3000 + b"c" * 500
+                                            + b"d" * 500)
+        assert vfs.read(ino_b, 0, 3000) == b"b" * 3000
+        assert account.used == vfs.resident_content_bytes
+
 
 class TestSlotSpans:
     def test_roundtrip_piecewise(self):
