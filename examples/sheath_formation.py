@@ -11,11 +11,9 @@ positive until a potential hill forms that confines them.
 Also demonstrates the wall-flux diagnostics the original BIT1 logs.
 """
 
-import numpy as np
-
 from repro import Bit1Simulation, VirtualComm, sheath_case
-from repro.pic import deposit_charge, electric_field, solve_poisson_dirichlet
-from repro.pic.constants import EV, QE
+from repro.pic import electric_field, solve_poisson_dirichlet
+from repro.pic.constants import EV
 
 
 def main() -> None:
@@ -30,9 +28,7 @@ def main() -> None:
     sim.run(nsteps=config.last_step)
 
     # the sheath: net positive charge and a positive plasma potential
-    rho = np.zeros(sim.grid.nnodes)
-    for per_rank in sim.particles:
-        rho += deposit_charge(sim.grid, list(per_rank.values()))
+    rho = sim.charge_density()
     phi = solve_poisson_dirichlet(sim.grid, rho)
     efield = electric_field(sim.grid, phi)
 

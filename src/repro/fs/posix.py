@@ -29,7 +29,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from repro.fs.mount import MountedFilesystem
-from repro.fs.payload import Payload, RealPayload, SyntheticPayload, as_payload
+from repro.fs.payload import Payload, as_payload
 from repro.mpi.comm import VirtualComm
 from repro.trace.bus import TraceBus
 from repro.util.scatter import scatter_add
@@ -170,9 +170,17 @@ class PosixIO:
     def ino_of(self, fd):
         """Inode behind one descriptor (an int) or an fd array (an array).
 
-        Raises ``KeyError`` when a descriptor is closed.
+        Raises ``KeyError`` when a descriptor is closed or was never a
+        row of the table (negative, or past its end) — one bounds check
+        per call, however many descriptors an array holds.
         """
-        inos = self._fd_ino[fd]
+        table = self._fd_ino
+        if isinstance(fd, np.ndarray):
+            if fd.size and (fd.min() < 0 or fd.max() >= len(table)):
+                raise KeyError("operation on unknown file descriptor")
+        elif not 0 <= fd < len(table):
+            raise KeyError(f"operation on unknown file descriptor {fd}")
+        inos = table[fd]
         if np.any(inos < 0):
             raise KeyError("operation on closed file descriptor")
         return inos if isinstance(inos, np.ndarray) else int(inos)

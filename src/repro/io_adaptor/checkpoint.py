@@ -72,19 +72,13 @@ def restore_from_openpmd(sim, posix: PosixIO, comm: VirtualComm,
         starts = np.array([s.x_min for s in sim.subdomains])
         dest = np.clip(np.searchsorted(starts, x, side="right") - 1,
                        0, comm.size - 1)
-        # one stable sort splits every rank's particles at once (file
-        # order within each rank is preserved, exactly like the former
-        # per-rank boolean masks — but without comm.size full scans)
+        # one stable sort lays the particles out rank-major, keeping
+        # file order within each rank
         order = np.argsort(dest, kind="stable")
-        bounds = np.searchsorted(dest[order], np.arange(comm.size + 1))
-        xs, vxs, vys, vzs, ws = (a[order] for a in (x, vx, vy, vz, w))
-        for rank in range(comm.size):
-            lo, hi = int(bounds[rank]), int(bounds[rank + 1])
-            arrays = sim.particles[rank][name]
-            arrays.remove(np.ones(len(arrays), dtype=bool))
-            if hi > lo:
-                arrays.add(xs[lo:hi], vxs[lo:hi], vys[lo:hi], vzs[lo:hi],
-                           ws[lo:hi])
+        sim.restore_species(
+            name, np.bincount(dest, minlength=comm.size),
+            {"x": x[order], "vx": vx[order], "vy": vy[order],
+             "vz": vz[order], "weight": w[order]})
     step = int(getattr(series.engine, "attributes", {}).get(
         "/data/0/checkpointStep", 0))
     series.close()

@@ -103,14 +103,14 @@ class Bit1OpenPMDWriter:
         comp.reset_dataset(Dataset(np.float64, (nranks * row_len,)))
         local_lens = [row_len] * nranks
         offsets = self.comm.exscan_sum(local_lens)
-        # build all rows as one (nranks, row_len) matrix and stage each
-        # row in a single batched call — the columns come from per-rank
-        # Python objects, but only one pass over them per species
+        # build all rows as one (nranks, row_len) matrix, its columns
+        # read from the rank-major stores, and stage each row in a
+        # single batched call
+        stores = sim.merged_species()
         rows = np.empty((nranks, row_len), dtype=np.float64)
         for j, name in enumerate(names):
-            parts = [sim.particles[r][name] for r in range(nranks)]
-            rows[:, 2 * j] = [float(len(p)) for p in parts]
-            rows[:, 2 * j + 1] = [p.kinetic_energy() for p in parts]
+            rows[:, 2 * j] = stores[name].counts
+            rows[:, 2 * j + 1] = stores[name].rank_kinetic_energy()
         comp.store_chunks(list(rows), offsets, np.arange(nranks))
         it.close()
 
@@ -125,16 +125,15 @@ class Bit1OpenPMDWriter:
         it = self.ckpt_series.iterations[0].reopen()
         it.set_time(step * sim.config.dt, sim.config.dt)
         it.attributes["checkpointStep"] = step
-        nranks = self.comm.size
+        stores = sim.merged_species()
         for name in sim.species_names():
             sp = species_path(name)
-            # one pass over the per-rank particle stores: counts, array
-            # views and offsets are gathered once and reused by all five
-            # records instead of re-walking the rank dict per record
-            arrays_by_rank = [sim.particles[r][name] for r in range(nranks)]
-            counts = np.fromiter((len(a) for a in arrays_by_rank),
-                                 dtype=np.int64, count=nranks)
-            total = int(counts.sum())
+            # counts, offsets and every rank's slice come from the
+            # species' rank-major store, once for all five records
+            store = stores[name]
+            counts = store.counts
+            bounds = store.bounds
+            total = len(store)
             offsets = self.comm.exscan_sum(counts)
             active = np.nonzero(counts)[0]
             species = it.particles[sp]
@@ -149,22 +148,15 @@ class Bit1OpenPMDWriter:
                 rec = species[rec_name]
                 comp = rec.scalar if comp_name is None else rec[comp_name]
                 comp.reset_dataset(Dataset(np.float64, (max(total, 0),)))
-                datas = [
-                    getattr(arrays_by_rank[r], field)[:counts[r]]
-                    .astype(np.float64)
-                    for r in active.tolist()
-                ]
+                values = getattr(store, field)
+                datas = [values[bounds[r]:bounds[r + 1]].astype(np.float64)
+                         for r in active.tolist()]
                 comp.store_chunks(datas, offsets[active], active)
         # grid-state moments (the solver/smoother restart state)
         dens = it.meshes["charge_density"]
         comp = dens.scalar
         comp.reset_dataset(Dataset(np.float64, (sim.grid.nnodes,)))
-        from repro.pic.deposit import deposit_charge
-
-        rho = np.zeros(sim.grid.nnodes)
-        for per_rank in sim.particles:
-            rho += deposit_charge(sim.grid, list(per_rank.values()))
-        comp.store_chunk(rho, (0,), rank=0)
+        comp.store_chunk(sim.charge_density(), (0,), rank=0)
         it.close()
 
     # -- lifecycle -----------------------------------------------------------------------

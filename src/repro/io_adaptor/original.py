@@ -17,7 +17,7 @@ import zlib
 
 import numpy as np
 
-from repro.fs.payload import RealPayload, SyntheticPayload
+from repro.fs.payload import RealPayload
 from repro.fs.posix import PosixIO
 from repro.fs.stdio import DEFAULT_BUFSIZE, StdioFile
 from repro.mpi.comm import VirtualComm
@@ -88,7 +88,6 @@ class OriginalIOWriter:
 
     def write_diagnostics(self, sim, step: int) -> None:
         """Append formatted diagnostic tables, one file per rank."""
-        profiles = sim.diagnostics.profiles()
         dists = sim.diagnostics.snapshot(reset=True)
         nranks = self.comm.size
         with self.posix.phase(writers=nranks, md_clients=nranks):
@@ -103,11 +102,15 @@ class OriginalIOWriter:
                 (" ".join(f"{v:.6e}" for v in dist.velocity).encode() + b"\n")
                 for dist in dists.values()
             ]
+            # per-rank counts and weights, read from the rank-major stores
+            tallies = [(name, store.counts.tolist(),
+                        store.rank_sums(store.weights()).tolist())
+                       for name, store in sim.merged_species().items()]
             for rank, f in enumerate(files):
                 f.fprintf("# step %d\n", step)
-                for name, per_rank in sim.particles[rank].items():
+                for name, counts, weights in tallies:
                     f.fprintf("%s count %d weight %.6e\n", name,
-                              len(per_rank), per_rank.total_weight())
+                              counts[rank], weights[rank])
                 for (name, dist), line in zip(dists.items(), dist_lines):
                     # averaged distribution functions, fixed-width text
                     f.fprintf("# %s velocity df (%d samples)\n",

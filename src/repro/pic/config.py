@@ -20,7 +20,7 @@ critical parameters the paper lists:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from repro.util.validation import require_int, require_positive
 

@@ -16,12 +16,13 @@ isotropises (⟨v⟩ → 0) at the analytic relaxation rate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from repro.pic.deposit import deposit_density, gather_field
+from repro.pic.deposit import deposit_density_ranks, gather_field_ranks
 from repro.pic.grid import Grid1D
-from repro.pic.species import ParticleArrays
+from repro.pic.species import ParticleArrays, SpeciesStore
 
 
 @dataclass
@@ -44,32 +45,65 @@ class ElasticOperator:
     def step(self, grid: Grid1D, electrons: ParticleArrays,
              neutrals: ParticleArrays, dt: float,
              rng: np.random.Generator) -> ElasticStats:
-        """Apply one dt of elastic scattering (mutates ``electrons``)."""
-        n = len(electrons)
-        stats = ElasticStats(candidates=n)
-        if n == 0 or self.rate == 0.0 or len(neutrals) == 0:
-            return stats
-        n_d = deposit_density(grid, neutrals)
-        local = gather_field(grid, n_d, electrons.positions())
+        """Apply one dt of elastic scattering on one rank (mutates
+        ``electrons``); the one-rank case of :meth:`step_ranks`."""
+        stats = ElasticStats(candidates=len(electrons))
+        scattered, prob = self._scatter(
+            grid, SpeciesStore.one_rank(electrons),
+            SpeciesStore.one_rank(neutrals), dt, [rng])
+        stats.scattered = int(scattered[0])
+        if len(prob):
+            stats.mean_probability = float(prob.mean())
+        return stats
+
+    def step_ranks(self, grid: Grid1D, electrons: SpeciesStore,
+                   neutrals: SpeciesStore, dt: float,
+                   rngs: Sequence[np.random.Generator]) -> np.ndarray:
+        """Elastic scattering on every rank of rank-major stores.
+
+        Rank r draws from ``rngs[r]`` against its own neutral density; a
+        rank with no electrons or no neutrals draws nothing.  Returns
+        the number scattered per rank.
+        """
+        return self._scatter(grid, electrons, neutrals, dt, rngs)[0]
+
+    def _scatter(self, grid, electrons, neutrals, dt, rngs):
+        nranks = len(rngs)
+        n_electron = electrons.counts
+        active = (n_electron > 0) & (neutrals.counts > 0)
+        if self.rate == 0.0 or not active.any():
+            return np.zeros(nranks, dtype=np.int64), np.zeros(0)
+        n_d = deposit_density_ranks(grid, neutrals, neutrals.counts)
+        rank = electrons.rank_ids()
+        x = electrons.positions()
+        sel = None if active.all() else active[rank]
+        if sel is not None:
+            x, rank = x[sel], rank[sel]
+        local = gather_field_ranks(grid, n_d, x, rank)
         prob = np.clip(local * self.rate * dt, 0.0, 1.0)
-        stats.mean_probability = float(prob.mean())
-        hit = rng.random(n) < prob
-        k = int(hit.sum())
-        stats.scattered = k
-        if k == 0:
-            return stats
+        hit = np.concatenate([rngs[r].random(n_electron[r])
+                              for r in np.flatnonzero(active)]) < prob
+        scattered = np.bincount(rank[hit], minlength=nranks)
+        if not scattered.any():
+            return scattered, prob
+        if sel is not None:
+            sel[sel] = hit
+            hit = sel
+        n = len(electrons)
         vx = electrons.vx[:n][hit]
         vy = electrons.vy[:n][hit]
         vz = electrons.vz[:n][hit]
         speed = np.sqrt(vx**2 + vy**2 + vz**2)
-        # isotropic redirection: uniform on the sphere
-        mu = rng.uniform(-1.0, 1.0, k)          # cos(theta)
-        phi = rng.uniform(0.0, 2.0 * np.pi, k)
+        # isotropic redirection, uniform on the sphere: each rank draws
+        # its cos(theta) then its phi from its own stream
+        draws = [(g.uniform(-1.0, 1.0, k), g.uniform(0.0, 2.0 * np.pi, k))
+                 for g, k in zip(rngs, scattered.tolist()) if k]
+        mu, phi = (np.concatenate(v) for v in zip(*draws))
         sin_theta = np.sqrt(1.0 - mu**2)
         electrons.vx[:n][hit] = speed * mu
         electrons.vy[:n][hit] = speed * sin_theta * np.cos(phi)
         electrons.vz[:n][hit] = speed * sin_theta * np.sin(phi)
-        return stats
+        return scattered, prob
 
 
 def expected_drift_decay(n_neutral: float, rate: float, dt: float,

@@ -40,10 +40,9 @@ class BalanceReport:
 def particles_per_cell(sim) -> np.ndarray:
     """Total particle count per grid cell across all ranks/species."""
     counts = np.zeros(sim.grid.ncells, dtype=np.int64)
-    for per_rank in sim.particles:
-        for arrays in per_rank.values():
-            cells = sim.grid.cell_of(arrays.positions())
-            np.add.at(counts, cells, 1)
+    for store in sim.merged_species().values():
+        counts += np.bincount(sim.grid.cell_of(store.positions()),
+                              minlength=sim.grid.ncells)
     return counts
 
 
@@ -85,8 +84,8 @@ def rebalance(sim) -> BalanceReport:
     only change owners, never state).
     """
     nranks = sim.comm.size
-    per_rank_before = np.array(
-        [sum(len(a) for a in pr.values()) for pr in sim.particles])
+    stores = sim.merged_species().values()
+    per_rank_before = sum(s.counts for s in stores)
     counts = particles_per_cell(sim)
     bounds = balanced_partition(counts, nranks)
     sim.subdomains = [
@@ -94,8 +93,7 @@ def rebalance(sim) -> BalanceReport:
         for r, (a, b) in enumerate(bounds)
     ]
     migrated = sim._migrate()
-    per_rank_after = np.array(
-        [sum(len(a) for a in pr.values()) for pr in sim.particles])
+    per_rank_after = sum(s.counts for s in stores)
     return BalanceReport(
         before_max=int(per_rank_before.max()),
         before_mean=float(per_rank_before.mean()),

@@ -32,8 +32,12 @@ def stream(particles: ParticleArrays, dt: float) -> None:
 
 def apply_periodic(particles: ParticleArrays, length: float) -> None:
     """Wrap positions into [0, length)."""
-    n = len(particles)
-    np.mod(particles.x[:n], length, out=particles.x[:n])
+    x = particles.x[:len(particles)]
+    # np.mod returns x itself for 0 < x < length, so only the rest (the
+    # few that crossed an end, and zeros, which it makes +0.0) need it
+    wrap = ~((x > 0.0) & (x < length))
+    if wrap.any():
+        x[wrap] = np.mod(x[wrap], length)
 
 
 def leapfrog_step(grid: Grid1D, particles: ParticleArrays,

@@ -36,7 +36,6 @@ from repro.fs.posix import PosixIO
 from repro.io_adaptor.naming import species_path
 from repro.mpi.comm import VirtualComm
 from repro.pic.config import Bit1Config
-from repro.pic.deposit import deposit_charge
 from repro.pic.simulation import Bit1Simulation
 from repro.streaming.consumers import (
     ANALYSIS_RATE,
@@ -101,10 +100,10 @@ class StreamingBit1Writer:
         row_len = 2 * len(names)
         offsets = self.comm.exscan_sum([row_len] * nranks)
         rows = np.empty((nranks, row_len), dtype=np.float64)
+        stores = sim.merged_species()
         for j, name in enumerate(names):
-            parts = [sim.particles[r][name] for r in range(nranks)]
-            rows[:, 2 * j] = [float(len(p)) for p in parts]
-            rows[:, 2 * j + 1] = [p.kinetic_energy() for p in parts]
+            rows[:, 2 * j] = stores[name].counts
+            rows[:, 2 * j + 1] = stores[name].rank_kinetic_energy()
         for r in range(nranks):
             t.put("rank_summary", "double", (nranks * row_len,), r,
                   (int(offsets[r]),), (row_len,), rows[r],
@@ -120,13 +119,13 @@ class StreamingBit1Writer:
         t.put_attribute("kind", "checkpoint")
         t.put_attribute("time_step", step)
         t.put_attribute("checkpointStep", step)
-        nranks = self.comm.size
+        stores = sim.merged_species()
         for name in sim.species_names():
             sp = species_path(name)
-            arrays_by_rank = [sim.particles[r][name] for r in range(nranks)]
-            counts = np.fromiter((len(a) for a in arrays_by_rank),
-                                 dtype=np.int64, count=nranks)
-            total = int(counts.sum())
+            store = stores[name]
+            counts = store.counts
+            bounds = store.bounds
+            total = len(store)
             offsets = self.comm.exscan_sum(counts)
             active = np.nonzero(counts)[0]
             records = {
@@ -141,16 +140,14 @@ class StreamingBit1Writer:
                     f"/{comp_name}" if comp_name is not None else "")
                 t.engine.declare_variable(vname, "double",
                                           (max(total, 0),))
+                values = getattr(store, fld)
                 for r in active.tolist():
                     t.put(vname, "double", (max(total, 0),), r,
                           (int(offsets[r]),), (int(counts[r]),),
-                          getattr(arrays_by_rank[r], fld)[:counts[r]]
-                          .astype(np.float64))
-        rho = np.zeros(sim.grid.nnodes)
-        for per_rank in sim.particles:
-            rho += deposit_charge(sim.grid, list(per_rank.values()))
+                          values[bounds[r]:bounds[r + 1]].astype(np.float64))
         t.put("charge_density", "double", (sim.grid.nnodes,), 0, (0,),
-              (sim.grid.nnodes,), rho, entropy="diagnostic_float64")
+              (sim.grid.nnodes,), sim.charge_density(),
+              entropy="diagnostic_float64")
         t.end_step()
 
     # -- lifecycle --------------------------------------------------------

@@ -11,7 +11,6 @@ from repro.fs import (
     NFSFilesystem,
     CephFilesystem,
     PosixIO,
-    RealPayload,
     SyntheticPayload,
     fopen,
     mount,
@@ -264,6 +263,37 @@ class TestDescriptorTable:
             for op in ops:
                 with pytest.raises(KeyError):
                     op(bad)
+
+    def _fill_first_table(self, posix):
+        """Open fds 3-255: every row of the initial 256-row table."""
+        n = 253
+        ranks = np.zeros(n, dtype=np.int64)
+        fds = posix.open_group(ranks, [f"/t{i}" for i in range(n)])
+        assert fds[0] == 3 and fds[-1] == 255
+        return ranks, fds
+
+    def test_group_ops_reject_unknown_descriptors(self, posix):
+        # a negative fd must not wrap to the table's last rows, and an
+        # fd past the table is unknown, not an IndexError
+        ranks, fds = self._fill_first_table(posix)
+        for bad in (-1, -253, 256, 10 ** 6):
+            with pytest.raises(KeyError):
+                posix.write_group(np.array([0]), np.array([bad]), 10)
+            with pytest.raises(KeyError):
+                posix.close_group(np.array([0]), np.array([bad]))
+        assert posix.fs.vfs.stat("/t252").size == 0
+        assert posix.open_fd_count == len(fds)
+        posix.close_group(ranks, fds)
+
+    def test_scalar_lookup_rejects_unknown_descriptors(self, posix):
+        ranks, fds = self._fill_first_table(posix)
+        for bad in (-1, 256):
+            with pytest.raises(KeyError):
+                posix.ino_of(bad)
+            with pytest.raises(KeyError):
+                posix.ino_of(np.array([3, bad]))
+        assert posix.ino_of(255) == posix.fs.vfs.lookup("/t252")
+        posix.close_group(ranks, fds)
 
     def test_fd_listed_twice_in_close_group_raises(self, posix):
         ranks = np.arange(2)

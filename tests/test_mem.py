@@ -22,7 +22,6 @@ from repro.cluster.presets import dardel
 from repro.faults import AggregatorFailure, FaultPlan
 from repro.fs.vfs import ExtentStore, VirtualFS
 from repro.mem import (
-    MemoryAccount,
     MemoryBudget,
     MemoryQuotaExceeded,
     SplitValues,

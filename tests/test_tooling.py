@@ -155,6 +155,28 @@ class TestAccountingBoundary:
                           "outside fs/posix.py:\n" + "\n".join(uses))
 
 
+#: the PIC particle stores' internals no module outside ``repro/pic/``
+#: may touch: per-rank counts, bounds and ids stay behind the stores'
+#: read-only properties, a per-rank handle reaches its store only
+#: through the store's mutators, and the simulation's stores, subdomain
+#: bounds and migration stay its own
+SIM_PRIVATE = frozenset({"_species_stores", "_stores_view", "_rank_counts",
+                         "_rank_bounds", "_rank_ids", "_set_counts",
+                         "_species_store", "_permute", "_ensure",
+                         "_migrate", "_sub_lo", "_sub_hi"})
+
+
+class TestParticleStoreBoundary:
+    def test_no_module_outside_pic_reaches_into_the_stores(self):
+        uses = [f"{rel}:{node.lineno} .{node.attr}"
+                for rel, node in _src_nodes()
+                if not rel.startswith("pic/")
+                and isinstance(node, ast.Attribute)
+                and node.attr in SIM_PRIVATE]
+        assert not uses, (f"{len(uses)} uses of particle-store private "
+                          "members outside repro/pic/:\n" + "\n".join(uses))
+
+
 #: ADIOS2 engine parameter names: the TOML parser decodes them into an
 #: ``EngineConfig``, and everything else passes that object
 ENGINE_PARAMETERS = frozenset({
