@@ -182,6 +182,42 @@ class _SlotSpans:
                 + self.reserved.nbytes)
 
 
+@dataclass(frozen=True)
+class _StepDerivation:
+    """What a flush derives from its declaration alone, per rank.
+
+    Every field is a pure function of the staged byte counts, the
+    operator, the aggregation plan and the NIC bandwidth the gather legs
+    were costed at (``nic``); the flush applies them (clock adds, emits,
+    subfile writes) itself, in one order whether the values are fresh
+    or memoised.  The arrays are read-only, so a consumer that would
+    change one in place raises instead of corrupting later steps.
+    """
+
+    ranks: np.ndarray
+    staged: np.ndarray
+    #: operator seconds: staging memcpy, or codec CPU when compressing
+    op_s: np.ndarray
+    stored: np.ndarray
+    gather: np.ndarray
+    per_agg: np.ndarray
+    nic: float
+
+    def __post_init__(self) -> None:
+        for arr in self._arrays():
+            arr.setflags(write=False)
+
+    def _arrays(self):
+        """The distinct arrays (``stored`` is ``staged`` without a codec)."""
+        arrays = (self.ranks, self.staged, self.op_s, self.stored,
+                  self.gather, self.per_agg)
+        return {id(a): a for a in arrays}.values()
+
+    @property
+    def nbytes(self) -> int:
+        return sum(a.nbytes for a in self._arrays())
+
+
 class IntegrityError(RuntimeError):
     """Stored data failed its checksum (corrupt checkpoint/diagnostics).
 
@@ -460,6 +496,9 @@ class BPEngineBase(Engine):
             self.drain_wait_seconds = np.zeros(comm.size, dtype=np.float64)
         #: engine staging bytes ledger on the ambient memory budget
         self._mem_account = current_budget().account("engine")
+        #: flush memo: one derivation per span-only declaration
+        #: signature, resident (and charged) until close or abandon
+        self._memo: dict[tuple, _StepDerivation] = {}
         self.drain_seconds = np.zeros(m, dtype=np.float64)
         if mode in ("w", "a"):
             self._create_layout(truncate=(mode == "w"))
@@ -543,24 +582,23 @@ class BPEngineBase(Engine):
         from inside :meth:`~repro.fs.posix.PosixIO.write_aggregate`.
         ``self.profile`` is one subscriber folding them back.
         """
-        n = self.comm.size
         block = self.config.rank_block_size
-        # chunk-evaluate only when every staged byte is a span descriptor;
-        # declared-but-chunkless variables (the usual series metadata
-        # declarations) contribute exact zeros either way
-        if (block is not None and block < n
-                and all(not v.chunks for v in self._cur_vars.values())
-                and all(r is None for _nm, r, _b, _e in self._cur_bulk)):
+        # every staged byte a span descriptor: chunk-evaluate, or else
+        # memoise the derivation; declared-but-chunkless variables (the
+        # usual series metadata declarations) contribute exact zeros
+        spans_only = (all(not v.chunks for v in self._cur_vars.values())
+                      and all(r is None for _nm, r, _b, _e in self._cur_bulk))
+        if block is not None and block < self.comm.size and spans_only:
             per_agg = self._flush_blocked(block)
         else:
-            staged = self._staged_bytes()
-            stored = self._apply_operator(staged)
-            gather_fn = (two_level_gather_cost if self.two_level_shuffle
-                         else gather_cost_seconds)
-            gather = gather_fn(self.plan, stored, self.comm)
-            self.comm.clocks += gather
-            self._emit("shuffle", np.arange(n), stored, gather)
-            per_agg = self.plan.per_aggregator_bytes(stored)
+            self._store_chunks()
+            d = self._derive(memoise=spans_only)
+            self.comm.clocks += d.op_s
+            self._emit("memcpy" if self.compressor is None else "compress",
+                       d.ranks, d.staged, d.op_s)
+            self.comm.clocks += d.gather
+            self._emit("shuffle", d.ranks, d.stored, d.gather)
+            per_agg = d.per_agg
         staged_resident = int(per_agg.sum())
         self._mem_account.charge(staged_resident)
         offsets = self._allocate(overwrite_key, per_agg)
@@ -791,38 +829,69 @@ class BPEngineBase(Engine):
                      start=self.comm.clocks[ranks] - seconds,
                      api="ENGINE", layer="engine")
 
-    def _apply_operator(self, staged: np.ndarray) -> np.ndarray:
-        """Compression / memcpy accounting; returns stored bytes per rank."""
-        n = self.comm.size
-        ranks = np.arange(n)
-        if self.compressor is None:
-            memcpy_s = staged / self.config.memcpy_bandwidth
-            self.comm.clocks += memcpy_s
-            self._emit("memcpy", ranks, staged, memcpy_s)
-            # real chunks are stored as-is
-            for var in self._cur_vars.values():
-                for chunk in var.chunks:
-                    chunk.stored = chunk.payload  # type: ignore[attr-defined]
-                    chunk.stored_compressed = False  # type: ignore[attr-defined]
-            return staged.copy()
-        cpu_s = staged / self.compressor.compress_bandwidth
-        self.comm.clocks += cpu_s
-        self._emit("compress", ranks, staged, cpu_s)
-        stored = np.zeros(n, dtype=np.float64)
+    def _store_chunks(self) -> None:
+        """Run the operator over real chunks: ``chunk.stored`` is the
+        payload as-is, or compressed when the engine has a codec."""
+        codec = self.compressor
         for var in self._cur_vars.values():
             for chunk in var.chunks:
-                result = self.compressor.compress(chunk.payload)
-                chunk.stored = result.payload  # type: ignore[attr-defined]
-                chunk.stored_compressed = True  # type: ignore[attr-defined]
-                stored[chunk.rank] += result.compressed_nbytes
-        for name, ranks_b, nbytes, entropy in self._cur_bulk:
-            ratio = self.compressor.synthetic_ratio(entropy)
-            if ranks_b is None:
-                stored += np.round(nbytes.slice(0, n).astype(np.float64)
-                                   * ratio)
-            else:
-                scatter_add(stored, ranks_b, np.round(nbytes * ratio))
-        return stored
+                stored = (chunk.payload if codec is None
+                          else codec.compress(chunk.payload).payload)
+                chunk.stored = stored  # type: ignore[attr-defined]
+                chunk.stored_compressed = codec is not None  # type: ignore[attr-defined]
+
+    def _derive(self, memoise: bool) -> _StepDerivation:
+        """The open step's derivation, from the memo when ``memoise``.
+
+        The memo keys a span-only step on its declaration signature, the
+        ``(SplitValues, entropy)`` of every span put in put order; the
+        entry also records the NIC bandwidth its gather legs were costed
+        at and is replaced when a NIC fault has changed it since.
+        """
+        nic = self.comm.effective_bandwidth()
+        if not memoise:
+            return self._derivation(nic)
+        key = tuple((sv, entropy) for _nm, _r, sv, entropy in self._cur_bulk)
+        d = self._memo.get(key)
+        if d is None or d.nic != nic:
+            if d is not None:
+                self._mem_account.release(d.nbytes)
+            d = self._memo[key] = self._derivation(nic)
+            self._mem_account.charge(d.nbytes)
+        return d
+
+    def _derivation(self, nic: float) -> _StepDerivation:
+        """Staged → operator seconds → stored → gather legs → per-subfile
+        bytes, from the open step's staged chunks and spans."""
+        n = self.comm.size
+        staged = self._staged_bytes()
+        if self.compressor is None:
+            op_s = staged / self.config.memcpy_bandwidth
+            stored = staged
+        else:
+            op_s = staged / self.compressor.compress_bandwidth
+            stored = np.zeros(n, dtype=np.float64)
+            for var in self._cur_vars.values():
+                for chunk in var.chunks:
+                    stored[chunk.rank] += chunk.stored.nbytes
+            for _name, ranks_b, nbytes, entropy in self._cur_bulk:
+                ratio = self.compressor.synthetic_ratio(entropy)
+                if ranks_b is None:
+                    stored += np.round(nbytes.slice(0, n).astype(np.float64)
+                                       * ratio)
+                else:
+                    scatter_add(stored, ranks_b, np.round(nbytes * ratio))
+        gather_fn = (two_level_gather_cost if self.two_level_shuffle
+                     else gather_cost_seconds)
+        return _StepDerivation(
+            ranks=np.arange(n), staged=staged, op_s=op_s, stored=stored,
+            gather=gather_fn(self.plan, stored, self.comm),
+            per_agg=self.plan.per_aggregator_bytes(stored), nic=nic)
+
+    def _drop_memo(self) -> None:
+        for d in self._memo.values():
+            self._mem_account.release(d.nbytes)
+        self._memo.clear()
 
     def _allocate(self, key: str | None, per_agg: np.ndarray) -> np.ndarray:
         """Subfile offsets for this step's blocks (append or in-place)."""
@@ -1024,6 +1093,7 @@ class BPEngineBase(Engine):
                      api="AGG", layer="faults",
                      inos=self.posix.ino_of(self._data_fds[changed]))
         self.plan = new_plan
+        self._drop_memo()  # every derivation was costed on the old plan
 
     def abandon(self) -> None:
         """Drop the engine as a crashed process would (see
@@ -1032,6 +1102,7 @@ class BPEngineBase(Engine):
         # a crashed process's drain thread dies with it: pending drains
         # are dropped, nobody waits on them
         self._drain_until[:] = 0.0
+        self._drop_memo()
         super().abandon()
 
     def _descriptors(self) -> list:
@@ -1045,6 +1116,7 @@ class BPEngineBase(Engine):
     def _finish(self) -> None:
         if self.mode == "r":
             return
+        self._drop_memo()
         with self.posix.trace.scope(self._trace_scope):
             self._settle_drains()
         if self._attributes:

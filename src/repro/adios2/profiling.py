@@ -23,6 +23,7 @@ import json
 import numpy as np
 
 from repro.trace.events import IOEvent, make_event
+from repro.util.scatter import scatter_add
 
 PROFILE_CATEGORIES = ("memcpy", "compress", "aggregation", "write", "meta")
 
@@ -76,9 +77,9 @@ class EngineProfile:
         ranks = event.ranks
         if self.bin_of_rank is not None:
             ranks = self.bin_of_rank[np.asarray(ranks)]
-        np.add.at(self.us[category], ranks, event.duration * 1e6)
+        scatter_add(self.us[category], ranks, event.duration * 1e6)
         if event.kind in _STAGING_KINDS:
-            np.add.at(self.bytes_put, ranks, event.nbytes)
+            scatter_add(self.bytes_put, ranks, event.nbytes)
 
     @classmethod
     def from_events(cls, events, nranks: int, engine_type: str = "TRACE",

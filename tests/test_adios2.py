@@ -18,8 +18,10 @@ from repro.adios2 import (
     two_level_gather_cost,
 )
 from repro.cluster.presets import dardel
+from repro.faults import AggregatorFailure, FaultPlan, NICFlap
 from repro.fs import PosixIO, SyntheticPayload, mount
 from repro.mpi import VirtualComm
+from repro.workloads import paper_use_case, run_openpmd_scaled
 
 
 @pytest.fixture
@@ -587,3 +589,117 @@ class TestDrainLedger:
             assert getattr(eng, name).tobytes() == getattr(ref, name).tobytes()
         assert clocks.tobytes() == ref_clocks.tobytes()
         assert stream == ref_stream
+
+
+def _fresh_derive(self, memoise):
+    """Reference: the flush without its memo, every step derived afresh."""
+    return self._derivation(self.comm.effective_bandwidth())
+
+
+class TestFlushMemo:
+    """A memoised flush is the flush that derives every step afresh, bit
+    for bit: clocks, events, engine profiles and the Darshan log."""
+
+    #: the dat engine flushes at steps 10..60, twice at the checkpoint
+    #: steps 20, 40 and 60; the flap replaces its entry at 20 and again
+    #: at 40, each then hit, and the failover at 50 drops the memo
+    PLAN = (NICFlap(node=0, start_step=20, end_step=30, factor=0.25),
+            AggregatorFailure(rank=5, step=50))
+
+    def _run(self, engine_ext, compressor, async_drain):
+        from repro.adios2.engine import BPEngineBase
+
+        derivations = []
+        derive = BPEngineBase._derivation
+
+        def counted(engine, nic):
+            derivations.append(engine.path)
+            return derive(engine, nic)
+
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(BPEngineBase, "_derivation", counted)
+            res = run_openpmd_scaled(
+                dardel(), 2, config=paper_use_case().with_(
+                    ncells=2048, last_step=60, datfile=10, dmpstep=20),
+                ranks_per_node=8, num_aggregators=3, compressor=compressor,
+                engine_ext=engine_ext, async_drain=async_drain,
+                compute_seconds_per_step=1e-4 if async_drain else 0.0,
+                profiling=True, trace_mode="full",
+                fault_plan=FaultPlan(self.PLAN))
+        return res, derivations
+
+    @pytest.mark.parametrize("async_drain", [False, True],
+                             ids=["sync", "async"])
+    @pytest.mark.parametrize("compressor", [None, "blosc"])
+    @pytest.mark.parametrize("engine_ext", [".bp4", ".bp5"])
+    def test_memoised_run_matches_fresh_derivations(self, engine_ext,
+                                                    compressor, async_drain):
+        from repro.adios2.engine import BPEngineBase
+        from tests.test_batched_plane import (
+            _assert_events_identical,
+            _assert_logs_identical,
+        )
+
+        res, derived = self._run(engine_ext, compressor, async_drain)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(BPEngineBase, "_derive", _fresh_derive)
+            ref, ref_derived = self._run(engine_ext, compressor, async_drain)
+        # 12 flushes: the dat engine derives at 10, 20 (flap), 40 (flap
+        # over) and 50 (failover), the checkpoint engine at 20, 40 and 60
+        assert len(ref_derived) == 12
+        dat = [p for p in derived if "dat_file" in p]
+        assert (len(dat), len(derived) - len(dat)) == (4, 3)
+        assert res.comm.clocks.tobytes() == ref.comm.clocks.tobytes()
+        _assert_events_identical(res.trace.events, ref.trace.events)
+        assert len(res.profiles) == len(ref.profiles) == 2
+        for p, q in zip(res.profiles, ref.profiles):
+            assert p.steps == q.steps
+            assert p.bytes_put.tobytes() == q.bytes_put.tobytes()
+            for cat in p.us:
+                assert p.us[cat].tobytes() == q.us[cat].tobytes(), cat
+        _assert_logs_identical(res.log, ref.log)
+        assert res.peak_host_bytes == ref.peak_host_bytes
+        assert res.drain_wait_seconds == ref.drain_wait_seconds
+
+    def _engine(self, env):
+        from repro.mem import SplitValues
+
+        _fs, comm, posix = env
+        eng = BP4Engine(posix, comm, "/out/memo", "w",
+                        EngineConfig(num_aggregators=2))
+        for _ in range(3):
+            eng.begin_step()
+            eng.put_group("/data/x", None, SplitValues.spread(10_000, 8))
+            eng.end_step()
+        return eng
+
+    def test_memo_arrays_are_read_only(self, env):
+        eng = self._engine(env)
+        (d,) = eng._memo.values()
+        for name in ("ranks", "staged", "op_s", "stored", "gather",
+                     "per_agg"):
+            arr = getattr(d, name)
+            assert not arr.flags.writeable, name
+            with pytest.raises(ValueError):
+                arr[0] = arr[0]
+
+    @pytest.mark.parametrize("end", ["close", "abandon"])
+    def test_memo_charged_to_engine_account_until_end(self, env, end):
+        from repro.mem import MemoryBudget, use_budget
+
+        with use_budget(MemoryBudget()) as budget:
+            eng = self._engine(env)
+            (d,) = eng._memo.values()
+            assert budget.account("engine").used == d.nbytes > 0
+            getattr(eng, end)()
+            assert budget.account("engine").used == 0
+            assert eng._memo == {}
+
+    def test_real_chunk_steps_are_not_memoised(self, env):
+        _fs, comm, posix = env
+        eng = BP4Engine(posix, comm, "/out/real", "w", EngineConfig())
+        eng.begin_step()
+        eng.put("/x", "float64", (8,), 0, (0,), (8,), np.arange(8.0))
+        eng.end_step()
+        assert eng._memo == {}
+        eng.close()
