@@ -2,7 +2,7 @@
 
 from repro.darshan.counters import MODULES, all_counter_names
 from repro.darshan.dxt import DXTRecorder, Segment
-from repro.darshan.log import DarshanLog, FileRecord, ModuleRecord
+from repro.darshan.log import DarshanLog, FileRecord, FileTable, ModuleRecord
 from repro.darshan.parser import parse_totals, render, render_totals
 from repro.darshan.report import (
     CostSplit,
@@ -25,6 +25,7 @@ __all__ = [
     "DarshanMonitor",
     "FileRecord",
     "FileStats",
+    "FileTable",
     "ModuleRecord",
     "Segment",
     "agg_perf_by_slowest",

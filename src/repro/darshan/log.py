@@ -2,10 +2,10 @@
 
 Real Darshan writes one compressed binary log per job; this module keeps
 the same information (job header, per-module per-rank counters, per-file
-records) in plain dataclasses with JSON(+gzip) serialisation so logs can
-be saved, reloaded and parsed offline — the workflow the paper uses
-("extracting the throughput and amount of data stored by each file on the
-file system using Darshan 3.4.2 logs").
+records) in plain dataclasses and columns with JSON(+gzip) serialisation
+so logs can be saved, reloaded and parsed offline — the workflow the
+paper uses ("extracting the throughput and amount of data stored by
+each file on the file system using Darshan 3.4.2 logs").
 """
 
 from __future__ import annotations
@@ -36,7 +36,11 @@ class ModuleRecord:
 
 @dataclass
 class FileRecord:
-    """Aggregated per-file counters (summed over ranks)."""
+    """Aggregated per-file counters (summed over ranks).
+
+    One row of a :class:`FileTable`, built when the table is iterated
+    or indexed.
+    """
 
     path: str
     opens: float = 0.0
@@ -46,6 +50,66 @@ class FileRecord:
     bytes_read: float = 0.0
     bytes_written: float = 0.0
     cumulative_time: float = 0.0
+
+
+#: the per-file counters, in :class:`FileRecord` field order
+FILE_FIELDS = ("opens", "reads", "writes", "fsyncs", "bytes_read",
+               "bytes_written", "cumulative_time")
+
+
+class FileTable:
+    """The log's per-file counters as columns.
+
+    One path list plus one float64 array per counter, row ``i`` being
+    file ``paths[i]``: a 51 200-file job is eight objects, not 51 200.
+    Iterating or indexing yields :class:`FileRecord` rows; the counter
+    columns are attributes (``table.bytes_written``).
+    """
+
+    def __init__(self, paths=(), **columns: np.ndarray):
+        self.paths = list(paths)
+        n = len(self.paths)
+        for f in FILE_FIELDS:
+            col = np.asarray(columns.pop(f, np.zeros(n)), dtype=np.float64)
+            if col.shape != (n,):
+                raise ValueError(
+                    f"{f} column has shape {col.shape}, want ({n},)")
+            setattr(self, f, col)
+        if columns:
+            raise TypeError(f"unknown file columns {sorted(columns)}")
+
+    @classmethod
+    def from_records(cls, records) -> "FileTable":
+        """A table of :class:`FileRecord` rows (or dicts of their fields)."""
+        rows = [r if isinstance(r, dict) else vars(r) for r in records]
+        return cls([r["path"] for r in rows],
+                   **{f: [r.get(f, 0.0) for r in rows] for f in FILE_FIELDS})
+
+    def to_records(self) -> list[dict]:
+        """One dict per file, in :class:`FileRecord` field order."""
+        keys = ("path", *FILE_FIELDS)
+        cols = [getattr(self, f).tolist() for f in FILE_FIELDS]
+        return [dict(zip(keys, row)) for row in zip(self.paths, *cols)]
+
+    def __len__(self) -> int:
+        return len(self.paths)
+
+    def __getitem__(self, i: int) -> FileRecord:
+        return FileRecord(self.paths[i],
+                          *(float(getattr(self, f)[i]) for f in FILE_FIELDS))
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, FileTable):
+            return NotImplemented
+        return self.paths == other.paths and all(
+            np.array_equal(getattr(self, f), getattr(other, f))
+            for f in FILE_FIELDS)
+
+    def __repr__(self) -> str:  # pragma: no cover
+        return f"FileTable({len(self)} files)"
 
 
 @dataclass
@@ -59,7 +123,7 @@ class DarshanLog:
     machine: str = ""
     config: str = ""
     modules: dict[str, ModuleRecord] = field(default_factory=dict)
-    files: list[FileRecord] = field(default_factory=list)
+    files: FileTable = field(default_factory=FileTable)
     format_version: int = LOG_FORMAT_VERSION
     #: counter-axis resolution: "rank" (real Darshan) or "node" (the
     #: memory plane's O(nodes) binning); ``nbins`` is the counter
@@ -120,7 +184,7 @@ class DarshanLog:
                 name: {c: arr.tolist() for c, arr in mod.counters.items()}
                 for name, mod in self.modules.items()
             },
-            "files": [vars(f).copy() for f in self.files],
+            "files": self.files.to_records(),
         }
 
     @classmethod
@@ -136,7 +200,7 @@ class DarshanLog:
             )
             for name, mod in d["modules"].items()
         }
-        files = [FileRecord(**f) for f in d["files"]]
+        files = FileTable.from_records(d["files"])
         return cls(
             jobid=d["jobid"],
             exe=d["exe"],

@@ -8,6 +8,8 @@ documentation examples; the numeric analysis goes through
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.darshan.counters import all_counter_names
 from repro.darshan.log import DarshanLog
 from repro.util.units import format_size
@@ -48,10 +50,10 @@ def render_file_records(log: DarshanLog, limit: int | None = None) -> str:
     lines = [
         "# <path> <opens> <writes> <fsyncs> <bytes_written> <cumulative_time_s>",
     ]
-    records = sorted(log.files, key=lambda r: -r.bytes_written)
-    if limit is not None:
-        records = records[:limit]
-    for rec in records:
+    files = log.files
+    # a stable sort, as ``sorted`` by ``-bytes_written`` was
+    order = np.argsort(-files.bytes_written, kind="stable")[:limit]
+    for rec in (files[i] for i in order.tolist()):
         lines.append(
             f"{rec.path} {rec.opens:.0f} {rec.writes:.0f} {rec.fsyncs:.0f} "
             f"{rec.bytes_written:.0f} ({format_size(rec.bytes_written)}) "

@@ -32,7 +32,13 @@ from repro.darshan.counters import (
     size_bucket_index,
     size_bucket_of,
 )
-from repro.darshan.log import DarshanLog, FileRecord, ModuleRecord
+from repro.darshan.log import (
+    FILE_FIELDS,
+    DarshanLog,
+    FileRecord,
+    FileTable,
+    ModuleRecord,
+)
 from repro.trace.events import FS_LAYERS, EventBatch, IOEvent
 from repro.util.scatter import scatter_add, scatter_add2
 
@@ -61,7 +67,7 @@ class _ModuleCounters:
         self.size_hist = np.zeros((nprocs, len(SIZE_BUCKET_NAMES)), dtype=np.int64)
 
 
-class _FileTable:
+class _LiveFiles:
     """Columnar per-file counters, indexed directly by inode id.
 
     Group operations touch tens of thousands of files at once, so the
@@ -132,6 +138,24 @@ class _FileTable:
             self._path_rows = 0
         return self._paths
 
+    def registered(self) -> tuple[np.ndarray, list[str]]:
+        """Registered inodes and their paths in first-registration order
+        (first registration wins), without folding the batches into
+        :attr:`paths`: arrays and one path list, no per-file objects."""
+        inos = [np.fromiter(self._paths, dtype=np.int64,
+                            count=len(self._paths))]
+        inos += [np.asarray(i, dtype=np.int64) for i, _ in self._path_batches]
+        inos = np.concatenate(inos)
+        paths = list(self._paths.values())
+        for _, batch in self._path_batches:
+            paths.extend(batch)
+        _, first = np.unique(inos, return_index=True)
+        if len(first) < len(inos):  # an inode registered again
+            first.sort()
+            inos = inos[first]
+            paths = [paths[i] for i in first.tolist()]
+        return inos, paths
+
 
 class DarshanMonitor:
     """Runtime counter collection for one simulated job.
@@ -176,7 +200,7 @@ class DarshanMonitor:
         self.evict_on_close = evict_on_close
         self._evicted: dict[int, FileRecord] = {}
         self._modules = {m: _ModuleCounters(self.nbins) for m in MODULES}
-        self._files = _FileTable(account=mem_account)
+        self._files = _LiveFiles(account=mem_account)
         if mem_account is not None:
             per_bin = (len(COUNT_FIELDS) + len(BYTE_FIELDS)
                        + len(TIME_FIELDS) + len(SIZE_BUCKET_NAMES)) * 8
@@ -337,7 +361,7 @@ class DarshanMonitor:
         rec.bytes_read += float(ft.bytes_read[ino])
         rec.bytes_written += float(ft.bytes_written[ino])
         rec.cumulative_time += float(ft.time[ino])
-        for f in _FileTable._FIELDS:
+        for f in _LiveFiles._FIELDS:
             getattr(ft, f)[ino] = 0.0
 
     # -- queries used while the job runs --------------------------------------
@@ -370,6 +394,26 @@ class DarshanMonitor:
 
     # -- finalization -----------------------------------------------------------
 
+    def _file_table(self) -> FileTable:
+        """The registered files' counters as a :class:`FileTable`: one
+        gather per column over the registered inodes, plus the partials
+        of evicted files, added once."""
+        ft = self._files
+        inos, paths = ft.registered()
+        columns = {f: getattr(ft, col)[inos]
+                   for f, col in zip(FILE_FIELDS, _LiveFiles._FIELDS)}
+        if self._evicted:
+            # an evicted file without a registration has no row and
+            # stays out of the table
+            row = np.full(ft._cap, -1, dtype=np.int64)
+            row[inos] = np.arange(len(inos))
+            evicted = [(int(row[ino]), rec)
+                       for ino, rec in self._evicted.items() if row[ino] >= 0]
+            at = [r for r, _ in evicted]
+            for f in FILE_FIELDS:
+                columns[f][at] += [getattr(rec, f) for _, rec in evicted]
+        return FileTable(paths, **columns)
+
     def finalize(self, runtime_seconds: float | None = None,
                  machine: str = "", config: str = "") -> DarshanLog:
         """Freeze the counters into an immutable log record."""
@@ -387,29 +431,7 @@ class DarshanMonitor:
             for j, bname in enumerate(SIZE_BUCKET_NAMES):
                 counters[f"{name}_{bname}"] = m.size_hist[:, j].astype(np.float64)
             modules[name] = ModuleRecord(name=name, counters=counters)
-        ft = self._files
-        files = []
-        for ino, path in self._files.paths.items():
-            rec = FileRecord(
-                path=path,
-                opens=float(ft.opens[ino]),
-                reads=float(ft.reads[ino]),
-                writes=float(ft.writes[ino]),
-                fsyncs=float(ft.fsyncs[ino]),
-                bytes_read=float(ft.bytes_read[ino]),
-                bytes_written=float(ft.bytes_written[ino]),
-                cumulative_time=float(ft.time[ino]),
-            )
-            prev = self._evicted.get(ino)
-            if prev is not None:  # merge evicted partials back in
-                rec.opens += prev.opens
-                rec.reads += prev.reads
-                rec.writes += prev.writes
-                rec.fsyncs += prev.fsyncs
-                rec.bytes_read += prev.bytes_read
-                rec.bytes_written += prev.bytes_written
-                rec.cumulative_time += prev.cumulative_time
-            files.append(rec)
+        files = self._file_table()
         if runtime_seconds is None:
             runtime_seconds = float(self.per_rank_io_time().max())
         self._finalized = DarshanLog(

@@ -82,6 +82,13 @@ def _is_normal(path: str) -> bool:
             and not path.endswith("/.."))
 
 
+def _dir_prefix(path: str) -> str:
+    """A directory's normal path as the prefix of ``prefix + "/" + name``:
+    ``""`` for the root, which an empty parent part also names."""
+    norm = normalize(path) if path else "/"
+    return "" if norm == "/" else norm
+
+
 def normalize_many(paths) -> list[str]:
     """Normalise a batch of paths (fast scan, slow path per offender)."""
     return [p if _is_normal(p) else normalize(p) for p in paths]
@@ -269,43 +276,64 @@ class VirtualFS:
         :meth:`create` per path in order — same inode ids, same
         ``create_seq`` numbering — but allocates all columns in one shot.
         """
-        norm = normalize_many(paths)
-        out = np.empty(len(norm), dtype=np.int64)
+        paths = list(paths)
+        out = np.empty(len(paths), dtype=np.int64)
         get = self._paths.get
         c = self.cols
+        # one pass: each path is split once, and each distinct parent
+        # spelling normalised once; a plain leaf name under a normal
+        # parent means the path itself is already normal
+        prefixes: dict[str, str] = {}  # parent as written -> normal ("" = /)
         new_pos: list[int] = []
         new_paths: list[str] = []
+        new_names: list[str] = []
+        new_parents: list[str] = []
         pending: dict[str, int] = {}  # repeated new path -> first slot
         dupes: list[tuple[int, int]] = []
-        for i, p in enumerate(norm):
-            ino = get(p)
-            if ino is not None:
-                if c.is_dir[ino]:
-                    raise IsADir(p)
-                out[i] = ino
-            elif p in pending:
-                dupes.append((i, pending[p]))
+        is_dir_at = None  # first existing directory named (raised last)
+        for i, p in enumerate(paths):
+            parent, sep, name = p.rpartition("/")
+            if sep and name and name != "." and name != "..":
+                prefix = prefixes.get(parent)
+                if prefix is None:
+                    prefix = prefixes[parent] = _dir_prefix(parent)
+                full = p if parent == prefix else f"{prefix}/{name}"
             else:
-                pending[p] = len(new_paths)
+                full = normalize(p)
+                prefix, _, name = full.rpartition("/")
+            ino = get(full)
+            if ino is not None:
+                if is_dir_at is None and c.is_dir[ino]:
+                    is_dir_at = full
+                out[i] = ino
+            elif full in pending:
+                dupes.append((i, pending[full]))
+            else:
+                pending[full] = len(new_paths)
                 new_pos.append(i)
-                new_paths.append(p)
+                new_paths.append(full)
+                new_names.append(name)
+                new_parents.append(prefix)
+        if is_dir_at is not None:
+            raise IsADir(is_dir_at)
         if not new_paths:
             return out
-        # resolve parents (bulk writers target one directory; dedupe)
-        split = [p.rsplit("/", 1) for p in new_paths]
-        pinos = np.empty(len(new_paths), dtype=np.int64)
-        parent_cache: dict[str, int] = {}
-        for j, (parent, name) in enumerate(split):
-            parent = parent or "/"
-            pino = parent_cache.get(parent)
+        # resolve each distinct parent once, in first-use order
+        parent_inos: dict[str, int] = {}
+        for prefix in dict.fromkeys(new_parents):
+            parent = prefix or "/"
+            pino = self._paths.get(parent)
             if pino is None:
-                pino = self._paths.get(parent)
-                if pino is None:
-                    raise FileNotFound(parent)
-                if not c.is_dir[pino]:
-                    raise NotADir(parent)
-                parent_cache[parent] = pino
-            pinos[j] = pino
+                raise FileNotFound(parent)
+            if not c.is_dir[pino]:
+                raise NotADir(parent)
+            parent_inos[prefix] = pino
+        if len(parent_inos) == 1:  # bulk writers target one directory
+            (pino,) = parent_inos.values()
+            pinos = np.full(len(new_paths), pino, dtype=np.int64)
+        else:
+            pinos = np.fromiter(map(parent_inos.__getitem__, new_parents),
+                                dtype=np.int64, count=len(new_paths))
         inos = c.alloc_many(len(new_paths))
         c.stripe_count[inos] = c.stripe_count[pinos]
         c.stripe_size[inos] = c.stripe_size[pinos]
@@ -315,13 +343,12 @@ class VirtualFS:
         c.create_seq[inos] = np.arange(first, first + len(new_paths))
         ino_list = inos.tolist()
         self._paths.update(zip(new_paths, ino_list))
-        if len(parent_cache) == 1:
-            self._children[int(pinos[0])].update(
-                zip((name for _parent, name in split), ino_list))
+        children = self._children
+        if len(parent_inos) == 1:
+            children[pino].update(zip(new_names, ino_list))
         else:
-            children = self._children
-            for (_parent, name), pino, ino in zip(split, pinos, ino_list):
-                children[int(pino)][name] = ino
+            for prefix, name, ino in zip(new_parents, new_names, ino_list):
+                children[parent_inos[prefix]][name] = ino
         out[new_pos] = inos
         for i, j in dupes:
             out[i] = inos[j]
@@ -579,17 +606,42 @@ class VirtualFS:
         return sorted(out)
 
     def subtree_file_sizes(self, path: str = "/") -> np.ndarray:
-        """Sizes of all regular files under a subtree, as an array.
+        """Sizes of all regular files under a subtree, as an array, in
+        the sorted-path order of :meth:`files_under`.
 
         This is what the Table II reproduction aggregates (count, average,
-        maximum).
+        maximum).  The walk collects inodes without building a path per
+        file.
         """
-        inos = np.array(
-            [self.lookup(p) for p in self.files_under(path)], dtype=np.int64
-        )
-        if inos.size == 0:
-            return np.zeros(0, dtype=np.int64)
-        return self.cols.size[inos].copy()
+        path = normalize(path)
+        ino = self.lookup(path)
+        if not self.cols.is_dir[ino]:
+            raise NotADir(path)
+        inos: list[int] = []
+        self._collect_files(ino, inos)
+        return self.cols.size[np.asarray(inos, dtype=np.int64)]
+
+    def _collect_files(self, dino: int, out: list[int]) -> None:
+        """Append the regular-file inodes under directory ``dino`` in
+        full-path order.
+
+        Sorting a directory's entries by name, with ``/`` appended to
+        subdirectory names, orders them as their full paths sort: ``b/x``
+        follows ``b.txt`` because ``/`` sorts after ``.``.
+        """
+        children = self._children[dino]
+        is_dir = self.cols.is_dir[np.fromiter(
+            children.values(), dtype=np.int64, count=len(children))].tolist()
+        if not any(is_dir):
+            out.extend(ino for _name, ino in sorted(children.items()))
+            return
+        for _key, ino, sub in sorted(
+                (name + "/" if sub else name, ino, sub)
+                for (name, ino), sub in zip(children.items(), is_dir)):
+            if sub:
+                self._collect_files(ino, out)
+            else:
+                out.append(ino)
 
     @property
     def nfiles(self) -> int:

@@ -1,12 +1,20 @@
 """Tests for the Darshan monitoring stack (runtime, log, parser, report)."""
 
+import gzip
+import json
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster.presets import dardel
 from repro.darshan import (
     DarshanLog,
     DarshanMonitor,
+    FileRecord,
+    FileTable,
     agg_perf_by_slowest,
     avg_seconds_per_write,
     cost_split,
@@ -19,9 +27,11 @@ from repro.darshan import (
     write_throughput_gib,
 )
 from repro.darshan.counters import size_bucket_index
+from repro.darshan.parser import render_file_records
 from repro.fs import PosixIO, SyntheticPayload, mount
 from repro.mpi import VirtualComm
 from repro.trace import TraceBus
+from repro.trace.events import make_event
 from repro.util.units import GiB, KiB, MiB
 
 
@@ -242,3 +252,114 @@ class TestParser:
             posix.close(0, fd)
         text = render(mon.finalize())
         assert text.index("/big") < text.index("/small")
+
+
+def _record_loop(mon):
+    """Reference: the per-file record loop ``finalize`` ran before the
+    log's file table was columnar (registered files in first-registration
+    order, evicted partials merged back)."""
+    ft = mon._files
+    files = []
+    for ino, path in ft.paths.items():
+        rec = FileRecord(
+            path=path,
+            opens=float(ft.opens[ino]),
+            reads=float(ft.reads[ino]),
+            writes=float(ft.writes[ino]),
+            fsyncs=float(ft.fsyncs[ino]),
+            bytes_read=float(ft.bytes_read[ino]),
+            bytes_written=float(ft.bytes_written[ino]),
+            cumulative_time=float(ft.time[ino]),
+        )
+        prev = mon._evicted.get(ino)
+        if prev is not None:
+            rec.opens += prev.opens
+            rec.reads += prev.reads
+            rec.writes += prev.writes
+            rec.fsyncs += prev.fsyncs
+            rec.bytes_read += prev.bytes_read
+            rec.bytes_written += prev.bytes_written
+            rec.cumulative_time += prev.cumulative_time
+        files.append(rec)
+    return files
+
+
+@st.composite
+def monitored_files(draw):
+    """A monitor after batched registrations (an inode may be registered
+    again, under another path) and file-attributed fs events, some on
+    unregistered inodes and some closing files under eviction."""
+    mon = DarshanMonitor(4, evict_on_close=draw(st.booleans()))
+    for _ in range(draw(st.integers(1, 4))):
+        inos = draw(st.lists(st.integers(0, 11), min_size=1, max_size=6))
+        paths = [f"/d{draw(st.integers(0, 2))}/f{i}" for i in inos]
+        mon.register_files(np.array(inos), paths)
+    kinds = ("open", "write", "read", "fsync", "close")
+    for _ in range(draw(st.integers(0, 12))):
+        k = draw(st.integers(1, 4))
+        mon.on_event(make_event(
+            draw(st.sampled_from(kinds)),
+            draw(st.lists(st.integers(0, 3), min_size=k, max_size=k)),
+            nbytes=draw(st.integers(0, 5000)),
+            duration=draw(st.floats(0.0, 1.0, allow_nan=False)),
+            inos=draw(st.lists(st.integers(0, 13), min_size=k, max_size=k))))
+    return mon
+
+
+class TestFileTable:
+    """The log's columnar file table holds what a per-file record loop
+    builds: the same rows, order, JSON and rendering."""
+
+    @given(monitored_files())
+    @settings(max_examples=60, deadline=None)
+    def test_rows_are_the_record_loop(self, mon):
+        log = mon.finalize()
+        want = _record_loop(mon)
+        assert list(log.files) == want
+        assert [log.files[i] for i in range(len(want))] == want
+        assert log.files == FileTable.from_records(want)
+
+    @given(monitored_files())
+    @settings(max_examples=30, deadline=None)
+    def test_json_and_rendering_unchanged(self, mon):
+        log = mon.finalize()
+        want = _record_loop(mon)
+        doc = log.to_dict()
+        assert json.dumps(doc) == json.dumps(
+            {**doc, "files": [vars(r).copy() for r in want]})
+        # the parser lists the largest writers first, ties in table order
+        ranked = sorted(want, key=lambda r: -r.bytes_written)[:3]
+        lines = render_file_records(log, limit=3).splitlines()[1:]
+        assert [line.split()[0] for line in lines] == [r.path for r in ranked]
+
+    def test_save_load_writes_the_record_json(self, tmp_path):
+        mon = DarshanMonitor(2, evict_on_close=True)
+        mon.register_files(np.array([3, 1, 3]), ["/a", "/b", "/c"])
+        for kind in ("open", "write", "close", "open", "write"):
+            mon.on_event(make_event(kind, [0, 1], nbytes=100,
+                                    duration=0.25, inos=[3, 1]))
+        log = mon.finalize()
+        path = tmp_path / "job.darshan.json.gz"
+        log.save(path)
+        with gzip.open(path, "rb") as fh:
+            raw = fh.read()
+        records = [vars(r).copy() for r in _record_loop(mon)]
+        assert [r["path"] for r in records] == ["/a", "/b"]
+        assert raw == json.dumps({**log.to_dict(), "files": records}).encode()
+        loaded = DarshanLog.load(path)
+        assert loaded.files == log.files
+        assert loaded.to_dict() == log.to_dict()
+
+    def test_finalize_adds_no_per_file_objects(self):
+        n = 50_000
+        mon = DarshanMonitor(4)
+        inos = np.arange(n)
+        mon.register_files(inos, [f"/out/f{i:05d}" for i in range(n)])
+        mon.on_event(make_event("write", inos % 4, nbytes=4096,
+                                duration=1e-3, inos=inos))
+        before = sys.getallocatedblocks()
+        log = mon.finalize()
+        assert sys.getallocatedblocks() - before < 1000
+        assert len(log.files) == n
+        assert log.files.bytes_written.sum() == 4096 * n
+        assert log.files[n - 1].path == f"/out/f{n - 1:05d}"

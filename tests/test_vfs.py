@@ -217,6 +217,73 @@ class TestGroupWrites:
         sizes = fs.subtree_file_sizes("/out")
         assert sorted(sizes) == [10, 20, 30]
 
+    @given(st.lists(st.lists(st.sampled_from(
+        ["a", "b", "f", "x.txt", ".", "..", ""]), min_size=1, max_size=4)
+        .map("/".join).flatmap(lambda p: st.sampled_from([p, "/" + p])),
+        min_size=1, max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_create_many_is_create_per_path(self, paths):
+        """Same inode ids, ``create_seq``, namespace and striping as
+        :meth:`create` called per path in order; a batch the loop
+        cannot create raises and creates nothing."""
+        def tree():
+            fs = VirtualFS()
+            fs.mkdir("/a/b", parents=True)
+            fs.set_striping("/a", 4, 1 << 20)
+            fs.create("/f")
+            return fs
+
+        ref, fs = tree(), tree()
+        try:
+            want = [ref.create(p) for p in paths]
+        except FSError:
+            want = None
+        n = len(fs.cols)
+        if want is None:
+            with pytest.raises(FSError):
+                fs.create_many(paths)
+            assert len(fs.cols) == n
+            return
+        assert fs.create_many(paths).tolist() == want
+        assert fs._paths == ref._paths
+        assert fs._children == ref._children
+        m = len(ref.cols)
+        assert len(fs.cols) == m
+        for col in ("create_seq", "stripe_count", "stripe_size",
+                    "ost_start", "is_dir"):
+            assert np.array_equal(getattr(fs.cols, col)[:m],
+                                  getattr(ref.cols, col)[:m]), col
+
+    def test_subtree_sizes_in_files_under_order(self, fs):
+        """The census walk returns what looking up every path of
+        ``files_under`` returns, in its sorted-path order: across nested
+        directories, without an unlinked file, and with ``b.txt``
+        before ``b/x`` although a per-directory walk visits ``b``
+        first."""
+        for d in ("/run/b", "/run/b/deep", "/run/a-b", "/run/c"):
+            fs.mkdir(d, parents=True)
+        paths = ["/run/b.txt", "/run/b/x", "/run/b/deep/y", "/run/b-1",
+                 "/run/a", "/run/a-b/z", "/run/c/w", "/run/c.d", "/run/B",
+                 "/run/gone", "/top"]
+        inos = fs.create_many(paths)
+        fs.write_group(inos, np.arange(1, len(paths) + 1) * 10)
+        fs.unlink("/run/gone")
+        for root in ("/", "/run", "/run/b", "/run/c"):
+            want = [fs.size_of(fs.lookup(p)) for p in fs.files_under(root)]
+            got = fs.subtree_file_sizes(root)
+            assert got.dtype == np.int64
+            assert got.tolist() == want, root
+        assert fs.subtree_file_sizes("/run/b/deep/").tolist() == [30]
+        assert fs.subtree_file_sizes("/run/a-b/z/..").tolist() == [60]
+        assert fs.files_under("/run")[:3] == ["/run/B", "/run/a",
+                                              "/run/a-b/z"]
+        fs.mkdir("/empty")
+        assert fs.subtree_file_sizes("/empty").tolist() == []
+        with pytest.raises(NotADir):
+            fs.subtree_file_sizes("/top")
+        with pytest.raises(FileNotFound):
+            fs.subtree_file_sizes("/missing")
+
     @given(st.lists(st.integers(0, 10**6), min_size=1, max_size=40))
     @settings(max_examples=25, deadline=None)
     def test_group_append_accumulates(self, sizes):
