@@ -217,8 +217,10 @@ class Bit1Simulation:
             self.elastic.step_ranks(grid, stores["e"], stores["D"], cfg.dt,
                                     elastic_rngs)
 
-        # sources (refuelling / gas puff), applied on the owning rank
-        for source in self.sources:
+        # sources (refuelling / gas puff), applied on the owning rank;
+        # each draws from a stream keyed by its place in ``sources``, so
+        # a run with sources replays across interpreters and restarts
+        for i, source in enumerate(self.sources):
             x_probe = getattr(source, "x_min", None)
             if x_probe is None:  # wall sources attach at the domain ends
                 x_probe = (1e-9 if source.wall == "left"
@@ -226,8 +228,7 @@ class Bit1Simulation:
             owners = np.flatnonzero((self._sub_lo <= x_probe)
                                     & (x_probe < self._sub_hi))
             owner = int(owners[0]) if len(owners) else 0
-            source.inject(self.particles[owner],
-                          self.rng.get("source", id(source) % 4096))
+            source.inject(self.particles[owner], self.rng.get("source", i))
 
         # Phase 5: push particles, then handle boundaries and migration.
         periodic = cfg.boundary == "periodic"

@@ -154,7 +154,7 @@ class PerRankReference:
                 self.elastic.step(self.grid, per_rank["e"], per_rank["D"],
                                   cfg.dt, self.rng.get("elastic", sub.rank))
 
-        for source in self.sources:
+        for i, source in enumerate(self.sources):
             x_probe = getattr(source, "x_min", None)
             if x_probe is None:
                 x_probe = (1e-9 if source.wall == "left"
@@ -164,8 +164,7 @@ class PerRankReference:
                 if sub.x_min <= x_probe < sub.x_max:
                     owner = sub.rank
                     break
-            source.inject(self.particles[owner],
-                          self.rng.get("source", id(source) % 4096))
+            source.inject(self.particles[owner], self.rng.get("source", i))
 
         periodic = cfg.boundary == "periodic"
         magnetised = any(b != 0.0 for b in cfg.magnetic_field)
@@ -364,8 +363,8 @@ class TestRankMajorStepMatchesPerRank:
         cfg = sheath_case(ncells=32, particles_per_cell=8, last_step=20)
         ref, sim = pair(cfg, 4)
         length = cfg.length
-        # the same source objects feed both runs, so their RNG streams
-        # (keyed by the source) match; only their stats count twice
+        # the same source objects feed both runs; their RNG streams are
+        # keyed by their place in ``sources``, and their stats count twice
         sources = [
             VolumeSource("e", 3.5, 0.3 * length, 0.6 * length, 2.0, 1e9,
                          pair_species="D+"),

@@ -111,6 +111,40 @@ class TestSimulationIntegration:
         # injected on the owning rank (before any migration they sit there)
         assert len(sim.particles[2]["D"]) == 10
 
+    def test_resumed_run_with_new_source_objects_replays(self):
+        """A run resumed in a fresh simulation, whose sources are new
+        objects, draws what the uninterrupted run drew: each source's
+        stream is keyed by its place in ``sim.sources``."""
+        cfg = small_use_case(ncells=32, particles_per_cell=10, last_step=20)
+
+        def simulation():
+            sim = Bit1Simulation(cfg, VirtualComm(4, 2))
+            length = cfg.length
+            sim.sources.extend([
+                VolumeSource("e", 3.5, 0.2 * length, 0.7 * length, 2.0,
+                             1e9, pair_species="D+"),
+                WallSource("D", 1.5, "left", length, 0.1, 1e9),
+            ])
+            return sim
+
+        whole = simulation()
+        whole.run(nsteps=10)
+        first = simulation()
+        first.run(nsteps=5)
+        resumed = simulation()
+        for rank in range(4):
+            resumed.restore_state(rank, first.state_arrays(rank))
+        resumed.rng.restore(first.rng.snapshot())
+        resumed.step_index = first.step_index
+        resumed.run(nsteps=5)
+        for rank in range(4):
+            got, want = resumed.state_arrays(rank), whole.state_arrays(rank)
+            assert got.keys() == want.keys()
+            for name, fields in want.items():
+                for f, values in fields.items():
+                    assert got[name][f].tobytes() == values.tobytes(), \
+                        (rank, name, f)
+
     def test_wall_source_attaches_to_end_rank(self):
         cfg = small_use_case(ncells=32, particles_per_cell=0, last_step=10)
         sim = Bit1Simulation(cfg, VirtualComm(4, 2))
