@@ -53,6 +53,12 @@ def main(argv: list[str] | None = None) -> int:
 
     nodes = subset(NODE_COUNTS, args.quick)
     aggrs = subset(FIG6_SWEEP, args.quick)
+
+    def artifact(path: str) -> str | None:
+        # a quick sweep is a smoke run: it writes no artifact, so the
+        # committed full-sweep files under results/ stay as they are
+        return None if args.quick else path
+
     table = {
         "fig2": lambda: run_fig2(node_counts=nodes).render(),
         "fig3": lambda: run_fig3(node_counts=nodes).render(),
@@ -73,18 +79,18 @@ def main(argv: list[str] | None = None) -> int:
         "resilience": lambda: run_resilience(quick=args.quick).render(),
         "resilience_ml": lambda: run_resilience_multilevel(
             quick=args.quick,
-            artifact_path="results/resilience_multilevel.json").render(),
+            artifact_path=artifact("results/resilience_multilevel.json")).render(),
         "streaming": lambda: run_streaming(quick=args.quick).render(),
         "serving": lambda: run_serving(
             quick=args.quick,
-            artifact_path="results/serving.json").render(),
+            artifact_path=artifact("results/serving.json")).render(),
         "gpu": lambda: run_gpu(
             quick=args.quick,
-            artifact_path="results/gpu_staging.json").render(),
+            artifact_path=artifact("results/gpu_staging.json")).render(),
         "agg": lambda: run_agg_sweep(quick=args.quick).render(),
         "tune": lambda: run_tuning(
             quick=args.quick,
-            artifact_path="results/tuned_configs.json").render(),
+            artifact_path=artifact("results/tuned_configs.json")).render(),
         # service-mode health check: re-validate the existing artifact's
         # recommendations against the current model source, no retuning
         "tune_check": lambda: run_tuning(

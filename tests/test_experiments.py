@@ -231,3 +231,17 @@ class TestAggSweep:
     def test_render_names_both_engines(self, result):
         out = result.render()
         assert "bp4:" in out and "bp5:" in out
+
+
+class TestCommandLine:
+    def test_quick_sweep_writes_no_artifact(self, tmp_path, monkeypatch,
+                                            capsys):
+        """A quick smoke leaves the committed full-sweep artifacts alone:
+        run from an empty directory, it creates no ``results/``."""
+        from repro.experiments.__main__ import main
+
+        monkeypatch.setenv("REPRO_SWEEP_CACHE", "")
+        monkeypatch.chdir(tmp_path)
+        assert main(["--quick", "resilience_ml"]) == 0
+        assert "artifact written" not in capsys.readouterr().out
+        assert not (tmp_path / "results").exists()
