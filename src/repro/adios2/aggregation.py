@@ -280,6 +280,46 @@ def two_level_gather_cost(plan: AggregationPlan, per_rank_bytes: np.ndarray,
     return out
 
 
+@dataclass(frozen=True)
+class ShuffleDerivation:
+    """What a rank-blocked shuffle derives from one step's stored bytes.
+
+    O(nodes + aggregators), never O(ranks): the per-subfile loads, the
+    NIC egress of each node (one-level) or each node's staging leader
+    (two-level), and one receiver-leg sum per receiving rank.  Each is
+    a pure function of the stored bytes, the plan and the NIC bandwidth
+    ``nic`` the legs were costed at, so the flush memo hands one record
+    to every step that declares the same bytes.  The arrays are
+    read-only.
+    """
+
+    #: bytes each subfile receives (int64)
+    per_agg: np.ndarray
+    #: the ranks that receive, sorted (the subfile owners; two-level
+    #: adds the staging leaders), and each one's receiver-leg sum
+    uranks: np.ndarray
+    recv: np.ndarray
+    nic: float
+    #: one-level: cross-node bytes each node's NIC sends
+    egress: np.ndarray | None = None
+    #: two-level: each node's staging leader, and the leaders sorted
+    leader: np.ndarray | None = None
+    sorted_leaders: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        for arr in self._arrays():
+            arr.setflags(write=False)
+
+    def _arrays(self) -> list[np.ndarray]:
+        return [a for a in (self.per_agg, self.uranks, self.recv,
+                            self.egress, self.leader, self.sorted_leaders)
+                if a is not None]
+
+    @property
+    def nbytes(self) -> int:
+        return sum(a.nbytes for a in self._arrays())
+
+
 class BlockedShuffle:
     """Streaming evaluation of the gather cost over rank blocks.
 
@@ -296,25 +336,29 @@ class BlockedShuffle:
       are kept in per-owner accumulator slots and extended block by
       block in exactly the element order the unchunked ``scatter_add``
       calls would use (all cross-node legs in global rank order, then
-      all same-node legs), collapsing to one clock add per owner at
-      :meth:`finish` — the same single add the unchunked path performs.
+      all same-node legs), collapsing to one clock add per owner — the
+      same single add the unchunked path performs.
+
+    The work splits in two.  :meth:`derive` makes the window passes
+    that produce the tallies and the receiver sums and returns them as
+    a :class:`ShuffleDerivation`; it is pure, so the engine memoises it
+    per step declaration.  :meth:`send_legs` is the per-step sender
+    pass, also pure: one window's sender legs from its stored bytes and
+    the derivation's egress or leaders.
 
     Protocol (the engine drives it)::
 
-        sh = BlockedShuffle(plan, comm, block, two_level=...)
-        for lo, hi in blocks: sh.prepare(lo, hi, stored[lo:hi])
-        for lo, hi in blocks: clocks[lo:hi] += sh.send_legs(lo, hi, ...)
-        if sh.needs_local_pass:
-            for lo, hi in blocks: sh.local_recv(lo, hi, stored[lo:hi])
-        owner_ranks, recv = sh.finish()
-        clocks[owner_ranks] += recv
+        sh = BlockedShuffle(plan, comm, two_level=...)
+        d = sh.derive(windows, stored, nic)   # or a memoised record
+        for lo, hi in windows:
+            clocks[lo:hi] += sh.send_legs(d, lo, hi, stored(lo, hi))
+        clocks[d.uranks] += d.recv
     """
 
     def __init__(self, plan: AggregationPlan, comm: VirtualComm,
-                 block: int, two_level: bool = False):
+                 two_level: bool = False):
         self.plan = plan
         self.two_level = two_level
-        self.nic = comm.effective_bandwidth()
         self.shm = comm.shm_bandwidth()
         self.lat = comm.config.latency
         self.node = plan.node_of_rank if plan.node_of_rank is not None \
@@ -322,37 +366,16 @@ class BlockedShuffle:
         self.owners = plan.aggregator_ranks
         self.agg_index = plan.agg_index_of_rank
         self.m = plan.num_aggregators
-        n = plan.num_ranks
         self.nnodes = int(self.node.max()) + 1
-        self.per_agg = np.zeros(self.m, dtype=np.int64)
-        if two_level:
-            # staging leader per node: first subfile owner, else first
-            # rank — found blockwise so no O(ranks) index temporary
-            leader = np.full(self.nnodes, n, dtype=np.int64)
-            np.minimum.at(leader, self.node[self.owners], self.owners)
-            missing = leader == n
-            if missing.any():
-                first = np.full(self.nnodes, n, dtype=np.int64)
-                for lo in range(0, n, block):
-                    hi = min(n, lo + block)
-                    np.minimum.at(first, self.node[lo:hi],
-                                  np.arange(lo, hi))
-                leader[missing] = first[missing]
-            self.leader = leader
-            self._sorted_leaders = np.sort(leader)
-            self.uranks = np.unique(np.concatenate([leader, self.owners]))
-            self._vol: dict[int, float] = {}
-        else:
-            self.uranks = np.unique(self.owners)
-            self.egress = np.zeros(self.nnodes)
-        self.recv = np.zeros(len(self.uranks))
 
-    @property
-    def needs_local_pass(self) -> bool:
-        return not self.two_level
-
-    def _slots(self, ranks: np.ndarray) -> np.ndarray:
-        return np.searchsorted(self.uranks, ranks)
+    def _tally_loads(self, per_agg: np.ndarray, lo: int, hi: int,
+                     b: np.ndarray) -> np.ndarray:
+        """Add ranks ``[lo, hi)``'s bytes to the per-subfile loads;
+        returns the ranks' subfile indices."""
+        idx_blk = np.ascontiguousarray(self.agg_index[lo:hi])
+        per_agg += np.bincount(
+            idx_blk, weights=b, minlength=self.m).astype(np.int64)
+        return idx_blk
 
     def _masks(self, lo: int, hi: int, b: np.ndarray):
         owner_blk = self.owners[self.agg_index[lo:hi]]
@@ -363,98 +386,152 @@ class BlockedShuffle:
         cross = ~same & (b > 0)
         return owner_blk, node_blk, local, cross
 
-    # -- pass 0: exact integer tallies ---------------------------------
+    @staticmethod
+    def _funnel(sorted_leaders: np.ndarray, uranks: np.ndarray, lo: int,
+                hi: int, b: np.ndarray):
+        """Level-1 senders among ranks ``[lo, hi)`` (non-leaders with
+        bytes), those of them that also receive, and every rank's slot."""
+        r = np.arange(lo, hi)
+        pos = np.minimum(np.searchsorted(sorted_leaders, r),
+                         len(sorted_leaders) - 1)
+        l1 = (sorted_leaders[pos] != r) & (b > 0)
+        upos = np.searchsorted(uranks, r)
+        diverted = l1 & (uranks[np.minimum(upos, len(uranks) - 1)] == r)
+        return l1, diverted, upos
 
-    def prepare(self, lo: int, hi: int, b: np.ndarray) -> None:
-        """Accumulate egress / sparse volumes / per-subfile loads."""
-        idx_blk = np.ascontiguousarray(self.agg_index[lo:hi])
-        self.per_agg += np.bincount(
-            idx_blk, weights=b, minlength=self.m).astype(np.int64)
+    # -- derivation (pure; memoised by the engine) ---------------------
+
+    def derive(self, windows, stored, nic: float) -> ShuffleDerivation:
+        """Tallies and receiver sums over ``windows`` at NIC rate ``nic``.
+
+        ``stored(lo, hi)`` gives a window's stored bytes; it is asked
+        once per window per pass.  The first window pass tallies the
+        loads and extends the receiver chains the senders open, in rank
+        order: the cross-node NIC legs (one-level), or the level-1
+        funnel legs with each non-leader owner's own funnel leg first in
+        its slot (two-level).  Then a second window pass adds the
+        same-node legs (one-level), or the level-2 legs follow from the
+        tallied volumes (two-level), so every slot's chain runs in the
+        unchunked evaluation's element order.
+        """
         if self.two_level:
-            keys = self.node[lo:hi].astype(np.int64) * self.m + idx_blk
+            return self._derive_two_level(windows, stored, nic)
+        per_agg = np.zeros(self.m, dtype=np.int64)
+        egress = np.zeros(self.nnodes)
+        uranks = np.unique(self.owners)
+        recv = np.zeros(len(uranks))
+        for lo, hi in windows:
+            b = stored(lo, hi)
+            self._tally_loads(per_agg, lo, hi, b)
+            owner_blk, node_blk, _local, cross = self._masks(lo, hi, b)
+            if cross.any():
+                egress += np.bincount(node_blk[cross], weights=b[cross],
+                                      minlength=self.nnodes)
+                np.add.at(recv, np.searchsorted(uranks, owner_blk[cross]),
+                          b[cross] / nic)
+        for lo, hi in windows:
+            b = stored(lo, hi)
+            owner_blk, _node_blk, local, _cross = self._masks(lo, hi, b)
+            if local.any():
+                np.add.at(recv, np.searchsorted(uranks, owner_blk[local]),
+                          b[local] / self.shm)
+        return ShuffleDerivation(per_agg=per_agg, uranks=uranks, recv=recv,
+                                 nic=nic, egress=egress)
+
+    def _derive_two_level(self, windows, stored,
+                          nic: float) -> ShuffleDerivation:
+        n = self.plan.num_ranks
+        # staging leader per node: first subfile owner, else first rank
+        # — found window by window so no O(ranks) index temporary
+        leader = np.full(self.nnodes, n, dtype=np.int64)
+        np.minimum.at(leader, self.node[self.owners], self.owners)
+        missing = leader == n
+        if missing.any():
+            first = np.full(self.nnodes, n, dtype=np.int64)
+            for lo, hi in windows:
+                np.minimum.at(first, self.node[lo:hi], np.arange(lo, hi))
+            leader[missing] = first[missing]
+        sorted_leaders = np.sort(leader)
+        uranks = np.unique(np.concatenate([leader, self.owners]))
+        recv = np.zeros(len(uranks))
+        per_agg = np.zeros(self.m, dtype=np.int64)
+        vol: dict[int, float] = {}
+        for lo, hi in windows:
+            b = stored(lo, hi)
+            idx_blk = self._tally_loads(per_agg, lo, hi, b)
+            node_blk = self.node[lo:hi]
+            keys = node_blk.astype(np.int64) * self.m + idx_blk
             uk, inv = np.unique(keys, return_inverse=True)
             sums = np.bincount(inv, weights=b)
-            vol = self._vol
             for k, s in zip(uk.tolist(), sums.tolist()):
                 vol[k] = vol.get(k, 0.0) + s
-            return
-        _owner_blk, node_blk, _local, cross = self._masks(lo, hi, b)
-        if cross.any():
-            self.egress += np.bincount(node_blk[cross], weights=b[cross],
-                                       minlength=self.nnodes)
-
-    # -- pass 1: sender legs (returned) + in-order receiver chains -----
-
-    def send_legs(self, lo: int, hi: int, b: np.ndarray) -> np.ndarray:
-        out = np.zeros(hi - lo)
-        if self.two_level:
-            r = np.arange(lo, hi)
-            pos = np.searchsorted(self._sorted_leaders, r)
-            pos = np.minimum(pos, len(self._sorted_leaders) - 1)
-            is_leader = self._sorted_leaders[pos] == r
-            l1 = ~is_leader & (b > 0)
-            out[l1] = b[l1] / self.shm
+            l1, diverted, upos = self._funnel(sorted_leaders, uranks,
+                                              lo, hi, b)
             # a non-leader *owner* chains its funnel leg ahead of its
-            # receiver legs in the unchunked evaluation; divert it into
-            # the accumulator slot (0.0 + x == x) and zero the per-block
-            # clock add (+0.0 is exact) to preserve that chain order
-            upos = np.searchsorted(self.uranks, r)
-            in_u = np.minimum(upos, len(self.uranks) - 1)
-            diverted = l1 & (self.uranks[in_u] == r)
+            # receiver legs in the unchunked evaluation (0.0 + x == x)
             if diverted.any():
-                np.add.at(self.recv, upos[diverted], out[diverted])
-                out[diverted] = 0.0
+                np.add.at(recv, upos[diverted], b[diverted] / self.shm)
             if l1.any():
-                tgt = self.leader[self.node[lo:hi][l1]]
-                np.add.at(self.recv, self._slots(tgt), b[l1] / self.shm)
-            return out
-        owner_blk, node_blk, local, cross = self._masks(lo, hi, b)
-        out[local] = b[local] / self.shm
-        if cross.any():
-            out[cross] = self.lat + self.egress[node_blk[cross]] / self.nic
-            np.add.at(self.recv, self._slots(owner_blk[cross]),
-                      b[cross] / self.nic)
-        return out
-
-    # -- pass 2 (one-level only): same-node receiver legs --------------
-
-    def local_recv(self, lo: int, hi: int, b: np.ndarray) -> None:
-        owner_blk, _node_blk, local, _cross = self._masks(lo, hi, b)
-        if local.any():
-            np.add.at(self.recv, self._slots(owner_blk[local]),
-                      b[local] / self.shm)
-
-    # -- collapse ------------------------------------------------------
-
-    def finish(self) -> tuple[np.ndarray, np.ndarray]:
-        """Apply any deferred legs; returns ``(owner_ranks, recv)``."""
-        if self.two_level and self._vol:
-            keys = np.array(sorted(self._vol), dtype=np.int64)
-            v = np.array([self._vol[k] for k in keys.tolist()])
+                tgt = leader[node_blk[l1]]
+                np.add.at(recv, np.searchsorted(uranks, tgt),
+                          b[l1] / self.shm)
+        if vol:
+            keys = np.array(sorted(vol), dtype=np.int64)
+            v = np.array([vol[k] for k in keys.tolist()])
             nz = v != 0.0  # np.nonzero(vol) skips zero-volume cells
             keys, v = keys[nz], v[nz]
             if keys.size:
-                src = keys // self.m
-                agg = keys % self.m
-                dst_rank = self.owners[agg]
-                dst_node = self.node[dst_rank]
-                src_leader = self.leader[src]
-                self_leg = src_leader == dst_rank
-                samenode = (dst_node == src) & ~self_leg
-                crossnode = dst_node != src
-                np.add.at(self.recv, self._slots(src_leader[samenode]),
-                          v[samenode] / self.shm)
-                np.add.at(self.recv, self._slots(dst_rank[samenode]),
-                          v[samenode] / self.shm)
-                if crossnode.any():
-                    nmsg = np.bincount(src[crossnode],
-                                       minlength=self.nnodes)
-                    egress = np.bincount(src[crossnode],
-                                         weights=v[crossnode],
-                                         minlength=self.nnodes)
-                    busy = np.nonzero(nmsg)[0]
-                    np.add.at(self.recv, self._slots(self.leader[busy]),
-                              nmsg[busy] * self.lat + egress[busy] / self.nic)
-                    np.add.at(self.recv, self._slots(dst_rank[crossnode]),
-                              v[crossnode] / self.nic)
-        return self.uranks, self.recv
+                self._level_two(recv, uranks, leader, keys, v, nic)
+        return ShuffleDerivation(per_agg=per_agg, uranks=uranks, recv=recv,
+                                 nic=nic, leader=leader,
+                                 sorted_leaders=sorted_leaders)
+
+    def _level_two(self, recv: np.ndarray, uranks: np.ndarray,
+                   leader: np.ndarray, keys: np.ndarray, v: np.ndarray,
+                   nic: float) -> None:
+        """Add the leaders' per-subfile legs (sparse volumes ``v`` at
+        ``node * m + subfile`` ``keys``) to the receiver sums."""
+        def slots(ranks):
+            return np.searchsorted(uranks, ranks)
+
+        src = keys // self.m
+        agg = keys % self.m
+        dst_rank = self.owners[agg]
+        dst_node = self.node[dst_rank]
+        src_leader = leader[src]
+        self_leg = src_leader == dst_rank
+        samenode = (dst_node == src) & ~self_leg
+        crossnode = dst_node != src
+        np.add.at(recv, slots(src_leader[samenode]), v[samenode] / self.shm)
+        np.add.at(recv, slots(dst_rank[samenode]), v[samenode] / self.shm)
+        if crossnode.any():
+            nmsg = np.bincount(src[crossnode], minlength=self.nnodes)
+            egress = np.bincount(src[crossnode], weights=v[crossnode],
+                                 minlength=self.nnodes)
+            busy = np.nonzero(nmsg)[0]
+            np.add.at(recv, slots(leader[busy]),
+                      nmsg[busy] * self.lat + egress[busy] / nic)
+            np.add.at(recv, slots(dst_rank[crossnode]), v[crossnode] / nic)
+
+    # -- sender pass (per step) ----------------------------------------
+
+    def send_legs(self, d: ShuffleDerivation, lo: int, hi: int,
+                  b: np.ndarray) -> np.ndarray:
+        """Sender legs of ranks ``[lo, hi)`` with stored bytes ``b``.
+
+        Receivers add nothing here: their legs are ``d.recv``.
+        """
+        out = np.zeros(hi - lo)
+        if self.two_level:
+            l1, diverted, _upos = self._funnel(d.sorted_leaders, d.uranks,
+                                               lo, hi, b)
+            out[l1] = b[l1] / self.shm
+            # a non-leader owner's funnel leg opens its receiver sum;
+            # its sender add is an exact +0.0
+            out[diverted] = 0.0
+            return out
+        _owner_blk, node_blk, local, cross = self._masks(lo, hi, b)
+        out[local] = b[local] / self.shm
+        if cross.any():
+            out[cross] = self.lat + d.egress[node_blk[cross]] / d.nic
+        return out

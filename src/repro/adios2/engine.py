@@ -41,6 +41,7 @@ import numpy as np
 from repro.adios2.aggregation import (
     AggregationPlan,
     BlockedShuffle,
+    ShuffleDerivation,
     gather_cost_seconds,
     plan_aggregation,
     two_level_gather_cost,
@@ -497,8 +498,9 @@ class BPEngineBase(Engine):
         #: engine staging bytes ledger on the ambient memory budget
         self._mem_account = current_budget().account("engine")
         #: flush memo: one derivation per span-only declaration
-        #: signature, resident (and charged) until close or abandon
-        self._memo: dict[tuple, _StepDerivation] = {}
+        #: signature (a shuffle derivation on the rank-blocked path),
+        #: resident (and charged) until close or abandon
+        self._memo: dict[tuple, _StepDerivation | ShuffleDerivation] = {}
         self.drain_seconds = np.zeros(m, dtype=np.float64)
         if mode in ("w", "a"):
             self._create_layout(truncate=(mode == "w"))
@@ -583,9 +585,9 @@ class BPEngineBase(Engine):
         ``self.profile`` is one subscriber folding them back.
         """
         block = self.config.rank_block_size
-        # every staged byte a span descriptor: chunk-evaluate, or else
-        # memoise the derivation; declared-but-chunkless variables (the
-        # usual series metadata declarations) contribute exact zeros
+        # every staged byte a span descriptor: memoise the derivation,
+        # chunk-evaluated when blocked; declared-but-chunkless variables
+        # (the usual series metadata declarations) contribute exact zeros
         spans_only = (all(not v.chunks for v in self._cur_vars.values())
                       and all(r is None for _nm, r, _b, _e in self._cur_bulk))
         if block is not None and block < self.comm.size and spans_only:
@@ -661,40 +663,42 @@ class BPEngineBase(Engine):
         Bit-identical to the unchunked pipeline (see
         :class:`~repro.adios2.aggregation.BlockedShuffle` for the
         exactness argument) while touching O(block) ranks at a time.
-        Each rank's clock receives the same per-step additions in the
-        same order: operator cost, then its sender leg (owners get an
-        exact ``+0.0`` here), then — owners only — one receiver-side
-        add at the end.
+        The shuffle's derivation comes from the flush memo or fresh; the
+        flush applies it in one window pass either way.  Each rank's
+        clock receives the same per-step additions in the same order:
+        operator cost, then its sender leg (owners get an exact ``+0.0``
+        here), then — owners only — one receiver-side add at the end.
         """
         n = self.comm.size
-        shuffle = BlockedShuffle(self.plan, self.comm, block,
+        shuffle = BlockedShuffle(self.plan, self.comm,
                                  two_level=self.two_level_shuffle)
         windows = [(lo, min(n, lo + block)) for lo in range(0, n, block)]
-        for lo, hi in windows:
-            _staged, stored = self._stored_block(lo, hi)
-            shuffle.prepare(lo, hi, stored)
+        d = self._derive(True, partial(self._blocked_derivation, shuffle,
+                                       windows))
+        if self.compressor is None:
+            kind, bandwidth = "memcpy", self.config.memcpy_bandwidth
+        else:
+            kind, bandwidth = "compress", self.compressor.compress_bandwidth
         for lo, hi in windows:
             staged, stored = self._stored_block(lo, hi)
             ranks = np.arange(lo, hi)
-            if self.compressor is None:
-                op_s = staged / self.config.memcpy_bandwidth
-                self.comm.clocks[lo:hi] += op_s
-                self._emit("memcpy", ranks, staged, op_s)
-            else:
-                op_s = staged / self.compressor.compress_bandwidth
-                self.comm.clocks[lo:hi] += op_s
-                self._emit("compress", ranks, staged, op_s)
-            send = shuffle.send_legs(lo, hi, stored)
+            op_s = staged / bandwidth
+            self.comm.clocks[lo:hi] += op_s
+            self._emit(kind, ranks, staged, op_s)
+            send = shuffle.send_legs(d, lo, hi, stored)
             self.comm.clocks[lo:hi] += send
             self._emit("shuffle", ranks, stored, send)
-        if shuffle.needs_local_pass:
-            for lo, hi in windows:
-                _staged, stored = self._stored_block(lo, hi)
-                shuffle.local_recv(lo, hi, stored)
-        owner_ranks, recv = shuffle.finish()
-        self.comm.clocks[owner_ranks] += recv
-        self._emit("shuffle", owner_ranks, np.zeros(len(owner_ranks)), recv)
-        return shuffle.per_agg
+        self.comm.clocks[d.uranks] += d.recv
+        self._emit("shuffle", d.uranks, np.zeros(len(d.uranks)), d.recv)
+        return d.per_agg
+
+    def _blocked_derivation(self, shuffle: BlockedShuffle,
+                            windows: list[tuple[int, int]],
+                            nic: float) -> ShuffleDerivation:
+        """What ``shuffle`` derives from the open step's spans over
+        ``windows``: the rank-blocked counterpart of :meth:`_derivation`."""
+        return shuffle.derive(
+            windows, lambda lo, hi: self._stored_block(lo, hi)[1], nic)
 
     def _drain_async(self, per_agg: np.ndarray, offsets: np.ndarray,
                      active: np.ndarray) -> None:
@@ -840,23 +844,28 @@ class BPEngineBase(Engine):
                 chunk.stored = stored  # type: ignore[attr-defined]
                 chunk.stored_compressed = codec is not None  # type: ignore[attr-defined]
 
-    def _derive(self, memoise: bool) -> _StepDerivation:
+    def _derive(self, memoise: bool, derivation=None) \
+            -> _StepDerivation | ShuffleDerivation:
         """The open step's derivation, from the memo when ``memoise``.
 
-        The memo keys a span-only step on its declaration signature, the
-        ``(SplitValues, entropy)`` of every span put in put order; the
-        entry also records the NIC bandwidth its gather legs were costed
-        at and is replaced when a NIC fault has changed it since.
+        ``derivation(nic)`` derives it afresh: the whole-job
+        :meth:`_derivation` by default, :meth:`_blocked_derivation` on
+        the rank-blocked path.  The memo keys a span-only step on its
+        declaration signature, the ``(SplitValues, entropy)`` of every
+        span put in put order; the entry also records the NIC bandwidth
+        its shuffle legs were costed at and is replaced when a NIC fault
+        has changed it since.
         """
+        derivation = derivation or self._derivation
         nic = self.comm.effective_bandwidth()
         if not memoise:
-            return self._derivation(nic)
+            return derivation(nic)
         key = tuple((sv, entropy) for _nm, _r, sv, entropy in self._cur_bulk)
         d = self._memo.get(key)
         if d is None or d.nic != nic:
             if d is not None:
                 self._mem_account.release(d.nbytes)
-            d = self._memo[key] = self._derivation(nic)
+            d = self._memo[key] = derivation(nic)
             self._mem_account.charge(d.nbytes)
         return d
 
@@ -892,6 +901,14 @@ class BPEngineBase(Engine):
         for d in self._memo.values():
             self._mem_account.release(d.nbytes)
         self._memo.clear()
+
+    def _drop_tables(self) -> None:
+        """Release the memo and the slot tables: the engine flushes no
+        more steps."""
+        self._drop_memo()
+        for spans in self._slots.values():
+            self._mem_account.release(spans.nbytes)
+        self._slots.clear()
 
     def _allocate(self, key: str | None, per_agg: np.ndarray) -> np.ndarray:
         """Subfile offsets for this step's blocks (append or in-place)."""
@@ -1102,7 +1119,7 @@ class BPEngineBase(Engine):
         # a crashed process's drain thread dies with it: pending drains
         # are dropped, nobody waits on them
         self._drain_until[:] = 0.0
-        self._drop_memo()
+        self._drop_tables()
         super().abandon()
 
     def _descriptors(self) -> list:
@@ -1116,7 +1133,7 @@ class BPEngineBase(Engine):
     def _finish(self) -> None:
         if self.mode == "r":
             return
-        self._drop_memo()
+        self._drop_tables()
         with self.posix.trace.scope(self._trace_scope):
             self._settle_drains()
         if self._attributes:

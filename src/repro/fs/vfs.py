@@ -359,9 +359,11 @@ class VirtualFS:
         paths = list(paths)
         if len(paths) > 1:
             first = paths[0]
-            if all(p is first for p in paths):
+            if paths.count(first) == len(paths):
                 # every rank opening the same file (shared input deck):
-                # one dict probe instead of N string normalisations
+                # one dict probe instead of N string normalisations; the
+                # count loops in C, an identical string short-cuts the
+                # compare, and an equal one names the same file
                 return np.full(len(paths), self.lookup(first), dtype=np.int64)
         get = self._paths.get
         out = []

@@ -591,9 +591,10 @@ class TestDrainLedger:
         assert stream == ref_stream
 
 
-def _fresh_derive(self, memoise):
-    """Reference: the flush without its memo, every step derived afresh."""
-    return self._derivation(self.comm.effective_bandwidth())
+def _fresh_derive(self, memoise, derivation=None):
+    """Reference: the flush without its memo, every step derived afresh
+    (by ``derivation``, on the rank-blocked path)."""
+    return (derivation or self._derivation)(self.comm.effective_bandwidth())
 
 
 class TestFlushMemo:
@@ -606,18 +607,27 @@ class TestFlushMemo:
     PLAN = (NICFlap(node=0, start_step=20, end_step=30, factor=0.25),
             AggregatorFailure(rank=5, step=50))
 
-    def _run(self, engine_ext, compressor, async_drain):
+    def _run(self, engine_ext, compressor, async_drain,
+             rank_block_size=None):
+        """The faulted run, and the engine path of each fresh derivation
+        (whole-job ones; rank-blocked ones prefixed ``blocked:``)."""
         from repro.adios2.engine import BPEngineBase
 
         derivations = []
         derive = BPEngineBase._derivation
+        derive_blocked = BPEngineBase._blocked_derivation
 
         def counted(engine, nic):
             derivations.append(engine.path)
             return derive(engine, nic)
 
+        def counted_blocked(engine, shuffle, windows, nic):
+            derivations.append("blocked:" + engine.path)
+            return derive_blocked(engine, shuffle, windows, nic)
+
         with pytest.MonkeyPatch.context() as m:
             m.setattr(BPEngineBase, "_derivation", counted)
+            m.setattr(BPEngineBase, "_blocked_derivation", counted_blocked)
             res = run_openpmd_scaled(
                 dardel(), 2, config=paper_use_case().with_(
                     ncells=2048, last_step=60, datfile=10, dmpstep=20),
@@ -625,6 +635,7 @@ class TestFlushMemo:
                 engine_ext=engine_ext, async_drain=async_drain,
                 compute_seconds_per_step=1e-4 if async_drain else 0.0,
                 profiling=True, trace_mode="full",
+                rank_block_size=rank_block_size,
                 fault_plan=FaultPlan(self.PLAN))
         return res, derivations
 
@@ -635,10 +646,6 @@ class TestFlushMemo:
     def test_memoised_run_matches_fresh_derivations(self, engine_ext,
                                                     compressor, async_drain):
         from repro.adios2.engine import BPEngineBase
-        from tests.test_batched_plane import (
-            _assert_events_identical,
-            _assert_logs_identical,
-        )
 
         res, derived = self._run(engine_ext, compressor, async_drain)
         with pytest.MonkeyPatch.context() as m:
@@ -649,6 +656,38 @@ class TestFlushMemo:
         assert len(ref_derived) == 12
         dat = [p for p in derived if "dat_file" in p]
         assert (len(dat), len(derived) - len(dat)) == (4, 3)
+        self._assert_runs_identical(res, ref)
+
+    @pytest.mark.parametrize("async_drain", [False, True],
+                             ids=["sync", "async"])
+    @pytest.mark.parametrize("compressor", [None, "blosc"])
+    @pytest.mark.parametrize("engine_ext", [".bp4", ".bp5"])
+    def test_blocked_run_matches_fresh_derivations(self, engine_ext,
+                                                   compressor, async_drain):
+        """The rank-blocked flush (windows of 5 of the 16 ranks) with its
+        memo is the blocked flush deriving every step afresh."""
+        from repro.adios2.engine import BPEngineBase
+
+        res, derived = self._run(engine_ext, compressor, async_drain,
+                                 rank_block_size=5)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(BPEngineBase, "_derive", _fresh_derive)
+            ref, ref_derived = self._run(engine_ext, compressor,
+                                         async_drain, rank_block_size=5)
+        # every flush takes the blocked path, with the counts above
+        assert all(p.startswith("blocked:") for p in ref_derived + derived)
+        assert len(ref_derived) == 12
+        dat = [p for p in derived if "dat_file" in p]
+        assert (len(dat), len(derived) - len(dat)) == (4, 3)
+        self._assert_runs_identical(res, ref)
+
+    @staticmethod
+    def _assert_runs_identical(res, ref):
+        from tests.test_batched_plane import (
+            _assert_events_identical,
+            _assert_logs_identical,
+        )
+
         assert res.comm.clocks.tobytes() == ref.comm.clocks.tobytes()
         _assert_events_identical(res.trace.events, ref.trace.events)
         assert len(res.profiles) == len(ref.profiles) == 2
@@ -703,3 +742,94 @@ class TestFlushMemo:
         eng.end_step()
         assert eng._memo == {}
         eng.close()
+
+    @staticmethod
+    def _blocked_engine(engine_cls, ranks_per_node):
+        """Two nodes, three subfiles, windows of 5 ranks, three steps."""
+        from repro.mem import SplitValues
+
+        comm = VirtualComm(2 * ranks_per_node, ranks_per_node)
+        posix = PosixIO(mount(dardel().storage_named("lfs")), comm)
+        posix.mkdir(0, "/out")
+        eng = engine_cls(posix, comm, "/out/blocked", "w", EngineConfig(
+            num_aggregators=3, rank_block_size=5))
+        for _ in range(3):
+            eng.begin_step()
+            eng.put_group("/data/x", None,
+                          SplitValues.spread(100_003, comm.size))
+            eng.end_step()
+        return eng
+
+    @pytest.mark.parametrize("engine_cls", [BP4Engine, BP5Engine],
+                             ids=["bp4", "bp5"])
+    def test_blocked_entry_arrays_are_read_only(self, engine_cls):
+        from repro.adios2.aggregation import ShuffleDerivation
+
+        eng = self._blocked_engine(engine_cls, 8)
+        (d,) = eng._memo.values()
+        assert isinstance(d, ShuffleDerivation)
+        names = ("per_agg", "uranks", "recv") + (
+            ("leader", "sorted_leaders") if engine_cls is BP5Engine
+            else ("egress",))
+        for name in names:
+            arr = getattr(d, name)
+            assert not arr.flags.writeable, name
+            with pytest.raises(ValueError):
+                arr[0] = arr[0]
+
+    @pytest.mark.parametrize("engine_cls", [BP4Engine, BP5Engine],
+                             ids=["bp4", "bp5"])
+    def test_blocked_entry_holds_no_per_rank_array(self, engine_cls):
+        # 16 and 128 ranks on the same 2 nodes and 3 subfiles
+        (small,) = self._blocked_engine(engine_cls, 8)._memo.values()
+        (large,) = self._blocked_engine(engine_cls, 64)._memo.values()
+        assert small.nbytes == large.nbytes > 0
+        assert max(len(a) for a in large._arrays()) <= 3
+
+    @pytest.mark.parametrize("end", ["close", "abandon"])
+    @pytest.mark.parametrize("engine_cls", [BP4Engine, BP5Engine],
+                             ids=["bp4", "bp5"])
+    def test_blocked_entry_charged_to_engine_account_until_end(
+            self, engine_cls, end):
+        from repro.mem import MemoryBudget, use_budget
+
+        with use_budget(MemoryBudget()) as budget:
+            eng = self._blocked_engine(engine_cls, 8)
+            (d,) = eng._memo.values()
+            assert budget.account("engine").used == d.nbytes > 0
+            getattr(eng, end)()
+            assert budget.account("engine").used == 0
+            assert eng._memo == {}
+
+
+class TestSlotTables:
+    """An overwrite key's slot table stays charged to the ``engine``
+    account while the engine can still flush, and no longer."""
+
+    @pytest.mark.parametrize("end", ["close", "abandon"])
+    def test_slot_table_released_at_end(self, env, end):
+        from repro.mem import MemoryBudget, use_budget
+
+        _fs, comm, posix = env
+        with use_budget(MemoryBudget()) as budget:
+            eng = BP4Engine(posix, comm, "/out/slots", "w",
+                            EngineConfig(num_aggregators=2))
+            for _ in range(3):  # per-rank puts: no memo entry
+                eng.begin_step()
+                eng.put_group("/data/x", np.arange(8), 1000)
+                eng.end_step(overwrite_key="iteration0")
+            assert budget.account("engine").used \
+                == eng._slots["iteration0"].nbytes > 0
+            getattr(eng, end)()
+            assert budget.account("engine").used == 0
+
+    @pytest.mark.parametrize("block", [None, 5],
+                             ids=["unblocked", "blocked"])
+    def test_scaled_run_ends_with_engine_account_empty(self, block):
+        # the dat series flushes under a new key per iteration
+        res = run_openpmd_scaled(
+            dardel(), 2, config=paper_use_case().with_(
+                ncells=2048, last_step=60, datfile=10, dmpstep=20),
+            ranks_per_node=8, mem_budget=64 << 20, rank_block_size=block)
+        assert res.mem_report["engine"]["high_water"] > 0
+        assert res.mem_report["engine"]["used"] == 0

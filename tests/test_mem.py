@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from repro.cluster.presets import dardel
-from repro.faults import AggregatorFailure, FaultPlan
+from repro.faults import AggregatorFailure, FaultPlan, NICFlap
 from repro.fs.vfs import ExtentStore, VirtualFS
 from repro.mem import (
     MemoryBudget,
@@ -475,9 +475,12 @@ class TestChunkedBitIdentity:
             == _strip_runtime(chunked.log.to_dict())
 
     def test_identity_under_fault_plan(self):
+        # the failover drops both runs' flush memos; the flap then
+        # replaces an entry at step 30, which later flushes hit
         def kw():
             return dict(num_aggregators=2, fault_plan=FaultPlan(
-                (AggregatorFailure(rank=0, step=20),)))
+                (AggregatorFailure(rank=0, step=20),
+                 NICFlap(node=0, start_step=30, end_step=40, factor=0.25))))
         base = _run(None, **kw())
         chunked = _run(5, **kw())
         assert np.array_equal(base.comm.clocks, chunked.comm.clocks)

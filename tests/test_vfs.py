@@ -210,6 +210,20 @@ class TestGroupWrites:
         fs.write_group(inos, np.array([1, 2, 3]))
         assert list(fs.cols.size[inos]) == [1, 2, 3]
 
+    def test_lookup_many_of_equal_paths_is_lookup_per_path(self, fs):
+        fs.mkdir("/in")
+        fs.create("/in/deck.inp")
+        fs.create("/in/other.inp")
+        # equal strings built separately: equal, but not one object
+        paths = ["/in/" + "".join(["deck", ".inp"]) for _ in range(5)]
+        assert paths[0] is not paths[1]
+        expect = [fs.lookup(p) for p in paths]
+        assert fs.lookup_many(paths).tolist() == expect
+        assert fs.lookup_many(paths + ["/in/other.inp"]).tolist() \
+            == expect + [fs.lookup("/in/other.inp")]
+        with pytest.raises(FileNotFound):
+            fs.lookup_many(["/in/missing.inp"] * 4)
+
     def test_subtree_sizes(self, fs):
         fs.mkdir("/out")
         inos = fs.create_many([f"/out/f{i}" for i in range(3)])
