@@ -24,6 +24,7 @@ Two cost models are provided:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -45,6 +46,19 @@ class AggregationPlan:
     @property
     def num_aggregators(self) -> int:
         return len(self.aggregator_ranks)
+
+    @cached_property
+    def aggregator_stride(self) -> int | None:
+        """The step between consecutive aggregator ranks when they form
+        an increasing arithmetic progression, else None (a failed-over
+        plan: its survivors appear more than once)."""
+        owners = self.aggregator_ranks
+        if len(owners) == 1:
+            return 1
+        step = int(owners[1]) - int(owners[0])
+        if step >= 1 and (np.diff(owners) == step).all():
+            return step
+        return None
 
     def per_aggregator_bytes(self, per_rank_bytes: np.ndarray) -> np.ndarray:
         """Sum each subfile's incoming bytes (vectorised bincount)."""

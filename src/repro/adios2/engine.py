@@ -54,7 +54,7 @@ from repro.fs.payload import RealPayload, SyntheticPayload
 from repro.fs.posix import PosixIO
 from repro.mpi.comm import VirtualComm
 from repro.trace.subscribers import ProfileFold
-from repro.util.scatter import scatter_add
+from repro.util.scatter import as_index, scatter_add
 
 #: metadata size model (bytes) — calibrated so BP directory md files stay
 #: in the few-hundred-KiB range Table II implies
@@ -195,7 +195,6 @@ class _StepDerivation:
     change one in place raises instead of corrupting later steps.
     """
 
-    ranks: np.ndarray
     staged: np.ndarray
     #: operator seconds: staging memcpy, or codec CPU when compressing
     op_s: np.ndarray
@@ -210,8 +209,8 @@ class _StepDerivation:
 
     def _arrays(self):
         """The distinct arrays (``stored`` is ``staged`` without a codec)."""
-        arrays = (self.ranks, self.staged, self.op_s, self.stored,
-                  self.gather, self.per_agg)
+        arrays = (self.staged, self.op_s, self.stored, self.gather,
+                  self.per_agg)
         return {id(a): a for a in arrays}.values()
 
     @property
@@ -495,7 +494,10 @@ class BPEngineBase(Engine):
         #: of zeros
         if self.config.async_drain:
             self.drain_wait_seconds = np.zeros(comm.size, dtype=np.float64)
-        #: engine staging bytes ledger on the ambient memory budget
+        #: the engine's host-resident bytes on the ambient memory budget:
+        #: the flush memo's entries and the rewritable steps' slot
+        #: tables.  Modeled staging is not host memory of this process;
+        #: ``peak_host_bytes`` reports it per subfile
         self._mem_account = current_budget().account("engine")
         #: flush memo: one derivation per span-only declaration
         #: signature (a shuffle derivation on the rank-blocked path),
@@ -517,9 +519,8 @@ class BPEngineBase(Engine):
         if not self.posix.exists(self.path):
             self.posix.mkdir(root_rank, self.path, parents=True)
         m = self.plan.num_aggregators
-        agg_ranks = self.plan.aggregator_ranks
         self._data_fds = self.posix.open_group(
-            agg_ranks, [self._subfile_path(i) for i in range(m)],
+            self._aggregators(), [self._subfile_path(i) for i in range(m)],
             create=True, truncate=truncate,
         )
         self._md_fd = self.posix.open(root_rank, f"{self.path}/md.0",
@@ -595,14 +596,13 @@ class BPEngineBase(Engine):
         else:
             self._store_chunks()
             d = self._derive(memoise=spans_only)
+            ranks = self.comm.rank_range()
             self.comm.clocks += d.op_s
             self._emit("memcpy" if self.compressor is None else "compress",
-                       d.ranks, d.staged, d.op_s)
+                       ranks, d.staged, d.op_s)
             self.comm.clocks += d.gather
-            self._emit("shuffle", d.ranks, d.stored, d.gather)
+            self._emit("shuffle", ranks, d.stored, d.gather)
             per_agg = d.per_agg
-        staged_resident = int(per_agg.sum())
-        self._mem_account.charge(staged_resident)
         offsets = self._allocate(overwrite_key, per_agg)
         active = per_agg > 0
         agg_ranks = self.plan.aggregator_ranks
@@ -629,6 +629,10 @@ class BPEngineBase(Engine):
                         )
                         offs += batch
                         remaining -= batch
+                elif active.all():
+                    self.posix.write_aggregate(
+                        self._aggregators(), self._data_fds, per_agg,
+                        overwrite_offset=offsets)
                 else:
                     self.posix.write_aggregate(
                         agg_ranks[active], self._data_fds[active],
@@ -636,8 +640,21 @@ class BPEngineBase(Engine):
                     )
         self._materialize_chunks(offsets)
         self._write_step_metadata(overwrite_key)
-        self._mem_account.release(staged_resident)
         self.profile.steps += 1
+
+    def _aggregators(self) -> np.ndarray | range:
+        """The plan's aggregator ranks, as a range when they form an
+        increasing arithmetic progression (one or two per node, or every
+        rank: the paper's configs), so the subfile writes take the range
+        lane.  A failed-over plan, whose survivors own several subfiles,
+        stays an array."""
+        plan = self.plan
+        step = plan.aggregator_stride
+        if step is None:
+            return plan.aggregator_ranks
+        first = int(plan.aggregator_ranks[0])
+        return self.comm.rank_range(
+            first, first + step * plan.num_aggregators, step)
 
     def _stored_block(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
         """Staged and post-operator bytes for ranks ``[lo, hi)``.
@@ -681,7 +698,7 @@ class BPEngineBase(Engine):
             kind, bandwidth = "compress", self.compressor.compress_bandwidth
         for lo, hi in windows:
             staged, stored = self._stored_block(lo, hi)
-            ranks = np.arange(lo, hi)
+            ranks = self.comm.rank_range(lo, hi)
             op_s = staged / bandwidth
             self.comm.clocks[lo:hi] += op_s
             self._emit(kind, ranks, staged, op_s)
@@ -818,19 +835,19 @@ class BPEngineBase(Engine):
                               api="ENGINE", layer="engine")
         self._drain_until[:] = 0.0
 
-    def _emit(self, kind: str, ranks: np.ndarray, nbytes, seconds) -> None:
+    def _emit(self, kind: str, ranks: np.ndarray | range, nbytes,
+              seconds) -> None:
         """Emit one engine-plane event (clocks already charged).
 
         The stage and shuffle legs charge whole rank ranges with one
-        slice add (``clocks[lo:hi] += s``); routing them through
-        :meth:`~repro.fs.posix.PosixIO.charge` would add a scatter
-        (an index scan per call) on the million-rank path, so they
-        charge inline and only stamp their events here.
+        slice add (``clocks[lo:hi] += s``) and only stamp their events
+        here; their ranks come as a ``range``, so the start stamp is a
+        slice too and the folds behind the bus take the range lane.
         """
         bus = self.posix.trace
         if bus.wants(kind):
             bus.emit(kind, ranks, nbytes=nbytes, duration=seconds,
-                     start=self.comm.clocks[ranks] - seconds,
+                     start=self.comm.clocks[as_index(ranks)] - seconds,
                      api="ENGINE", layer="engine")
 
     def _store_chunks(self) -> None:
@@ -893,7 +910,7 @@ class BPEngineBase(Engine):
         gather_fn = (two_level_gather_cost if self.two_level_shuffle
                      else gather_cost_seconds)
         return _StepDerivation(
-            ranks=np.arange(n), staged=staged, op_s=op_s, stored=stored,
+            staged=staged, op_s=op_s, stored=stored,
             gather=gather_fn(self.plan, stored, self.comm),
             per_agg=self.plan.per_aggregator_bytes(stored), nic=nic)
 
@@ -1145,7 +1162,7 @@ class BPEngineBase(Engine):
             self.posix.write(0, fd, RealPayload(
                 self.profile.to_json().encode(), entropy="metadata"))
             self.posix.close(0, fd)
-        self.posix.close_group(self.plan.aggregator_ranks, self._data_fds)
+        self.posix.close_group(self._aggregators(), self._data_fds)
         self.posix.close(0, self._md_fd)
         self.posix.close(0, self._idx_fd)
         for fd in self._extra_fds.values():

@@ -23,7 +23,7 @@ import json
 import numpy as np
 
 from repro.trace.events import IOEvent, make_event
-from repro.util.scatter import scatter_add
+from repro.util.scatter import as_index, scatter_add
 
 PROFILE_CATEGORIES = ("memcpy", "compress", "aggregation", "write", "meta")
 
@@ -70,13 +70,16 @@ class EngineProfile:
         self.steps = 0
 
     def fold_event(self, event: IOEvent) -> None:
-        """Fold one engine-plane spine event into the counters."""
+        """Fold one engine-plane spine event into the counters; an event
+        over a range of ranks adds through slices."""
         category = KIND_TO_CATEGORY.get(event.kind)
         if category is None:
             return
-        ranks = event.ranks
+        ranks = event.rank_range
+        if ranks is None:
+            ranks = event.ranks
         if self.bin_of_rank is not None:
-            ranks = self.bin_of_rank[np.asarray(ranks)]
+            ranks = self.bin_of_rank[as_index(ranks)]
         scatter_add(self.us[category], ranks, event.duration * 1e6)
         if event.kind in _STAGING_KINDS:
             scatter_add(self.bytes_put, ranks, event.nbytes)

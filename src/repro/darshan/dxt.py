@@ -22,6 +22,7 @@ import numpy as np
 
 from repro.trace.events import EventBatch, IOEvent
 from repro.trace.export import _DXT_OP, _dxt_line
+from repro.util.scatter import rank_array
 
 
 @dataclass(frozen=True)
@@ -93,7 +94,7 @@ class DXTRecorder:
     def record(self, module: str, kind: str, ranks, paths, nbytes,
                starts, ends) -> None:
         """Record one (possibly group) operation as segments."""
-        ranks = np.atleast_1d(np.asarray(ranks))
+        ranks = np.atleast_1d(rank_array(ranks))
         nbytes = np.broadcast_to(np.asarray(nbytes), ranks.shape)
         starts = np.broadcast_to(np.asarray(starts, dtype=np.float64),
                                  ranks.shape)

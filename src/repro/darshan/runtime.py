@@ -40,7 +40,7 @@ from repro.darshan.log import (
     ModuleRecord,
 )
 from repro.trace.events import FS_LAYERS, EventBatch, IOEvent
-from repro.util.scatter import scatter_add, scatter_add2
+from repro.util.scatter import as_index, as_run, scatter_add, scatter_add2
 
 #: fs event kind → (per-rank bytes counter, per-file op count column,
 #: per-file bytes column), None where the kind adds nothing.  The array
@@ -225,7 +225,8 @@ class DarshanMonitor:
 
         Events arrive with ``ranks``/``nbytes``/``duration``/``n_ops``
         already broadcast to a common per-rank shape; ``inos``
-        optionally attributes the op to files.
+        optionally attributes the op to files.  An event over a range of
+        ranks folds through slices and never builds its rank array.
         """
         if self._finalized is not None:
             # after shutdown real Darshan no longer interposes; post-job
@@ -236,8 +237,9 @@ class DarshanMonitor:
         mod = self._modules.get(event.api)
         if mod is None:  # unknown module: fold into POSIX
             mod = self._modules["POSIX"]
-        self._fold(mod, event.kind, event.ranks, event.nbytes,
-                   event.duration, event.n_ops, event.inos)
+        ranks = event.rank_range
+        self._fold(mod, event.kind, event.ranks if ranks is None else ranks,
+                   event.nbytes, event.duration, event.n_ops, event.inos)
 
     def on_batch(self, batch: EventBatch) -> None:
         """Fold a struct-of-arrays batch without building event objects.
@@ -251,15 +253,20 @@ class DarshanMonitor:
         mod = self._modules.get(batch.api)
         if mod is None:
             mod = self._modules["POSIX"]
-        ranks = batch.ranks
+        ranks = batch.rank_range
+        if ranks is None:
+            ranks = batch.ranks
         for i, kind in enumerate(batch.kinds):
             self._fold(mod, kind, ranks, batch.nbytes[i],
                        batch.duration[i], batch.n_ops[i], batch.inos)
 
     def _fold(self, mod: _ModuleCounters, kind: str, ranks, nbytes,
               duration, ops_arr, inos) -> None:
+        """Fold one op's per-rank columns; ``ranks`` is an array or a
+        range (the range lane: every counter adds through a slice)."""
         if self._bin_of_rank is not None:
-            ranks = self._bin_of_rank[np.asarray(ranks)]
+            # node bins repeat, so the scatters below take np.add.at
+            ranks = self._bin_of_rank[as_index(ranks)]
         count_field = OP_TO_COUNT.get(kind)
         if count_field is not None:
             scatter_add(mod.counts[count_field], ranks, ops_arr)
@@ -269,10 +276,18 @@ class DarshanMonitor:
         bytes_field = _ROUTE[kind][0]
         if bytes_field is not None:
             scatter_add(mod.bytes[bytes_field], ranks, nbytes)
-            per_op = nbytes / np.maximum(ops_arr, 1.0)
-            buckets = size_bucket_index(per_op)
-            scatter_add2(mod.size_hist, ranks, buckets,
-                         ops_arr.astype(np.int64))
+            if nbytes.size and nbytes.strides == ops_arr.strides == (0,):
+                # one byte count and one op count for every rank (scalars
+                # the event broadcast): one bucket, one increment
+                per_op = nbytes[:1] / np.maximum(ops_arr[:1], 1.0)
+                scatter_add2(mod.size_hist, ranks,
+                             int(size_bucket_index(per_op)[0]),
+                             int(ops_arr[:1].astype(np.int64)[0]))
+            else:
+                per_op = nbytes / np.maximum(ops_arr, 1.0)
+                buckets = size_bucket_index(per_op)
+                scatter_add2(mod.size_hist, ranks, buckets,
+                             ops_arr.astype(np.int64))
 
         if inos is not None:
             self._record_files(kind, inos, nbytes, duration, ops_arr)
@@ -326,15 +341,21 @@ class DarshanMonitor:
         inos = np.atleast_1d(np.asarray(inos, dtype=np.int64))
         if inos.size == 0:
             return
-        self._files.ensure(int(inos.max()))
         # one shared file touched by many ranks broadcasts the ino up;
         # one op per file broadcasts the metrics up — take the widest
         shape = np.broadcast_shapes(inos.shape, np.shape(nbytes))
-        inos = np.broadcast_to(inos, shape)
-        nbytes = np.broadcast_to(nbytes, shape)
-        seconds = np.broadcast_to(seconds, shape)
-        ops = np.broadcast_to(ops, shape)
+        if inos.shape == shape:
+            # files of one group open are one consecutive inode run:
+            # recognised here once, every scatter below then slices
+            inos = as_run(inos)
+        else:
+            inos = np.broadcast_to(inos, shape)
         ft = self._files
+        ft.ensure(inos[-1] if type(inos) is range else int(inos.max()))
+        if np.shape(nbytes) != shape:
+            nbytes = np.broadcast_to(nbytes, shape)
+            seconds = np.broadcast_to(seconds, shape)
+            ops = np.broadcast_to(ops, shape)
         _, ops_col, bytes_col = _ROUTE[kind]
         if ops_col is not None:
             scatter_add(getattr(ft, ops_col), inos, ops)

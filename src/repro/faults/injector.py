@@ -45,6 +45,7 @@ from repro.faults.plan import (
 )
 from repro.faults.retry import RetryPolicy
 from repro.fs.vfs import FSError
+from repro.util.scatter import rank_array
 
 _ERRNO = {"EIO": errno.EIO, "ETIMEDOUT": errno.ETIMEDOUT}
 
@@ -133,7 +134,7 @@ class FaultInjector:
             return
         start = None
         if self.comm is not None:
-            r = np.atleast_1d(np.asarray(ranks))
+            r = np.atleast_1d(rank_array(ranks))
             start = self.comm.clocks[r] - np.broadcast_to(
                 np.asarray(duration, dtype=np.float64), r.shape)
         bus.emit(kind, ranks, duration=duration, start=start, api=api,
@@ -257,7 +258,7 @@ class FaultInjector:
             if remaining <= 0 or spec.op != op or spec.step > self.step:
                 continue
             if spec.rank is not None:
-                r = np.atleast_1d(np.asarray(ranks))
+                r = np.atleast_1d(rank_array(ranks))
                 if spec.rank not in r:
                     continue
             return spec
@@ -295,7 +296,7 @@ class FaultInjector:
             context = {
                 "op": op, "api": api, "step": self.step, "attempt": attempt,
                 "fault": kind, "errno": errno_name,
-                "ranks": np.atleast_1d(np.asarray(ranks)).tolist(),
+                "ranks": np.atleast_1d(rank_array(ranks)).tolist(),
             }
             policy = self.policy
             if policy is None or attempt >= policy.max_retries:

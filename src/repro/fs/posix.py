@@ -18,7 +18,11 @@ layer call too.
 Single-op calls serve the functional small-scale runs; the ``*_group``
 variants express "K symmetric ranks do this op" in one vectorised call,
 which is how the 25600-rank experiments stay fast (see the HPC guides:
-vectorise, don't loop).
+vectorise, don't loop).  A group op given its ranks as a ``range`` takes
+the range lane: clock adds, start stamps and counter folds slice instead
+of scanning and gathering, and one byte count over files that share
+striping is costed once — the same bits as the call with ``np.arange``
+of the range.
 """
 
 from __future__ import annotations
@@ -32,13 +36,23 @@ from repro.fs.mount import MountedFilesystem
 from repro.fs.payload import Payload, as_payload
 from repro.mpi.comm import VirtualComm
 from repro.trace.bus import TraceBus
-from repro.util.scatter import scatter_add
+from repro.util.scatter import (
+    as_index,
+    as_run,
+    range_view,
+    rank_array,
+    scatter_add,
+)
 
 #: api string → spine layer tag (everything else is the POSIX boundary)
 _API_LAYER = {"STDIO": "stdio", "MPIIO": "mpiio"}
 
 #: a single rank: single-op calls with one of these take the scalar lane
 _RANK = (int, np.integer)
+
+#: one byte count or op count for a whole group: with a range of ranks,
+#: the group's cost is computed once
+_COUNT = (int, float, np.integer, np.floating)
 
 #: metadata-op weights (an exclusive create touches the MDS more than a stat)
 MD_OPS = {
@@ -124,8 +138,9 @@ class PosixIO:
         ``api`` (``stdio``, ``mpiio``, else ``posix``).
 
         A single rank with a float cost takes the scalar lane (one clock
-        add, :meth:`~repro.trace.bus.TraceBus.emit_scalar`); rank arrays
-        take the scatter lane.  Both give the same bits.
+        add, :meth:`~repro.trace.bus.TraceBus.emit_scalar`); a ``range``
+        of ranks the range lane (one slice add); rank arrays take the
+        scatter lane.  All give the same bits.
         """
         comm = self.comm
         if comm is not None:
@@ -160,12 +175,20 @@ class PosixIO:
                             ino=inos)
             return
         if start is None and self.comm is not None:
-            ranks = np.atleast_1d(np.asarray(ranks))
-            secs = np.broadcast_to(
-                np.asarray(seconds, dtype=np.float64), ranks.shape)
-            start = self.comm.clocks[ranks] - secs
+            if type(ranks) is not range:
+                ranks = np.atleast_1d(np.asarray(ranks))
+            start = self._clocks_at(ranks) - np.asarray(
+                seconds, dtype=np.float64)
         bus.emit(kind, ranks, nbytes=nbytes, duration=seconds, start=start,
                  n_ops=n_ops, api=api, layer=layer, inos=inos)
+
+    def _clocks_at(self, ranks) -> np.ndarray:
+        """The ranks' clocks: a view for a range, a gathered copy for an
+        array — read it, never keep it."""
+        clocks = self.comm.clocks
+        if type(ranks) is range:
+            return range_view(clocks, ranks)
+        return clocks[ranks]
 
     def ino_of(self, fd):
         """Inode behind one descriptor (an int) or an fd array (an array).
@@ -444,11 +467,24 @@ class PosixIO:
 
     # -- group (vectorised symmetric-rank) operations ----------------------------
 
-    def open_group(self, ranks: np.ndarray, paths: Sequence[str],
+    def _shared_striping(self, inos) -> tuple[int, int] | None:
+        """(stripe count, stripe size) when every file in ``inos`` (an
+        array or an inode range) has the same striping, else None."""
+        cols = self.fs.vfs.cols
+        ix = as_index(inos)
+        count, size = cols.stripe_count[ix], cols.stripe_size[ix]
+        if len(count) and (count == count[0]).all() \
+                and (size == size[0]).all():
+            return int(count[0]), int(size[0])
+        return None
+
+    def open_group(self, ranks: np.ndarray | range, paths: Sequence[str],
                    create: bool = True, truncate: bool = False,
                    append: bool = False, api: str = "POSIX") -> np.ndarray:
         """Open/create one file per rank; returns an fd array."""
-        ranks = np.asarray(ranks)
+        lane = type(ranks) is range
+        if not lane:
+            ranks = np.asarray(ranks)
         if len(paths) != len(ranks):
             raise ValueError("one path per rank required")
         if create:
@@ -460,7 +496,7 @@ class PosixIO:
             self.fs.vfs.truncate_many(inos)
         k = len(inos)
         pos = self.fs.vfs.cols.size[inos] if append else 0
-        fd0 = self._alloc_fds(k, inos, ranks, api, pos)
+        fd0 = self._alloc_fds(k, inos, rank_array(ranks), api, pos)
         fds = np.arange(fd0, fd0 + k, dtype=np.int64)
         # every registry is first-registration-wins, so each inode's
         # first row, in order, registers exactly what all k rows would
@@ -474,12 +510,12 @@ class PosixIO:
             self.trace.register_files(inos, paths)
         op = "create" if create else "open"
         weight = MD_OPS[op]
-        cost = self.fs.perf.metadata_op_cost(self._md_clients, weight)
-        costs = np.full(len(ranks), float(cost))
-        self.charge(ranks, costs, op, api=api, inos=inos)
+        cost = float(self.fs.perf.metadata_op_cost(self._md_clients, weight))
+        self.charge(ranks, cost if lane else np.full(len(ranks), cost), op,
+                    api=api, inos=inos)
         return fds
 
-    def write_group(self, ranks: np.ndarray, fds: np.ndarray,
+    def write_group(self, ranks: np.ndarray | range, fds: np.ndarray,
                     nbytes_each: int | np.ndarray,
                     chunk_size: int | None = None,
                     sync_each_chunk: bool = False,
@@ -488,31 +524,55 @@ class PosixIO:
         """Symmetric append by many ranks, one vectorised call.
 
         All target files must share striping (true for per-rank outputs,
-        which inherit the directory default).
+        which inherit the directory default).  A range of ranks with one
+        byte count for files that share striping is costed once, through
+        the perf model's scalar inputs.
         """
-        ranks = np.asarray(ranks)
+        lane = type(ranks) is range
+        if not lane:
+            ranks = np.asarray(ranks)
         fds = np.asarray(fds)
         inos = self.ino_of(fds)
         if self.faults is not None:
             self.faults.guard(self, "write", ranks, inos, api)
-        nbytes = np.broadcast_to(
-            np.asarray(nbytes_each, dtype=np.int64), ranks.shape
-        ).copy()
+        run = as_run(inos) if lane else inos
         if truncate_first:
-            self.fs.vfs.truncate_many(inos)
-        self.fs.vfs.write_group(inos, nbytes)
-        cols = self.fs.vfs.cols
-        stripe_count = cols.stripe_count[inos].astype(np.float64)
-        stripe_size = cols.stripe_size[inos].astype(np.float64)
-        if chunk_size is not None:
-            n_chunks = np.maximum(1, -(-nbytes // chunk_size))
-            per_chunk = np.minimum(nbytes, chunk_size)
+            self.fs.vfs.truncate_many(run)
+        perf = self.fs.perf
+        striping = (self._shared_striping(run) if lane and isinstance(
+            nbytes_each, (int, np.integer)) else None)
+        if striping is not None:
+            nbytes = int(nbytes_each)
         else:
-            n_chunks = np.ones_like(nbytes)
-            per_chunk = nbytes
-        costs = self.fs.perf.write_op_cost(
-            per_chunk, self._writers, stripe_count, stripe_size, n_ops=n_chunks
-        ) * float(self.fs.perf.noise())
+            nbytes = np.broadcast_to(
+                np.asarray(nbytes_each, dtype=np.int64), (len(ranks),)
+            ).copy()
+        self.fs.vfs.write_group(run, nbytes)
+        if striping is not None:
+            # one op for the whole group: the scalar lane's cost is each
+            # element of the array path's
+            stripe_count, stripe_size = striping
+            n_chunks, per_chunk = 1, nbytes
+            if chunk_size is not None:
+                n_chunks = max(1, -(-nbytes // chunk_size))
+                per_chunk = min(nbytes, chunk_size)
+            costs = float(perf.write_op_cost(
+                per_chunk, self._writers, stripe_count, stripe_size,
+                n_ops=n_chunks)) * float(perf.noise())
+        else:
+            cols = self.fs.vfs.cols
+            ix = as_index(run)
+            stripe_count = cols.stripe_count[ix].astype(np.float64)
+            stripe_size = cols.stripe_size[ix].astype(np.float64)
+            if chunk_size is not None:
+                n_chunks = np.maximum(1, -(-nbytes // chunk_size))
+                per_chunk = np.minimum(nbytes, chunk_size)
+            else:
+                n_chunks = np.ones_like(nbytes)
+                per_chunk = nbytes
+            costs = perf.write_op_cost(
+                per_chunk, self._writers, stripe_count, stripe_size,
+                n_ops=n_chunks) * float(perf.noise())
         if not sync_each_chunk:
             self.charge(ranks, costs, "write", nbytes=nbytes, api=api,
                         inos=inos, n_ops=n_chunks)
@@ -524,15 +584,14 @@ class PosixIO:
         # ids and noise-draw order are bit-identical to two emits
         bus = self.trace
         want = bus.wants("write") or bus.wants("fsync")
-        start_w = (self.comm.clocks[ranks] - costs
+        start_w = (self._clocks_at(ranks) - costs
                    if want and self.comm is not None else None)
-        sync_costs = self.fs.perf.fsync_cost(
-            self._writers, stripe_count, n_ops=n_chunks
-        ) * float(self.fs.perf.noise())
+        sync_costs = perf.fsync_cost(
+            self._writers, stripe_count, n_ops=n_chunks) * float(perf.noise())
         self.charge(ranks, sync_costs)
         if not want:
             return
-        start_s = (self.comm.clocks[ranks] - sync_costs
+        start_s = (self._clocks_at(ranks) - sync_costs
                    if self.comm is not None else None)
         bus.emit_batch(
             ("write", "fsync"), ranks,
@@ -542,7 +601,7 @@ class PosixIO:
             n_ops=(n_chunks, n_chunks),
             api=api, layer=_API_LAYER.get(api, "posix"), inos=inos)
 
-    def read_group(self, ranks: np.ndarray, fds: np.ndarray,
+    def read_group(self, ranks: np.ndarray | range, fds: np.ndarray,
                    nbytes_each: int | np.ndarray,
                    api: str = "POSIX", clients: int | None = None) -> None:
         """Symmetric synthetic reads by many ranks (restart/input loads).
@@ -550,24 +609,36 @@ class PosixIO:
         ``clients`` overrides the contention the cost model sees
         (default: the group size).  Chunked runners processing a large
         read phase block-by-block pass the *whole* phase's client count
-        so per-op costs stay identical to the unchunked call.
+        so per-op costs stay identical to the unchunked call.  Like
+        :meth:`write_group`, a range of ranks reading one byte count from
+        files that share striping is costed once.
         """
-        ranks = np.asarray(ranks)
+        lane = type(ranks) is range
+        if not lane:
+            ranks = np.asarray(ranks)
         fds = np.asarray(fds)
         inos = self.ino_of(fds)
         if self.faults is not None:
             self.faults.guard(self, "read", ranks, inos, api)
-        nbytes = np.broadcast_to(
-            np.asarray(nbytes_each, dtype=np.int64), ranks.shape).copy()
+        if clients is None:
+            clients = len(ranks)
+        run = as_run(inos) if lane else inos
         cols = self.fs.vfs.cols
-        scatter_add(cols.read_ops, inos, 1)
-        scatter_add(cols.bytes_read, inos, nbytes)
-        stripe_count = cols.stripe_count[inos].astype(np.float64)
-        costs = self.fs.perf.read_op_cost(
-            nbytes, len(ranks) if clients is None else clients, stripe_count)
+        striping = (self._shared_striping(run) if lane and isinstance(
+            nbytes_each, (int, np.integer)) else None)
+        if striping is not None:
+            nbytes = int(nbytes_each)
+            stripe_count = striping[0]
+        else:
+            nbytes = np.broadcast_to(np.asarray(
+                nbytes_each, dtype=np.int64), (len(ranks),)).copy()
+            stripe_count = cols.stripe_count[as_index(run)].astype(np.float64)
+        scatter_add(cols.read_ops, run, 1)
+        scatter_add(cols.bytes_read, run, nbytes)
+        costs = self.fs.perf.read_op_cost(nbytes, clients, stripe_count)
         self.charge(ranks, costs, "read", nbytes=nbytes, api=api, inos=inos)
 
-    def write_aggregate(self, ranks: np.ndarray, fds: np.ndarray,
+    def write_aggregate(self, ranks: np.ndarray | range, fds: np.ndarray,
                         nbytes_each: int | np.ndarray,
                         overwrite_offset: int | np.ndarray | None = None,
                         api: str = "POSIX",
@@ -587,25 +658,28 @@ class PosixIO:
         path schedules the phase in the future, so no clock moves and
         the emitted event is stamped when the drain actually runs.
         """
-        ranks = np.asarray(ranks)
+        lane = type(ranks) is range
+        if not lane:
+            ranks = np.asarray(ranks)
         fds = np.asarray(fds)
         inos = self.ino_of(fds)
         if self.faults is not None:
             self.faults.guard(self, "write", ranks, inos, api)
+        m = len(ranks)
         nbytes = np.broadcast_to(
-            np.asarray(nbytes_each, dtype=np.int64), ranks.shape
-        ).copy()
+            np.asarray(nbytes_each, dtype=np.int64), (m,)).copy()
+        run = as_run(inos) if lane else inos
         if overwrite_offset is None:
-            self.fs.vfs.write_group(inos, nbytes)
+            self.fs.vfs.write_group(run, nbytes)
         else:
-            self.fs.vfs.write_group(inos, nbytes, offsets=overwrite_offset)
+            self.fs.vfs.write_group(run, nbytes, offsets=overwrite_offset)
         cols = self.fs.vfs.cols
-        stripe_count = cols.stripe_count[inos].astype(np.float64)
-        stripe_size = cols.stripe_size[inos].astype(np.float64)
+        ix = as_index(run)
+        stripe_count = cols.stripe_count[ix].astype(np.float64)
+        stripe_size = cols.stripe_size[ix].astype(np.float64)
         perf = self.fs.perf
         costs = perf.aggregate_stream_seconds(
-            nbytes, len(ranks), stripe_count, stripe_size
-        ) * perf.noise(ranks.shape)
+            nbytes, m, stripe_count, stripe_size) * perf.noise((m,))
         # the write() system calls the engine issues are stripe-sized
         # buffer flushes; the per-RPC fan-out below them is the cost model
         n_writes = np.maximum(np.ceil(nbytes / stripe_size), 1.0)
@@ -631,9 +705,11 @@ class PosixIO:
         self._n_open -= len(live)
         self._maybe_recycle_fds()
 
-    def close_group(self, ranks: np.ndarray, fds: np.ndarray,
+    def close_group(self, ranks: np.ndarray | range, fds: np.ndarray,
                     api: str = "POSIX") -> None:
-        ranks = np.asarray(ranks)
+        lane = type(ranks) is range
+        if not lane:
+            ranks = np.asarray(ranks)
         fds = np.asarray(fds)
         inos = self.ino_of(fds)
         # an fd listed twice is closed twice; open_group's ascending
@@ -645,13 +721,21 @@ class PosixIO:
         self._n_open -= len(fds)
         self._maybe_recycle_fds()
         cost = float(self.fs.perf.metadata_op_cost(self._md_clients, MD_OPS["close"]))
-        costs = np.full(len(ranks), cost)
-        self.charge(ranks, costs, "close", api=api, inos=inos)
+        self.charge(ranks, cost if lane else np.full(len(ranks), cost),
+                    "close", api=api, inos=inos)
 
-    def meta_group(self, ranks: np.ndarray, op: str, n_ops: float | np.ndarray = 1,
+    def meta_group(self, ranks: np.ndarray | range, op: str,
+                   n_ops: float | np.ndarray = 1,
                    api: str = "POSIX") -> None:
-        """Charge bare metadata ops (opens of pre-existing files, stats…)."""
-        ranks = np.asarray(ranks)
+        """Charge bare metadata ops (opens of pre-existing files, stats…).
+
+        A range of ranks with one op count is costed once."""
+        if type(ranks) is range and isinstance(n_ops, _COUNT):
+            cost = self.fs.perf.metadata_op_cost(
+                self._md_clients, MD_OPS[op] * float(n_ops))
+            self.charge(ranks, cost, op, api=api, n_ops=n_ops)
+            return
+        ranks = rank_array(ranks)
         weight = MD_OPS[op] * np.asarray(n_ops, dtype=np.float64)
         costs = self.fs.perf.metadata_op_cost(self._md_clients, weight)
         costs = np.broadcast_to(costs, ranks.shape)

@@ -22,7 +22,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from repro.fs.payload import Payload, RealPayload, SyntheticPayload
-from repro.util.scatter import scatter_add, scatter_max
+from repro.util.scatter import as_index, scatter_add, scatter_max
 
 
 class FSError(OSError):
@@ -374,12 +374,13 @@ class VirtualFS:
             out.append(ino)
         return np.asarray(out, dtype=np.int64)
 
-    def truncate_many(self, inos: np.ndarray) -> None:
-        """Truncate many files to zero length (batched open-for-write)."""
-        inos = np.asarray(inos)
-        self.cols.size[inos] = 0
+    def truncate_many(self, inos: np.ndarray | range) -> None:
+        """Truncate many files to zero length (batched open-for-write);
+        ``inos`` is an array or an inode range."""
+        self.cols.size[as_index(inos)] = 0
         if self._content:
-            for ino in inos.tolist():
+            for ino in (inos if type(inos) is range
+                        else np.asarray(inos).tolist()):
                 store = self._content.get(ino)
                 if store is not None:
                     store.truncate(0)
@@ -488,24 +489,26 @@ class VirtualFS:
             self._store(ino).write(offset, payload.tobytes())
         return n
 
-    def write_group(self, inos: np.ndarray, nbytes_each: int | np.ndarray,
+    def write_group(self, inos: np.ndarray | range,
+                    nbytes_each: int | np.ndarray,
                     offsets: int | np.ndarray = -1) -> None:
         """Vectorised synthetic write to many files at once.
 
         ``offsets == -1`` means append at current EOF.  Used by the scale
         experiments to represent thousands of symmetric per-rank writes in
-        one call.
+        one call.  An inode range (one consecutive run of files) updates
+        the columns through slices.
         """
-        inos = np.asarray(inos)
-        nbytes = np.broadcast_to(np.asarray(nbytes_each, dtype=np.int64),
-                                 inos.shape)
+        if type(inos) is not range:
+            inos = np.asarray(inos)
+        nbytes = np.asarray(nbytes_each, dtype=np.int64)
         c = self.cols
+        size = c.size[as_index(inos)]
         if np.isscalar(offsets) and offsets == -1:
-            ends = c.size[inos] + nbytes
+            ends = size + nbytes
         else:
-            offs = np.broadcast_to(np.asarray(offsets, dtype=np.int64),
-                                   inos.shape)
-            ends = np.where(offs < 0, c.size[inos] + nbytes, offs + nbytes)
+            offs = np.asarray(offsets, dtype=np.int64)
+            ends = np.where(offs < 0, size + nbytes, offs + nbytes)
         scatter_max(c.size, inos, ends)
         scatter_add(c.write_ops, inos, 1)
         scatter_add(c.bytes_written, inos, nbytes)

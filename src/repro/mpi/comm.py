@@ -172,15 +172,20 @@ class VirtualComm:
         #: optional live :class:`repro.faults.injector.FaultState`; when
         #: installed, NIC flaps derate the effective interconnect bandwidth
         self.fault_state = None
-        # materialised lazily: only traced barriers need the full rank
-        # vector, and at 10^6 ranks it is 8 MB of otherwise-dead weight
-        self._all_ranks_cache: np.ndarray | None = None
 
-    @property
-    def _all_ranks(self) -> np.ndarray:
-        if self._all_ranks_cache is None:
-            self._all_ranks_cache = np.arange(self.size)
-        return self._all_ranks_cache
+    def rank_range(self, start: int = 0, stop: int | None = None,
+                   step: int = 1) -> range:
+        """Ranks ``start, start + step, …`` below ``stop`` (default: the
+        communicator's size) as a ``range``.
+
+        Producers that address a regular set of ranks build it here and
+        hand the range to the I/O layers, which then take the range lane
+        (slice adds instead of index scans; docs/architecture.md).  This
+        is the one place the lane's input is made: patch it to return
+        ``np.arange(start, stop, step)`` and every producer takes the
+        array path, the lane's reference.
+        """
+        return range(start, self.size if stop is None else stop, step)
 
     # -- topology ---------------------------------------------------------
 
@@ -293,7 +298,7 @@ class VirtualComm:
             entered = self.clocks.copy()
             t = self.max_time() + self._collective_cost()
             self.clocks[:] = t
-            bus.emit("barrier", self._all_ranks, duration=t - entered,
+            bus.emit("barrier", self.rank_range(), duration=t - entered,
                      start=entered, api="MPI", layer="mpi")
             return t
         t = self.max_time() + self._collective_cost()

@@ -37,7 +37,11 @@ def apply_periodic(particles: ParticleArrays, length: float) -> None:
     # few that crossed an end, and zeros, which it makes +0.0) need it
     wrap = ~((x > 0.0) & (x < length))
     if wrap.any():
-        x[wrap] = np.mod(x[wrap], length)
+        wrapped = np.mod(x[wrap], length)
+        # a tiny negative x rounds up to exactly ``length`` (np.mod(-1e-19,
+        # L) is L); its periodic image is 0.0, inside the domain
+        wrapped[wrapped == length] = 0.0
+        x[wrap] = wrapped
 
 
 def leapfrog_step(grid: Grid1D, particles: ParticleArrays,

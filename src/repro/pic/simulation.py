@@ -260,11 +260,14 @@ class Bit1Simulation:
         per-rank exchange in which ranks take turns, in rank order, to
         extract their leavers and append them to their destinations.
         At the domain's ends such an exchange is uneven, and the sort
-        keeps that too: ``np.mod`` can return exactly ``length``, a
-        position no subdomain contains, which the last rank re-extracts
-        after the lower ranks' arrivals (so it ends up behind them and
-        an arriving one counts as migrated twice); the first rank's own
-        strays likewise land before the higher ranks' arrivals.
+        keeps that too.  A stray, a position no subdomain contains, can
+        only sit in a sliver the subdomain bounds leave at an end of the
+        domain (the last rank's upper bound is ``ncells * dx``, which
+        rounding can put below ``length``).  The last rank re-extracts
+        its strays after the lower ranks' arrivals, so they end up
+        behind them and an arriving one counts as migrated twice; the
+        first rank's own strays likewise land before the higher ranks'
+        arrivals.
         """
         nranks = self.comm.size
         if nranks == 1:

@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.util.scatter import range_index, rank_array
+
 #: The closed event taxonomy.  ``emit`` rejects anything else so a typo
 #: in a producer fails loudly instead of silently dropping accounting.
 EVENT_KINDS = frozenset({
@@ -65,6 +67,36 @@ EVENT_KINDS = frozenset({
 FS_LAYERS = frozenset({"posix", "stdio", "mpiio"})
 
 
+def _lazy_ranks(self, name: str):
+    """``__getattr__`` of the event types: reached only for an unset
+    slot, which is ``ranks`` on a range-lane event until first read."""
+    if name == "ranks":
+        rr = object.__getattribute__(self, "rank_range")
+        if rr is not None:
+            ranks = rank_array(rr)
+            object.__setattr__(self, "ranks", ranks)
+            return ranks
+    raise AttributeError(
+        f"{type(self).__name__!r} object has no attribute {name!r}")
+
+
+def _defer_ranks(event):
+    """``event`` with its ``ranks`` slot left unset when it carries a
+    ``rank_range``: the array is built on first read (:func:`_lazy_ranks`)."""
+    if event.rank_range is not None:
+        object.__delattr__(event, "ranks")
+    return event
+
+
+def _rank_shape(ranks):
+    """(rank array or None, lane range or None, per-rank shape)."""
+    if type(ranks) is range:
+        range_index(ranks)  # the lane takes start >= 0, step >= 1 only
+        return None, ranks, (len(ranks),)
+    arr = np.atleast_1d(np.asarray(ranks, dtype=np.int64))
+    return arr, None, arr.shape
+
+
 @dataclass(frozen=True, slots=True)
 class IOEvent:
     """One typed, timestamped accounting record.
@@ -75,6 +107,10 @@ class IOEvent:
     start times in seconds; ``start + duration`` is the completion time,
     which by construction equals the emitting rank's virtual clock at
     emission.
+
+    An event over a ``range`` of ranks (the range lane) carries it as
+    ``rank_range``, which lane subscribers fold by slicing; its
+    ``ranks`` array is built only when something reads it.
     """
 
     kind: str
@@ -89,10 +125,15 @@ class IOEvent:
     scope: str | None = None
     step: int | None = None
     seq: int = field(default=-1)
+    rank_range: range | None = None
+
+    __getattr__ = _lazy_ranks
 
     @property
     def size(self) -> int:
         """Number of participating ranks."""
+        if self.rank_range is not None:
+            return len(self.rank_range)
         return int(self.ranks.shape[0])
 
     @property
@@ -144,6 +185,9 @@ class EventBatch:
     scope: str | None = None
     step: int | None = None
     seq0: int = field(default=-1)
+    rank_range: range | None = None
+
+    __getattr__ = _lazy_ranks
 
     def __len__(self) -> int:
         return len(self.kinds)
@@ -151,15 +195,18 @@ class EventBatch:
     @property
     def size(self) -> int:
         """Number of participating ranks."""
+        if self.rank_range is not None:
+            return len(self.rank_range)
         return int(self.ranks.shape[0])
 
     def event(self, i: int) -> IOEvent:
         """Materialise row ``i`` as a standalone :class:`IOEvent`."""
-        return IOEvent(
+        rr = self.rank_range
+        return _defer_ranks(IOEvent(
             kind=self.kinds[i],
             layer=self.layer,
             api=self.api,
-            ranks=self.ranks,
+            ranks=self.ranks if rr is None else None,
             nbytes=self.nbytes[i],
             duration=self.duration[i],
             start=self.start[i],
@@ -168,7 +215,8 @@ class EventBatch:
             scope=self.scope,
             step=self.step,
             seq=self.seq0 + i,
-        )
+            rank_range=rr,
+        ))
 
     def events(self) -> list[IOEvent]:
         return [self.event(i) for i in range(len(self.kinds))]
@@ -208,10 +256,9 @@ def make_batch(kinds, ranks, *, nbytes, duration, start=None, n_ops=None,
         if n_ops is not None:
             n_ops = [n_ops[i] for i in sel]
     n = len(kinds)
-    ranks_arr = np.atleast_1d(np.asarray(ranks, dtype=np.int64))
-    shape = ranks_arr.shape
+    ranks_arr, rank_range, shape = _rank_shape(ranks)
     inos_arr = None if inos is None else np.atleast_1d(np.asarray(inos))
-    return EventBatch(
+    return _defer_ranks(EventBatch(
         kinds=kinds,
         layer=layer,
         api=api,
@@ -226,7 +273,8 @@ def make_batch(kinds, ranks, *, nbytes, duration, start=None, n_ops=None,
         scope=scope,
         step=step,
         seq0=seq0,
-    )
+        rank_range=rank_range,
+    ))
 
 
 def _per_rank(value, shape) -> np.ndarray:
@@ -234,6 +282,13 @@ def _per_rank(value, shape) -> np.ndarray:
     arr = np.asarray(value, dtype=np.float64)
     if arr.shape == shape:
         return arr
+    if arr.ndim == 0:
+        # the read-only 0-stride view np.broadcast_to makes, built
+        # directly: its general machinery costs ~5 µs a call, several
+        # calls an event
+        view = np.ndarray(shape, np.float64, arr, 0, (0,) * len(shape))
+        view.flags.writeable = False
+        return view
     return np.broadcast_to(arr, shape)
 
 
@@ -243,17 +298,19 @@ def make_event(kind: str, ranks, *, nbytes=0, duration=0.0, start=None,
                seq: int = -1) -> IOEvent:
     """Normalise raw producer arguments into an :class:`IOEvent`.
 
-    Raises ``ValueError`` for a kind outside :data:`EVENT_KINDS`.
+    A ``range`` of ranks (start >= 0, step >= 1) stays on the event as
+    ``rank_range``; the event is then the one ``np.arange`` of the range
+    gives, field for field.  Raises ``ValueError`` for a kind outside
+    :data:`EVENT_KINDS`.
     """
     if kind not in EVENT_KINDS:
         raise ValueError(f"unknown trace event kind {kind!r}; "
                          f"valid kinds: {sorted(EVENT_KINDS)}")
-    ranks_arr = np.atleast_1d(np.asarray(ranks, dtype=np.int64))
-    shape = ranks_arr.shape
+    ranks_arr, rank_range, shape = _rank_shape(ranks)
     start_arr = (np.zeros(shape) if start is None
                  else _per_rank(start, shape))
     inos_arr = None if inos is None else np.atleast_1d(np.asarray(inos))
-    return IOEvent(
+    return _defer_ranks(IOEvent(
         kind=kind,
         layer=layer,
         api=api,
@@ -266,4 +323,5 @@ def make_event(kind: str, ranks, *, nbytes=0, duration=0.0, start=None,
         scope=scope,
         step=step,
         seq=seq,
-    )
+        rank_range=rank_range,
+    ))

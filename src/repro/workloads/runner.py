@@ -95,7 +95,7 @@ def _read_startup_inputs(posix: PosixIO, comm: VirtualComm,
     grid = SplitValues.spread(model.grid_state_bytes, n)
     meta = model.ckpt_meta_bytes_per_rank()
     for lo, hi in blocks(n, STARTUP_READ_BLOCK):
-        ranks = np.arange(lo, hi)
+        ranks = comm.rank_range(lo, hi)
         fds = posix.open_group(ranks, [input_path] * (hi - lo), create=False)
         posix.read_group(ranks, fds, 3072, clients=n)
         # restart: re-read the previous checkpoint share
@@ -216,7 +216,7 @@ def run_original_scaled(machine: Machine, nodes: int,
     model = Bit1DataModel(config, comm.size)
     outdir = "/scratch/bit1_original"
     posix.mkdir(0, outdir, parents=True)
-    ranks = np.arange(comm.size)
+    ranks = comm.rank_range()
 
     dat_paths = [f"{outdir}/bit1_r{r:05d}.dat" for r in ranks]
     dmp_paths = [f"{outdir}/bit1_r{r:05d}.dmp" for r in ranks]
@@ -718,9 +718,8 @@ def run_crash_restart(config: Bit1Config, comm: VirtualComm, posix: PosixIO,
             if store is not None:
                 store.fail_nodes(crash.nodes)
             if bus.wants("restart"):
-                all_ranks = np.arange(comm.size)
-                bus.emit("restart", all_ranks, api="NODE", layer="faults",
-                         start=comm.clocks[all_ranks])
+                bus.emit("restart", comm.rank_range(), api="NODE",
+                         layer="faults", start=comm.clocks.copy())
             # bring up the replacement job: fresh simulation, restored
             # from the cheapest surviving tier (or from scratch)
             sim = Bit1Simulation(config, comm)

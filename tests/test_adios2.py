@@ -591,6 +591,12 @@ class TestDrainLedger:
         assert stream == ref_stream
 
 
+def _arange_ranks(self, start=0, stop=None, step=1):
+    """:meth:`VirtualComm.rank_range` building an array: the producers'
+    ranks then take the array path, the range lane's reference."""
+    return np.arange(start, self.size if stop is None else stop, step)
+
+
 def _fresh_derive(self, memoise, derivation=None):
     """Reference: the flush without its memo, every step derived afresh
     (by ``derivation``, on the rank-blocked path)."""
@@ -681,6 +687,27 @@ class TestFlushMemo:
         assert (len(dat), len(derived) - len(dat)) == (4, 3)
         self._assert_runs_identical(res, ref)
 
+    @pytest.mark.parametrize("block", [None, 5], ids=["whole", "blocked"])
+    @pytest.mark.parametrize("async_drain", [False, True],
+                             ids=["sync", "async"])
+    @pytest.mark.parametrize("compressor", [None, "blosc"])
+    @pytest.mark.parametrize("engine_ext", [".bp4", ".bp5"])
+    def test_range_lane_run_matches_array_producers(
+            self, engine_ext, compressor, async_drain, block):
+        """The producers' rank ranges (whole-job and window emits, the
+        aggregator progression, barriers) give the faulted run the bits
+        of the same run with :meth:`VirtualComm.rank_range` patched to
+        build ``np.arange`` arrays, the array path."""
+        res, _ = self._run(engine_ext, compressor, async_drain,
+                           rank_block_size=block)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(VirtualComm, "rank_range", _arange_ranks)
+            ref, _ = self._run(engine_ext, compressor, async_drain,
+                               rank_block_size=block)
+        assert any(e.rank_range is not None for e in res.trace.events)
+        assert all(e.rank_range is None for e in ref.trace.events)
+        self._assert_runs_identical(res, ref)
+
     @staticmethod
     def _assert_runs_identical(res, ref):
         from tests.test_batched_plane import (
@@ -715,8 +742,7 @@ class TestFlushMemo:
     def test_memo_arrays_are_read_only(self, env):
         eng = self._engine(env)
         (d,) = eng._memo.values()
-        for name in ("ranks", "staged", "op_s", "stored", "gather",
-                     "per_agg"):
+        for name in ("staged", "op_s", "stored", "gather", "per_agg"):
             arr = getattr(d, name)
             assert not arr.flags.writeable, name
             with pytest.raises(ValueError):
@@ -833,3 +859,41 @@ class TestSlotTables:
             ranks_per_node=8, mem_budget=64 << 20, rank_block_size=block)
         assert res.mem_report["engine"]["high_water"] > 0
         assert res.mem_report["engine"]["used"] == 0
+
+    @pytest.mark.parametrize("block", [None, 5],
+                             ids=["unblocked", "blocked"])
+    def test_engine_account_holds_no_modeled_staging(self, block):
+        """The ``engine`` high water is at most the memo entries and slot
+        tables the run held: a flush's modeled staging (its subfile
+        bytes) is not host memory of the simulator."""
+        from repro.adios2.engine import BPEngineBase
+
+        held, flushed = [], []
+        derive, store_slots = BPEngineBase._derive, BPEngineBase._store_slots
+        allocate = BPEngineBase._allocate
+
+        def counted_derive(engine, memoise, derivation=None):
+            d = derive(engine, memoise, derivation)
+            if memoise and all(d is not h for h in held):
+                held.append(d)
+            return d
+
+        def counted_slots(engine, key, offsets, reserved):
+            store_slots(engine, key, offsets, reserved)
+            held.append(engine._slots[key])
+
+        def counted_allocate(engine, key, per_agg):
+            flushed.append(int(per_agg.sum()))
+            return allocate(engine, key, per_agg)
+
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(BPEngineBase, "_derive", counted_derive)
+            m.setattr(BPEngineBase, "_store_slots", counted_slots)
+            m.setattr(BPEngineBase, "_allocate", counted_allocate)
+            res = run_openpmd_scaled(
+                dardel(), 2, config=paper_use_case().with_(
+                    ncells=2048, last_step=60, datfile=10, dmpstep=20),
+                ranks_per_node=8, mem_budget=64 << 20, rank_block_size=block)
+        high = res.mem_report["engine"]["high_water"]
+        assert 0 < high <= sum(h.nbytes for h in held)
+        assert high * 100 < max(flushed)

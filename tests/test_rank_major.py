@@ -407,24 +407,34 @@ class TestRankMajorStepMatchesPerRank:
         run_both(ref, sim, 20)
 
     def test_positions_at_the_domain_length(self):
-        """``np.mod(-1e-19, L)`` is ``L``, a position no subdomain holds:
-        the last rank re-extracts such particles after the lower ranks'
-        arrivals, so its own lands behind them and an arriving one
-        counts as migrated twice."""
+        """``np.mod(-1e-19, L)`` is ``L``, a position no subdomain holds;
+        the wrap maps it to its periodic image 0.0.  The first rank's own
+        such particles stay, the last rank's arrive on the first rank
+        behind the other arrivals, and each counts as migrated once."""
         cfg = small_use_case(ncells=64, particles_per_cell=10, last_step=20)
         assert np.mod(-1e-19, cfg.length) == cfg.length
+        plain = pair(cfg, 8, 4)[1].step()
         ref, sim = pair(cfg, 8, 4)
         for model in (ref, sim):
             for rank in (0, 7):
                 model.particles[rank]["e"].add([-1e-19, -1e-19], 0.0, 0.0,
                                                0.0, [3.0, 5.0])
-        want = dataclasses.astuple(ref.step())
-        got = dataclasses.astuple(sim.step())
-        assert got == want
+        want = ref.step()
+        got = sim.step()
+        assert dataclasses.astuple(got) == dataclasses.astuple(want)
         assert_same_state(ref, sim)
-        last = sim.particles[7]["e"]
-        assert last.x[-4:].tolist() == [cfg.length] * 4
-        assert last.weight[-4:].tolist() == [3.0, 5.0, 3.0, 5.0]
+        # the last rank's two move to the first rank; nothing else moves
+        # because of them (the weights are too small to shift the field)
+        assert got.migrated == plain.migrated + 2
+        first = sim.particles[0]["e"]
+        assert cfg.length not in np.concatenate(
+            [sim.particles[r]["e"].x for r in range(8)])
+        # its own two stay together among its stayers; the last rank's
+        # two arrive after every other arrival
+        at_zero = np.flatnonzero(first.x == 0.0)
+        assert len(at_zero) == 4 and at_zero[1] == at_zero[0] + 1
+        assert at_zero[2:].tolist() == [len(first) - 2, len(first) - 1]
+        assert first.weight[at_zero].tolist() == [3.0, 5.0, 3.0, 5.0]
         run_both(ref, sim, 10)
 
 
