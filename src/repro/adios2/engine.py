@@ -53,6 +53,7 @@ from repro.compression.api import Compressor, get_compressor
 from repro.fs.payload import RealPayload, SyntheticPayload
 from repro.fs.posix import PosixIO
 from repro.mpi.comm import VirtualComm
+from repro.trace.events import StepRow
 from repro.trace.subscribers import ProfileFold
 from repro.util.scatter import as_index, scatter_add
 
@@ -379,6 +380,18 @@ class Engine:
             np.asarray(nbytes_each, dtype=np.int64), ranks.shape).copy()
         self._cur_bulk.append((name, ranks, nbytes, entropy))
 
+    def end_steps(self, keys, trace_steps) -> bool:
+        """Flush the open step's declaration once per overwrite key in
+        ``keys`` in one pass, step ``k`` under trace step
+        ``trace_steps[k]`` (the step lane; see :class:`BPEngineBase`).
+
+        Returns False, having flushed nothing, when the engine cannot
+        take the run: the caller then ends the open step with
+        :meth:`end_step` and flushes the rest one step at a time.  Only
+        the BP engines have the lane.
+        """
+        return False
+
     def _staged_bytes(self) -> np.ndarray:
         """Bytes the open step stages, per rank."""
         n = self.comm.size
@@ -641,6 +654,115 @@ class BPEngineBase(Engine):
         self._materialize_chunks(offsets)
         self._write_step_metadata(overwrite_key)
         self.profile.steps += 1
+
+    #: the kinds a step of the lane emits (one of the first two)
+    _STEP_KINDS = ("memcpy", "compress", "shuffle", "collective_write",
+                   "meta_append", "barrier")
+
+    def end_steps(self, keys, trace_steps) -> bool:
+        """Flush the open step's span-only declaration once per overwrite
+        key in ``keys``, as :meth:`end_step` would flush it ``K`` times,
+        in one pass: the step lane (docs/architecture.md "Step lane").
+
+        :meth:`_steps_batchable` decides; when it does not hold nothing
+        is flushed and False is returned (see :meth:`Engine.end_steps`).
+        """
+        self._check_in_step()
+        if len(keys) < 2 or not self._steps_batchable():
+            return False
+        self._flush_steps(self._derive(memoise=True), keys, trace_steps)
+        self._step += len(keys) - 1
+        self._in_step = False
+        return True
+
+    def _steps_batchable(self) -> bool:
+        """Whether a run of steps of the open declaration can take the
+        step lane: the run's shape alone decides.
+
+        It holds for a span-only, whole-job, synchronous step with no
+        fault plane and no memory quota (whose watermark events would
+        interleave), every subfile written in one unbounded batch, on a
+        bus whose subscribers for the step's kinds all fold step batches.
+        Deriving the step for the subfile check fills the flush memo
+        exactly where the step's own flush would.  Tests patch this to
+        return False for the per-step reference.
+        """
+        comm, posix = self.comm, self.posix
+        bus = posix.trace
+        block = self.config.rank_block_size
+        if (self.config.async_drain
+                or (block is not None and block < comm.size)
+                or posix.faults is not None
+                or comm.fault_state is not None
+                or posix.fs.perf.fault_state is not None
+                or self._mem_account.budget.has_quotas
+                or comm.trace not in (None, bus)
+                or not bus.takes_steps(self._STEP_KINDS)
+                or any(v.chunks for v in self._cur_vars.values())
+                or any(r is not None for _n, r, _b, _e in self._cur_bulk)):
+            return False
+        per_agg = self._derive(memoise=True).per_agg
+        bound = self.config.buffer_chunk_size or self.default_buffer_chunk
+        return bool(per_agg.min() > 0) and (
+            bound is None or int(per_agg.max()) <= bound)
+
+    def _flush_steps(self, d: _StepDerivation, keys,
+                     trace_steps) -> None:
+        """K steps of derivation ``d``, one per overwrite key, in one
+        pass: one slot allocation per step in step order, one vfs and
+        descriptor update and one noise block for the run's file I/O
+        (:meth:`~repro.fs.posix.PosixIO.write_steps`), a clock loop that
+        builds no event, and one step batch on the bus.
+
+        Each step adds to the clocks what its flush would, in the same
+        order: operator seconds, gather legs, the collective write, rank
+        0's metadata appends, then the barrier.  The barrier ends every
+        step at the slowest clock, so the steps cannot be one cumulative
+        sum over the run.
+        """
+        count = len(keys)
+        comm, posix = self.comm, self.posix
+        bus = posix.trace
+        per_agg = d.per_agg
+        offsets = np.stack([self._allocate(key, per_agg) for key in keys])
+        self.peak_host_bytes = np.maximum(self.peak_host_bytes, per_agg)
+        n_md = MD0_STEP_BASE + MD0_PER_AGG * self.plan.num_aggregators
+        appends = [(self._md_fd, n_md)]
+        appends += [(fd, max(n_md // 2, 16))
+                    for fd in self._extra_fds.values()]
+        appends.append((self._idx_fd, MDIDX_PER_STEP))
+        aggregators = self._aggregators()
+        with bus.scope(self._trace_scope), posix.phase(writers=1):
+            write, metas = posix.write_steps(aggregators, self._data_fds,
+                                             per_agg, offsets, appends)
+        barrier = comm.trace is not None and bus.wants("barrier")
+        waits = []
+        clocks = comm.clocks
+        for k in range(count):
+            clocks += d.op_s
+            clocks += d.gather
+            posix.charge(aggregators, write.duration[k])
+            for row in metas:
+                posix.charge(0, row.duration[k])
+            entered = clocks.copy() if barrier else None
+            t = comm.barrier_time()
+            clocks[:] = t
+            if barrier:
+                waits.append(t - entered)
+        ranks = comm.rank_range()
+        engine_row = partial(StepRow, layer="engine", api="ENGINE",
+                             scope=self._trace_scope, ranks=ranks,
+                             varying=False)
+        rows = [engine_row("memcpy" if self.compressor is None
+                           else "compress", nbytes=d.staged,
+                           duration=d.op_s),
+                engine_row("shuffle", nbytes=d.stored, duration=d.gather),
+                write, *metas]
+        if barrier:
+            rows.append(StepRow("barrier", "mpi", "MPI", bus.current_scope,
+                                ranks, 0.0, waits, True))
+        bus.emit_steps(rows, trace_steps)
+        self.profile.steps += count
 
     def _aggregators(self) -> np.ndarray | range:
         """The plan's aggregator ranks, as a range when they form an

@@ -22,7 +22,7 @@ import json
 
 import numpy as np
 
-from repro.trace.events import IOEvent, make_event
+from repro.trace.events import IOEvent, StepRow, make_event
 from repro.util.scatter import as_index, scatter_add
 
 PROFILE_CATEGORIES = ("memcpy", "compress", "aggregation", "write", "meta")
@@ -83,6 +83,31 @@ class EngineProfile:
         scatter_add(self.us[category], ranks, event.duration * 1e6)
         if event.kind in _STAGING_KINDS:
             scatter_add(self.bytes_put, ranks, event.nbytes)
+
+    def fold_steps(self, rows: list[StepRow], nsteps: int) -> None:
+        """Fold the engine-plane rows of a step batch: the same µs adds
+        as ``nsteps`` steps of :meth:`fold_event` calls, in step order,
+        with each invariant row's ``duration * 1e6`` computed once.
+        ``bytes_put`` adds ``nsteps`` times the staged bytes in one go:
+        whole byte counts, so every partial sum is an integer below
+        2**53 and exact in any grouping."""
+        adds = []
+        for row in rows:
+            category = KIND_TO_CATEGORY.get(row.kind)
+            if category is None:
+                continue
+            ranks = row.ranks
+            if self.bin_of_rank is not None:
+                ranks = self.bin_of_rank[as_index(ranks)]
+            us = (np.asarray(row.duration, dtype=np.float64) * 1e6
+                  if row.varying else row.column(row.duration) * 1e6)
+            adds.append((self.us[category], ranks, us, row.varying))
+            if row.kind in _STAGING_KINDS:
+                scatter_add(self.bytes_put, ranks,
+                            row.column(row.nbytes) * nsteps)
+        for k in range(nsteps):
+            for out, ranks, us, varying in adds:
+                scatter_add(out, ranks, us[k] if varying else us)
 
     @classmethod
     def from_events(cls, events, nranks: int, engine_type: str = "TRACE",

@@ -39,7 +39,7 @@ from repro.darshan.log import (
     FileTable,
     ModuleRecord,
 )
-from repro.trace.events import FS_LAYERS, EventBatch, IOEvent
+from repro.trace.events import FS_LAYERS, EventBatch, IOEvent, StepBatch
 from repro.util.scatter import as_index, as_run, scatter_add, scatter_add2
 
 #: fs event kind → (per-rank bytes counter, per-file op count column,
@@ -293,6 +293,100 @@ class DarshanMonitor:
             self._record_files(kind, inos, nbytes, duration, ops_arr)
             if kind == "close" and self.evict_on_close:
                 self._evict(inos)
+
+    def on_steps(self, batch: StepBatch) -> None:
+        """Fold a step batch, a run of flush steps, without events.
+
+        The whole-number columns (op counts, bytes, the size histogram,
+        the per-file ops and bytes) add ``nsteps`` times a step's value
+        once: every partial sum is an integer below 2**53, so the sum
+        is exact in any grouping.  The time columns add row by row in
+        step order, so a cell that several rows reach (rank 0's, under
+        a collective write and the metadata appends after it) takes the
+        per-step sequence of adds.  A row over one rank folds as
+        :meth:`on_scalar` would, any other as :meth:`_fold`.
+        """
+        if self._finalized is not None:
+            return
+        nsteps = batch.nsteps
+        ft = self._files
+        times = []
+        for row in batch.rows:
+            if row.layer not in FS_LAYERS:
+                continue
+            mod = self._modules.get(row.api)
+            if mod is None:
+                mod = self._modules["POSIX"]
+            kind = row.kind
+            count_field = OP_TO_COUNT.get(kind)
+            bytes_field, ops_col, bytes_col = _ROUTE[kind]
+            ranks, inos = row.ranks, row.inos
+            if isinstance(ranks, (int, np.integer)):
+                rank = int(ranks if self._bin_of_rank is None
+                           else self._bin_of_rank[ranks])
+                nbytes, n_ops = float(row.nbytes), float(row.n_ops)
+                if count_field is not None:
+                    mod.counts[count_field][rank] += n_ops * nsteps
+                if bytes_field is not None:
+                    mod.bytes[bytes_field][rank] += nbytes * nsteps
+                    bucket = size_bucket_of(nbytes / max(n_ops, 1.0))
+                    mod.size_hist[rank, bucket] += int(n_ops) * nsteps
+                if inos is not None:
+                    inos = int(inos)
+                    ft.ensure(inos)
+                    if ops_col is not None:
+                        getattr(ft, ops_col)[inos] += n_ops * nsteps
+                    if bytes_col is not None:
+                        getattr(ft, bytes_col)[inos] += nbytes * nsteps
+                times.append((mod.times[OP_TO_TIME[kind]], rank, row,
+                              inos, None))
+                continue
+            if self._bin_of_rank is not None:
+                ranks = self._bin_of_rank[as_index(ranks)]
+            nbytes, ops = row.column(row.nbytes), row.column(row.n_ops)
+            if count_field is not None:
+                scatter_add(mod.counts[count_field], ranks, ops * nsteps)
+            if bytes_field is not None:
+                scatter_add(mod.bytes[bytes_field], ranks, nbytes * nsteps)
+                if nbytes.size and nbytes.strides == ops.strides == (0,):
+                    per_op = nbytes[:1] / np.maximum(ops[:1], 1.0)
+                    scatter_add2(mod.size_hist, ranks,
+                                 int(size_bucket_index(per_op)[0]),
+                                 int(ops[:1].astype(np.int64)[0]) * nsteps)
+                else:
+                    per_op = nbytes / np.maximum(ops, 1.0)
+                    scatter_add2(mod.size_hist, ranks,
+                                 size_bucket_index(per_op),
+                                 ops.astype(np.int64) * nsteps)
+            shape = None
+            if inos is not None:
+                inos = np.atleast_1d(np.asarray(inos, dtype=np.int64))
+                shape = np.broadcast_shapes(inos.shape, nbytes.shape)
+                inos = (as_run(inos) if inos.shape == shape
+                        else np.broadcast_to(inos, shape))
+                ft.ensure(inos[-1] if type(inos) is range
+                          else int(inos.max()))
+                if ops_col is not None:
+                    scatter_add(getattr(ft, ops_col), inos,
+                                np.broadcast_to(ops, shape) * nsteps)
+                if bytes_col is not None:
+                    scatter_add(getattr(ft, bytes_col), inos,
+                                np.broadcast_to(nbytes, shape) * nsteps)
+            times.append((mod.times[OP_TO_TIME[kind]], ranks, row, inos,
+                          shape))
+        for k in range(nsteps):
+            for out, ranks, row, inos, shape in times:
+                seconds = row.duration[k] if row.varying else row.duration
+                if shape is None and isinstance(ranks, int):
+                    out[ranks] += seconds
+                    if inos is not None:
+                        ft.time[inos] += seconds
+                    continue
+                seconds = row.column(seconds)
+                scatter_add(out, ranks, seconds)
+                if inos is not None:
+                    scatter_add(ft.time, inos,
+                                np.broadcast_to(seconds, shape))
 
     def on_scalar(self, kind: str, layer: str, api: str, rank, nbytes,
                   duration, start, n_ops, ino) -> None:

@@ -36,6 +36,7 @@ from repro.fs.mount import MountedFilesystem
 from repro.fs.payload import Payload, as_payload
 from repro.mpi.comm import VirtualComm
 from repro.trace.bus import TraceBus
+from repro.trace.events import StepRow
 from repro.util.scatter import (
     as_index,
     as_run,
@@ -690,6 +691,65 @@ class PosixIO:
             self._notify("collective_write", ranks, costs, nbytes=nbytes,
                          api=api, inos=inos, n_ops=n_writes, start=start_at)
         return costs
+
+    def write_steps(self, ranks: np.ndarray | range, fds: np.ndarray,
+                    nbytes_each: np.ndarray, offsets: np.ndarray,
+                    appends, rank: int = 0,
+                    api: str = "POSIX") -> tuple[StepRow, list[StepRow]]:
+        """K steps of one collective write phase, each followed by
+        ``rank``'s appends of ``(fd, nbytes)`` in ``appends`` order, in
+        one pass: the step lane's file I/O (no fault guard; the caller
+        keeps faulted runs on :meth:`write_aggregate` and :meth:`write`).
+
+        Step ``k`` writes ``nbytes_each`` at row ``k`` of ``offsets``
+        (``(K, M)``).  The vfs columns and descriptor positions move as
+        the K steps of per-step calls would move them, and the costs
+        are theirs: the phase's noise-free per-stream seconds times one
+        ``(K, M + E)`` noise block, whose row ``k`` holds step ``k``'s
+        draws in their per-step order (the M streams, then the E
+        appends).  No clock moves and nothing is emitted.  Returns the
+        steps' posix-layer rows: the collective write's (durations
+        ``(K, M)``) and one per append (durations ``(K,)``), scoped as
+        the bus scope is now.
+        """
+        count = len(offsets)
+        if type(ranks) is not range:
+            ranks = np.asarray(ranks)
+        fds = np.asarray(fds)
+        inos = self.ino_of(fds)
+        m = len(ranks)
+        nbytes = np.broadcast_to(
+            np.asarray(nbytes_each, dtype=np.int64), (m,)).copy()
+        run = as_run(inos) if type(ranks) is range else inos
+        vfs = self.fs.vfs
+        vfs.write_steps(run, nbytes, offsets)
+        cols = vfs.cols
+        ix = as_index(run)
+        stripe_size = cols.stripe_size[ix].astype(np.float64)
+        perf = self.fs.perf
+        base = perf.aggregate_stream_seconds(
+            nbytes, m, cols.stripe_count[ix].astype(np.float64),
+            stripe_size)
+        metas = []
+        for fd, n in appends:
+            ino, fd_api = self._row(fd, None)
+            pos = self._fd_pos.item(fd)
+            self._fd_pos[fd] = vfs.write_run(ino, pos, n, count)
+            cost = float(perf.write_op_cost(
+                n, self._writers, int(cols.stripe_count[ino]),
+                int(cols.stripe_size[ino]), n_ops=1))
+            metas.append((ino, fd_api, n, cost))
+        noise = perf.noise((count, m + len(metas)))
+        scope = self.trace.current_scope
+        write = StepRow(
+            "collective_write", _API_LAYER.get(api, "posix"), api, scope,
+            ranks, nbytes.astype(np.float64), base * noise[:, :m], True,
+            np.maximum(np.ceil(nbytes / stripe_size), 1.0), inos)
+        rows = [StepRow("meta_append", _API_LAYER.get(fd_api, "posix"),
+                        fd_api, scope, rank, n, cost * noise[:, m + e],
+                        True, 1, ino)
+                for e, (ino, fd_api, n, cost) in enumerate(metas)]
+        return write, rows
 
     def release_fds(self, fds: int | np.ndarray) -> None:
         """Drop descriptors without close cost — a crashed process's fds.

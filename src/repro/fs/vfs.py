@@ -22,7 +22,13 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from repro.fs.payload import Payload, RealPayload, SyntheticPayload
-from repro.util.scatter import as_index, scatter_add, scatter_max
+from repro.util.scatter import (
+    as_index,
+    as_run,
+    scatter_add,
+    scatter_max,
+    unique_increasing,
+)
 
 
 class FSError(OSError):
@@ -494,24 +500,86 @@ class VirtualFS:
                     offsets: int | np.ndarray = -1) -> None:
         """Vectorised synthetic write to many files at once.
 
-        ``offsets == -1`` means append at current EOF.  Used by the scale
-        experiments to represent thousands of symmetric per-rank writes in
-        one call.  An inode range (one consecutive run of files) updates
-        the columns through slices.
+        ``offsets == -1`` means append at current EOF; appends to an
+        inode that appears more than once follow each other in call
+        order, as the same writes one at a time would.  Used by the
+        scale experiments to represent thousands of symmetric per-rank
+        writes in one call.  An inode range (one consecutive run of
+        files) updates the columns through slices.
         """
         if type(inos) is not range:
-            inos = np.asarray(inos)
+            inos = as_run(np.asarray(inos))  # a consecutive run slices
         nbytes = np.asarray(nbytes_each, dtype=np.int64)
         c = self.cols
         size = c.size[as_index(inos)]
+        appended = size + nbytes
+        if (type(inos) is not range and inos.ndim == 1 and inos.size > 1
+                and not unique_increasing(inos)):
+            appended = self._appends_in_order(inos, nbytes, offsets,
+                                              appended)
         if np.isscalar(offsets) and offsets == -1:
-            ends = size + nbytes
+            ends = appended
         else:
             offs = np.asarray(offsets, dtype=np.int64)
-            ends = np.where(offs < 0, size + nbytes, offs + nbytes)
+            ends = np.where(offs < 0, appended, offs + nbytes)
         scatter_max(c.size, inos, ends)
         scatter_add(c.write_ops, inos, 1)
         scatter_add(c.bytes_written, inos, nbytes)
+
+    def _appends_in_order(self, inos: np.ndarray, nbytes: np.ndarray,
+                          offsets, appended: np.ndarray) -> np.ndarray:
+        """Each append's end when the appends to a repeated inode follow
+        each other in call order (``appended`` when no inode repeats).
+
+        One stable sort by inode: within a file's group, an append ends
+        at the file's size plus the bytes of its group's appends up to
+        and including it.
+        """
+        order = np.argsort(inos, kind="stable")
+        sorted_inos = inos[order]
+        starts = np.flatnonzero(np.concatenate(
+            ([True], sorted_inos[1:] != sorted_inos[:-1])))
+        if len(starts) == len(inos):
+            return appended
+        added = np.broadcast_to(nbytes, inos.shape)
+        if not (np.isscalar(offsets) and offsets == -1):
+            added = np.where(np.asarray(offsets) < 0, added, 0)
+        run = np.cumsum(added[order])
+        before = run[starts] - added[order][starts]
+        run -= np.repeat(before, np.diff(np.append(starts, len(inos))))
+        ends = np.empty(len(inos), dtype=np.int64)
+        ends[order] = self.cols.size[sorted_inos] + run
+        return ends
+
+    def write_steps(self, inos: np.ndarray | range,
+                    nbytes_each: np.ndarray, offsets: np.ndarray) -> None:
+        """:meth:`write_group` once per row of ``offsets`` (``(K, n)``,
+        every offset explicit), applied in one pass: sizes take the
+        largest end, op and byte counts ``K`` times one step's."""
+        offsets = np.asarray(offsets, dtype=np.int64)
+        if (offsets < 0).any():
+            for row in offsets:
+                self.write_group(inos, nbytes_each, offsets=row)
+            return
+        nbytes = np.asarray(nbytes_each, dtype=np.int64)
+        c = self.cols
+        scatter_max(c.size, inos, offsets.max(axis=0) + nbytes)
+        scatter_add(c.write_ops, inos, len(offsets))
+        scatter_add(c.bytes_written, inos, nbytes * len(offsets))
+
+    def write_run(self, ino: int, offset: int, nbytes: int,
+                  count: int) -> int:
+        """``count`` synthetic writes of ``nbytes`` back to back from
+        ``offset`` (a descriptor's appends); returns where they end."""
+        c = self.cols
+        if c.is_dir[ino]:
+            raise IsADir(f"inode {ino}")
+        end = offset + nbytes * count
+        if end > c.size[ino]:
+            c.size[ino] = end
+        c.write_ops[ino] += count
+        c.bytes_written[ino] += nbytes * count
+        return end
 
     def write_content(self, ino: int, offset: int, data: bytes) -> None:
         """Lay raw bytes into a file *without* op accounting.

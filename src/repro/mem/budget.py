@@ -167,6 +167,12 @@ class MemoryBudget:
         return sum(a.used for a in self._accounts.values())
 
     @property
+    def has_quotas(self) -> bool:
+        """True when some account has a quota (and so may emit ``mem``
+        watermark events as it is charged)."""
+        return bool(self._quotas)
+
+    @property
     def high_water(self) -> int:
         """Largest whole-budget usage observed."""
         return self._high_water

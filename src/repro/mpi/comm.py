@@ -296,14 +296,19 @@ class VirtualComm:
         bus = self.trace
         if bus is not None and bus.wants("barrier"):
             entered = self.clocks.copy()
-            t = self.max_time() + self._collective_cost()
+            t = self.barrier_time()
             self.clocks[:] = t
             bus.emit("barrier", self.rank_range(), duration=t - entered,
                      start=entered, api="MPI", layer="mpi")
             return t
-        t = self.max_time() + self._collective_cost()
+        t = self.barrier_time()
         self.clocks[:] = t
         return t
+
+    def barrier_time(self) -> float:
+        """The time a barrier now aligns every clock to: the slowest
+        rank's plus the collective cost (no clock moves)."""
+        return self.max_time() + self._collective_cost()
 
     # -- collectives ------------------------------------------------------
 

@@ -22,6 +22,8 @@ from repro.trace.events import (
     EVENT_KINDS,
     EventBatch,
     IOEvent,
+    StepBatch,
+    StepRow,
     make_batch,
     make_event,
 )
@@ -44,7 +46,9 @@ class TraceBus:
     - ``on_scalar(kind, layer, api, rank, nbytes, duration, start, n_ops,
       ino)``: folds one single-rank event given as plain scalars (see
       :meth:`emit_scalar`).  Subscribers that need the event's scope,
-      step or sequence id leave it out and receive an :class:`IOEvent`.
+      step or sequence id leave it out and receive an :class:`IOEvent`;
+    - ``on_steps(batch)``: folds a :class:`StepBatch`, a run of flush
+      steps (see :meth:`emit_steps`).
     """
 
     __slots__ = ("_subs", "_dispatch", "_wanted", "_scope_stack", "_step",
@@ -120,14 +124,15 @@ class TraceBus:
         """Precompute dispatch pairs and the union of interests."""
         self._dispatch = [
             (sub.on_event, getattr(sub, "kinds", None),
-             getattr(sub, "on_batch", None), getattr(sub, "on_scalar", None))
+             getattr(sub, "on_batch", None), getattr(sub, "on_scalar", None),
+             getattr(sub, "on_steps", None))
             for sub in self._subs
         ]
-        if any(kinds is None for _, kinds, _, _ in self._dispatch):
+        if any(kinds is None for _, kinds, *_ in self._dispatch):
             self._wanted = None  # someone wants everything
         else:
             union: set[str] = set()
-            for _, kinds, _, _ in self._dispatch:
+            for _, kinds, *_ in self._dispatch:
                 union |= set(kinds)
             self._wanted = frozenset(union)
 
@@ -259,7 +264,7 @@ class TraceBus:
             n_ops=n_ops, api=api, layer=layer, inos=inos,
             scope=self.current_scope, step=self._step, seq=self._seq)
         self._seq += 1
-        for on_event, kinds, _, _ in self._dispatch:
+        for on_event, kinds, *_ in self._dispatch:
             if kinds is None or kind in kinds:
                 on_event(event)
         return event
@@ -284,7 +289,7 @@ class TraceBus:
         seq = self._seq
         self._seq = seq + 1
         event = None
-        for on_event, kinds, _, on_scalar in self._dispatch:
+        for on_event, kinds, _, on_scalar, _ in self._dispatch:
             if kinds is not None and kind not in kinds:
                 continue
             if on_scalar is not None:
@@ -331,7 +336,7 @@ class TraceBus:
             rows=rows)
         self._seq += len(batch)
         events: list[IOEvent] | None = None
-        for on_event, sub_kinds, on_batch, _ in self._dispatch:
+        for on_event, sub_kinds, on_batch, *_ in self._dispatch:
             if sub_kinds is None:
                 keep = None
             else:
@@ -347,4 +352,43 @@ class TraceBus:
                 events = batch.events()
             for i in (range(len(batch)) if keep is None else keep):
                 on_event(events[i])
+        return batch
+
+    def takes_steps(self, kinds) -> bool:
+        """True when every subscriber that wants one of ``kinds`` folds
+        step batches (has ``on_steps``), so :meth:`emit_steps` can
+        carry a run of steps of those kinds."""
+        kinds = frozenset(kinds)
+        return all(
+            on_steps is not None
+            or (sub_kinds is not None and kinds.isdisjoint(sub_kinds))
+            for _, sub_kinds, _, _, on_steps in self._dispatch)
+
+    def emit_steps(self, rows: list[StepRow], steps) -> StepBatch | None:
+        """Dispatch a run of steps as one :class:`StepBatch`.
+
+        Stands for emitting each step's ``rows`` as events, in order,
+        step ``k`` under trace step ``steps[k]``: rows no subscriber
+        wants are dropped, the rows left take consecutive sequence ids
+        step after step, and each subscriber wanting one of them folds
+        the whole batch through its ``on_steps`` hook.  Producers check
+        :meth:`takes_steps` first; a subscriber without the hook raises.
+        """
+        for row in rows:  # typos raise, wanted or not
+            if row.kind not in EVENT_KINDS:
+                raise ValueError(f"unknown trace event kind {row.kind!r}")
+        rows = tuple(row for row in rows if self.wants(row.kind))
+        if not rows:
+            return None
+        batch = StepBatch(rows, tuple(steps), self._seq)
+        self._seq += len(batch)
+        kinds = {row.kind for row in rows}
+        for on_event, sub_kinds, _, _, on_steps in self._dispatch:
+            if sub_kinds is not None and kinds.isdisjoint(sub_kinds):
+                continue
+            if on_steps is None:
+                raise TypeError(
+                    f"{getattr(on_event, '__self__', on_event)!r} folds no "
+                    "step batch (no on_steps)")
+            on_steps(batch)
         return batch

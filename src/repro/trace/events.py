@@ -222,6 +222,66 @@ class EventBatch:
         return [self.event(i) for i in range(len(self.kinds))]
 
 
+@dataclass(frozen=True, slots=True)
+class StepRow:
+    """One event of every step of a :class:`StepBatch`.
+
+    ``ranks`` is a ``range``, a rank array or one rank (an int).
+    ``nbytes`` and ``n_ops`` are the same every step: a scalar, or one
+    value per rank.  So is ``duration``, unless ``varying``: then
+    ``duration[k]`` is step ``k``'s (a scalar for one rank, else one
+    value per rank).  ``scope`` is the scope the step's event would
+    carry.
+    """
+
+    kind: str
+    layer: str
+    api: str
+    scope: str | None
+    ranks: range | np.ndarray | int
+    nbytes: np.ndarray | float
+    duration: np.ndarray | list
+    varying: bool
+    n_ops: np.ndarray | float = 1.0
+    inos: np.ndarray | int | None = None
+
+    @property
+    def size(self) -> int:
+        """Number of participating ranks."""
+        return 1 if isinstance(self.ranks, (int, np.integer)) \
+            else len(self.ranks)
+
+    def column(self, value) -> np.ndarray:
+        """``value`` over the row's ranks, as its event would carry it."""
+        return _per_rank(value, (self.size,))
+
+
+@dataclass(frozen=True, slots=True)
+class StepBatch:
+    """``K`` consecutive steps of one flush, each the same row sequence.
+
+    Step ``k`` emits ``rows[0]``, ``rows[1]``, … in order under trace
+    step ``steps[k]``, and row ``r`` of it takes sequence id
+    ``seq0 + k * len(rows) + r``: the batch stands for those ``K *
+    len(rows)`` events.  Columns that do not change from step to step
+    are given once.  There is no ``start`` column: no fold with an
+    ``on_steps`` hook reads one, and a bus with a subscriber that needs
+    the events themselves takes no step batch
+    (:meth:`~repro.trace.bus.TraceBus.takes_steps`).
+    """
+
+    rows: tuple[StepRow, ...]
+    steps: tuple[int | None, ...]
+    seq0: int = -1
+
+    @property
+    def nsteps(self) -> int:
+        return len(self.steps)
+
+    def __len__(self) -> int:
+        return len(self.rows) * len(self.steps)
+
+
 def _rows(values, nrows: int, shape) -> np.ndarray:
     """Stack per-row column specs into a dense ``(nrows, ranks)`` matrix."""
     out = np.empty((nrows,) + shape, dtype=np.float64)

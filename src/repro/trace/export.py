@@ -16,7 +16,7 @@ import json
 
 import numpy as np
 
-from repro.trace.events import IOEvent
+from repro.trace.events import IOEvent, StepBatch
 
 #: Order layers appear in breakdown reports (engine work on top of fs).
 _LAYER_ORDER = ("engine", "stream", "mpiio", "stdio", "posix", "mpi",
@@ -178,6 +178,30 @@ class LayerBreakdown:
         cell[1] += float(np.sum(event.nbytes))
         cell[2] += float(np.sum(event.n_ops))
         cell[3] += 1
+
+    def on_steps(self, batch: StepBatch) -> None:
+        """Fold a step batch: each step's rows add to their cells in
+        order, as their events would, with one sum per invariant column
+        reused from step to step."""
+        sums = []
+        for row in batch.rows:
+            cell = self._totals.setdefault((row.layer, row.kind),
+                                           [0.0, 0.0, 0.0, 0])
+            if row.varying:
+                seconds = [float(np.sum(row.column(d)))
+                           for d in row.duration]
+            else:
+                seconds = [float(np.sum(row.column(row.duration)))] \
+                    * batch.nsteps
+            sums.append((cell, seconds,
+                         float(np.sum(row.column(row.nbytes))),
+                         float(np.sum(row.column(row.n_ops)))))
+        for k in range(batch.nsteps):
+            for cell, seconds, nbytes, n_ops in sums:
+                cell[0] += seconds[k]
+                cell[1] += nbytes
+                cell[2] += n_ops
+                cell[3] += 1
 
     def totals(self) -> dict[tuple[str, str], dict[str, float]]:
         return {

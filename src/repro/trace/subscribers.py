@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from repro.trace.events import IOEvent
+from repro.trace.events import IOEvent, StepBatch
 
 
 class EventRecorder:
@@ -107,3 +107,9 @@ class ProfileFold:
         if self.scope is not None and event.scope != self.scope:
             return
         self.profile.fold_event(event)
+
+    def on_steps(self, batch: StepBatch) -> None:
+        rows = [row for row in batch.rows if row.kind in self.kinds
+                and (self.scope is None or row.scope == self.scope)]
+        if rows:
+            self.profile.fold_steps(rows, batch.nsteps)

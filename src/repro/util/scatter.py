@@ -83,12 +83,12 @@ def as_run(idx):
         return idx
     lo = int(idx[0])
     if lo < 0 or int(idx[-1]) - lo + 1 != idx.size or not (
-            idx.size == 1 or _unique_increasing(idx)):
+            idx.size == 1 or unique_increasing(idx)):
         return idx
     return range(lo, lo + idx.size)
 
 
-def _unique_increasing(idx: np.ndarray) -> bool:
+def unique_increasing(idx: np.ndarray) -> bool:
     """True when ``idx`` is strictly increasing (hence duplicate-free)."""
     return bool((idx[1:] > idx[:-1]).all())
 
@@ -109,7 +109,7 @@ def scatter_add(out: np.ndarray, idx, values) -> None:
     n = idx.size
     if n <= 1:
         out[idx] += values
-    elif _unique_increasing(idx):
+    elif unique_increasing(idx):
         lo = int(idx[0])
         if int(idx[-1]) - lo + 1 == n:
             # consecutive run (arange ranks, bulk-allocated inodes):
@@ -138,7 +138,7 @@ def scatter_max(out: np.ndarray, idx, values) -> None:
     n = idx.size
     if n <= 1:
         out[idx] = np.maximum(out[idx], values)
-    elif _unique_increasing(idx):
+    elif unique_increasing(idx):
         lo = int(idx[0])
         if int(idx[-1]) - lo + 1 == n:
             sl = out[lo:lo + n]
@@ -178,7 +178,7 @@ def scatter_add2(out: np.ndarray, rows, cols, values) -> None:
         # product of the slice and the columns)
         rows = rank_array(rows)
     rows = np.asarray(rows)
-    if rows.ndim == 0 or rows.size <= 1 or _unique_increasing(rows):
+    if rows.ndim == 0 or rows.size <= 1 or unique_increasing(rows):
         out[rows, cols] += values
     else:
         np.add.at(out, (rows, cols), values)

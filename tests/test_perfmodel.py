@@ -167,3 +167,44 @@ class TestNoise:
         a = StoragePerfModel(sys_, RngRegistry(7)).run_factor
         b = StoragePerfModel(sys_, RngRegistry(7)).run_factor
         assert a == b
+
+
+class TestNoiseBlock:
+    """The step lane draws a run's noise as one ``(K, m + E)`` block; row
+    ``k`` must hold step ``k``'s per-step draws, in their order."""
+
+    @staticmethod
+    def _pair(sigma=None):
+        from repro.util.rng import RngRegistry
+
+        storage = dardel().storage_named("lfs")
+        if sigma is not None:
+            storage = StorageSystem(
+                name="q", kind="lustre", capacity_bytes=1e15, num_osts=48,
+                tuning=StorageTuning(noise_sigma=sigma))
+        return (StoragePerfModel(storage, RngRegistry(3)),
+                StoragePerfModel(storage, RngRegistry(3)))
+
+    @pytest.mark.parametrize("appends", [2, 3], ids=["bp4", "bp5"])
+    def test_block_equals_per_step_draws(self, appends):
+        block_model, step_model = self._pair()
+        k, m = 7, 300
+        block = block_model.noise((k, m + appends))
+        for row in block:
+            streams = step_model.noise((m,))
+            metas = [step_model.noise() for _ in range(appends)]
+            assert row[:m].tobytes() == streams.tobytes()
+            assert row[m:].tobytes() == np.array(metas).tobytes()
+        # and the next draw stays aligned
+        assert block_model.noise() == step_model.noise()
+        state = block_model._rng.bit_generator.state
+        assert state == step_model._rng.bit_generator.state
+
+    def test_quiet_block_draws_nothing(self):
+        block_model, step_model = self._pair(sigma=0.0)
+        before = block_model._rng.bit_generator.state
+        block = block_model.noise((4, 5))
+        assert block.shape == (4, 5)
+        assert np.all(block == block_model.run_factor)
+        assert block_model.run_factor == step_model.noise()
+        assert block_model._rng.bit_generator.state == before

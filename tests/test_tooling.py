@@ -155,6 +155,26 @@ class TestAccountingBoundary:
                           "outside fs/posix.py:\n" + "\n".join(uses))
 
 
+class TestPerfModelStream:
+    """The step lane draws a run's storage noise as one block in the
+    per-step order, which holds only while the perf model alone draws
+    from its stream: no other module reaches a model's ``_rng`` or opens
+    the ``"perfmodel"`` registry stream."""
+
+    def test_only_the_perf_model_draws_its_stream(self):
+        uses = []
+        for rel, node in _src_nodes("fs/perfmodel.py"):
+            if (isinstance(node, ast.Attribute) and node.attr == "_rng"
+                    and not (isinstance(node.value, ast.Name)
+                             and node.value.id == "self")):
+                uses.append(f"{rel}:{node.lineno} .{node.attr}")
+            elif (isinstance(node, ast.Constant)
+                  and node.value == "perfmodel"):
+                uses.append(f"{rel}:{node.lineno} {node.value!r}")
+        assert not uses, ("the perf model's noise stream is drawn outside "
+                          "fs/perfmodel.py:\n" + "\n".join(uses))
+
+
 #: the PIC particle stores' internals no module outside ``repro/pic/``
 #: may touch: per-rank counts, bounds and ids stay behind the stores'
 #: read-only properties, a per-rank handle reaches its store only
