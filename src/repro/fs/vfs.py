@@ -554,13 +554,9 @@ class VirtualFS:
     def write_steps(self, inos: np.ndarray | range,
                     nbytes_each: np.ndarray, offsets: np.ndarray) -> None:
         """:meth:`write_group` once per row of ``offsets`` (``(K, n)``,
-        every offset explicit), applied in one pass: sizes take the
-        largest end, op and byte counts ``K`` times one step's."""
+        every offset explicit, none -1), applied in one pass: sizes take
+        the largest end, op and byte counts ``K`` times one step's."""
         offsets = np.asarray(offsets, dtype=np.int64)
-        if (offsets < 0).any():
-            for row in offsets:
-                self.write_group(inos, nbytes_each, offsets=row)
-            return
         nbytes = np.asarray(nbytes_each, dtype=np.int64)
         c = self.cols
         scatter_max(c.size, inos, offsets.max(axis=0) + nbytes)
