@@ -66,6 +66,12 @@ MDIDX_HEADER = 64
 MDIDX_PER_STEP = 64
 
 
+def _extra_md_bytes(md_bytes: int) -> int:
+    """Bytes an extra metadata file (BP5's ``mmd.0``) appends beside an
+    ``md.0`` record of ``md_bytes``."""
+    return max(md_bytes // 2, 16)
+
+
 @dataclass(frozen=True)
 class EngineConfig:
     """Engine-level knobs (the paper's tuning surface)."""
@@ -567,7 +573,16 @@ class BPEngineBase(Engine):
             self.posix.write(0, self._md_fd, payload, meta=True)
             for fd in self._extra_fds.values():
                 self.posix.write(0, fd, SyntheticPayload(
-                    max(nbytes_model // 2, 16), "metadata"), meta=True)
+                    _extra_md_bytes(nbytes_model), "metadata"), meta=True)
+
+    def _step_appends(self) -> list[tuple[int, int]]:
+        """``(fd, bytes)`` of the metadata appends that end a chunkless
+        step, in write order: ``md.0``, the extra files, ``md.idx``."""
+        n = MD0_STEP_BASE + MD0_PER_AGG * self.plan.num_aggregators
+        return ([(self._md_fd, n)]
+                + [(fd, _extra_md_bytes(n))
+                   for fd in self._extra_fds.values()]
+                + [(self._idx_fd, MDIDX_PER_STEP)])
 
     def _append_idx(self, nbytes: int) -> None:
         with self.posix.phase(writers=1):
@@ -726,15 +741,11 @@ class BPEngineBase(Engine):
         per_agg = d.per_agg
         offsets = np.stack([self._allocate(key, per_agg) for key in keys])
         self.peak_host_bytes = np.maximum(self.peak_host_bytes, per_agg)
-        n_md = MD0_STEP_BASE + MD0_PER_AGG * self.plan.num_aggregators
-        appends = [(self._md_fd, n_md)]
-        appends += [(fd, max(n_md // 2, 16))
-                    for fd in self._extra_fds.values()]
-        appends.append((self._idx_fd, MDIDX_PER_STEP))
         aggregators = self._aggregators()
         with bus.scope(self._trace_scope), posix.phase(writers=1):
             write, metas = posix.write_steps(aggregators, self._data_fds,
-                                             per_agg, offsets, appends)
+                                             per_agg, offsets,
+                                             self._step_appends())
         barrier = comm.trace is not None and bus.wants("barrier")
         waits = []
         clocks = comm.clocks
@@ -1132,10 +1143,12 @@ class BPEngineBase(Engine):
                 d["chunk_extent"] = list(e.chunk_extent)
                 lines.append(json.dumps(d))
             self._append_md(0, real=("\n".join(lines) + "\n").encode())
-        else:
-            self._append_md(
-                MD0_STEP_BASE + MD0_PER_AGG * self.plan.num_aggregators)
-        self._append_idx(MDIDX_PER_STEP)
+            self._append_idx(MDIDX_PER_STEP)
+            return
+        with self.posix.phase(writers=1):
+            for fd, nbytes in self._step_appends():
+                self.posix.write(0, fd, SyntheticPayload(nbytes, "metadata"),
+                                 meta=True)
 
     # -- read-side API ------------------------------------------------------------------
 

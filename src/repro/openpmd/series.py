@@ -292,7 +292,9 @@ class Series:
         its, trace_steps = list(its), list(trace_steps)
         if len(its) != len(trace_steps):
             raise ValueError("one trace step per iteration required")
-        if len(its) > 1 and not self.file_based:
+        # an iteration listed twice stages nothing the second time
+        if (len(its) > 1 and not self.file_based
+                and len({id(it) for it in its}) == len(its)):
             spans = self._span_signature(its[0])
             if spans is not None and all(
                     self._span_signature(it) == spans for it in its[1:]):
@@ -324,12 +326,10 @@ class Series:
             return total + self._close_each(its[1:], trace_steps[1:])
         for it in its[1:]:
             # flushed as the head's declaration: drop the staged spans
-            flushed = 0
+            flushed = sum(nbytes.sum()
+                          for nbytes, _entropy in self._span_signature(it))
             for _path, _record, comp in self._iter_components(it):
-                if comp.dataset is not None:
-                    flushed += sum(int(nbytes.sum())
-                                   for _r, nbytes in comp.staged_groups)
-                    comp.clear_staged()
+                comp.clear_staged()
             self._bytes_flushed += flushed
             it._closed = True
             total += flushed

@@ -128,11 +128,11 @@ class TraceBus:
              getattr(sub, "on_steps", None))
             for sub in self._subs
         ]
-        if any(kinds is None for _, kinds, *_ in self._dispatch):
+        if any(kinds is None for _, kinds, _, _, _ in self._dispatch):
             self._wanted = None  # someone wants everything
         else:
             union: set[str] = set()
-            for _, kinds, *_ in self._dispatch:
+            for _, kinds, _, _, _ in self._dispatch:
                 union |= set(kinds)
             self._wanted = frozenset(union)
 
@@ -264,7 +264,7 @@ class TraceBus:
             n_ops=n_ops, api=api, layer=layer, inos=inos,
             scope=self.current_scope, step=self._step, seq=self._seq)
         self._seq += 1
-        for on_event, kinds, *_ in self._dispatch:
+        for on_event, kinds, _, _, _ in self._dispatch:
             if kinds is None or kind in kinds:
                 on_event(event)
         return event
@@ -336,7 +336,7 @@ class TraceBus:
             rows=rows)
         self._seq += len(batch)
         events: list[IOEvent] | None = None
-        for on_event, sub_kinds, on_batch, *_ in self._dispatch:
+        for on_event, sub_kinds, on_batch, _, _ in self._dispatch:
             if sub_kinds is None:
                 keep = None
             else:

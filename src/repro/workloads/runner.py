@@ -405,8 +405,8 @@ def run_openpmd_scaled(machine: Machine, nodes: int,
         # or compute advances them per step: such runs close
         # milestone by milestone, the others close each run of
         # diagnostics milestones with one call (the step lane)
-        batch = (injector is None and stager is None
-                 and compute_seconds_per_step == 0.0)
+        close_runs = (injector is None and stager is None
+                      and compute_seconds_per_step == 0.0)
         pending: list[int] = []
 
         def close_pending():
@@ -417,7 +417,7 @@ def run_openpmd_scaled(machine: Machine, nodes: int,
         last_step = 0
         with posix.phase(writers=comm.size, md_clients=comm.size):
             for step, is_ckpt in _event_steps(config):
-                if batch and not is_ckpt:
+                if close_runs and not is_ckpt:
                     stage_diagnostics(step)
                     pending.append(step)
                     continue

@@ -228,6 +228,24 @@ class TestSeriesRun:
         assert state == ref
         assert len(state["slots"]) == 4
 
+    def test_iteration_listed_twice_closes_one_by_one(self, monkeypatch):
+        """The second close of one iteration flushes an empty step."""
+        def close(reference):
+            with monkeypatch.context() as m:
+                probe = _Probe(m)
+                if reference:
+                    m.setattr(BPEngineBase, "_steps_batchable", _per_step)
+                series = self._series("/out/t.bp4")
+                it = self._stage(series, [1])[0]
+                series.close_iterations([it, it], [1, 2])
+                state = _engine_state(series.engine)
+                state["clocks"] = series.comm.clocks.tobytes()
+                series.close()
+            return state, probe.flushes
+
+        (state, flushes), (ref, _) = close(False), close(True)
+        assert flushes == 0 and state == ref
+
     def test_different_spans_close_one_by_one(self, monkeypatch):
         with monkeypatch.context() as m:
             probe = _Probe(m)
