@@ -377,7 +377,7 @@ class DarshanMonitor:
         for k in range(nsteps):
             for out, ranks, row, inos, shape in times:
                 seconds = row.duration[k] if row.varying else row.duration
-                if shape is None and isinstance(ranks, int):
+                if isinstance(ranks, int):  # one rank, as on_scalar
                     out[ranks] += seconds
                     if inos is not None:
                         ft.time[inos] += seconds

@@ -694,8 +694,7 @@ class PosixIO:
 
     def write_steps(self, ranks: np.ndarray | range, fds: np.ndarray,
                     nbytes_each: np.ndarray, offsets: np.ndarray,
-                    appends, rank: int = 0,
-                    api: str = "POSIX") -> tuple[StepRow, list[StepRow]]:
+                    appends, rank: int = 0) -> tuple[StepRow, list[StepRow]]:
         """K steps of one collective write phase, each followed by
         ``rank``'s appends of ``(fd, nbytes)`` in ``appends`` order, in
         one pass: the step lane's file I/O (no fault guard; the caller
@@ -742,7 +741,7 @@ class PosixIO:
         noise = perf.noise((count, m + len(metas)))
         scope = self.trace.current_scope
         write = StepRow(
-            "collective_write", _API_LAYER.get(api, "posix"), api, scope,
+            "collective_write", "posix", "POSIX", scope,
             ranks, nbytes.astype(np.float64), base * noise[:, :m], True,
             np.maximum(np.ceil(nbytes / stripe_size), 1.0), inos)
         rows = [StepRow("meta_append", _API_LAYER.get(fd_api, "posix"),
