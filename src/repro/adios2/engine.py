@@ -615,10 +615,8 @@ class BPEngineBase(Engine):
         """
         block = self.config.rank_block_size
         # every staged byte a span descriptor: memoise the derivation,
-        # chunk-evaluated when blocked; declared-but-chunkless variables
-        # (the usual series metadata declarations) contribute exact zeros
-        spans_only = (all(not v.chunks for v in self._cur_vars.values())
-                      and all(r is None for _nm, r, _b, _e in self._cur_bulk))
+        # chunk-evaluated when blocked
+        spans_only = self._spans_only()
         if block is not None and block < self.comm.size and spans_only:
             per_agg = self._flush_blocked(block)
         else:
@@ -670,6 +668,13 @@ class BPEngineBase(Engine):
         self._write_step_metadata(overwrite_key)
         self.profile.steps += 1
 
+    def _spans_only(self) -> bool:
+        """Whether every byte the open step stages is a span descriptor;
+        declared-but-chunkless variables (the usual series metadata
+        declarations) contribute exact zeros."""
+        return (all(not v.chunks for v in self._cur_vars.values())
+                and all(r is None for _nm, r, _b, _e in self._cur_bulk))
+
     #: the kinds a step of the lane emits (one of the first two)
     _STEP_KINDS = ("memcpy", "compress", "shuffle", "collective_write",
                    "meta_append", "barrier")
@@ -713,8 +718,7 @@ class BPEngineBase(Engine):
                 or self._mem_account.budget.has_quotas
                 or comm.trace not in (None, bus)
                 or not bus.takes_steps(self._STEP_KINDS)
-                or any(v.chunks for v in self._cur_vars.values())
-                or any(r is not None for _n, r, _b, _e in self._cur_bulk)):
+                or not self._spans_only()):
             return False
         per_agg = self._derive(memoise=True).per_agg
         bound = self.config.buffer_chunk_size or self.default_buffer_chunk
