@@ -22,7 +22,7 @@ import json
 
 import numpy as np
 
-from repro.trace.events import IOEvent, StepRow, make_event
+from repro.trace.events import IOEvent, StepRow
 from repro.util.scatter import as_index, scatter_add
 
 PROFILE_CATEGORIES = ("memcpy", "compress", "aggregation", "write", "meta")
@@ -45,9 +45,9 @@ class EngineProfile:
     """Columnar per-rank microsecond counters for one engine.
 
     Since the ``repro.trace`` refactor this class holds no timing
-    arithmetic of its own: every counter is folded from spine events in
-    :meth:`fold_event` (the ``add``/``add_bytes`` entry points wrap
-    their arguments in synthetic events and fold those).
+    arithmetic of its own: every counter is folded from spine events,
+    one at a time (:meth:`fold_event`) or a run of flush steps at once
+    (:meth:`fold_steps`), through one body (:meth:`_route`).
     """
 
     def __init__(self, nranks: int, engine_type: str = "BP4",
@@ -69,42 +69,46 @@ class EngineProfile:
         self.bytes_put = np.zeros(self.nbins, dtype=np.float64)
         self.steps = 0
 
+    def _route(self, kind: str, ranks, nbytes, times: int):
+        """The µs counter and the bins an op of ``kind`` over ``ranks``
+        (an array, a range or one rank) adds its microseconds to, None
+        for a kind the profile does not count; a staging op first adds
+        ``times`` copies of its bytes to ``bytes_put``.  Byte counts are
+        whole, so every partial sum is an integer below 2**53 and one
+        add of ``times`` copies equals ``times`` adds of one."""
+        category = KIND_TO_CATEGORY.get(kind)
+        if category is None:
+            return None
+        if self.bin_of_rank is not None:
+            ranks = self.bin_of_rank[as_index(ranks)]
+        if kind in _STAGING_KINDS:
+            scatter_add(self.bytes_put, ranks,
+                        nbytes if times == 1 else nbytes * times)
+        return self.us[category], ranks
+
     def fold_event(self, event: IOEvent) -> None:
         """Fold one engine-plane spine event into the counters; an event
         over a range of ranks adds through slices."""
-        category = KIND_TO_CATEGORY.get(event.kind)
-        if category is None:
-            return
         ranks = event.rank_range
-        if ranks is None:
-            ranks = event.ranks
-        if self.bin_of_rank is not None:
-            ranks = self.bin_of_rank[as_index(ranks)]
-        scatter_add(self.us[category], ranks, event.duration * 1e6)
-        if event.kind in _STAGING_KINDS:
-            scatter_add(self.bytes_put, ranks, event.nbytes)
+        cell = self._route(event.kind, event.ranks if ranks is None
+                           else ranks, event.nbytes, 1)
+        if cell is not None:
+            scatter_add(*cell, event.duration * 1e6)
 
     def fold_steps(self, rows: list[StepRow], nsteps: int) -> None:
-        """Fold the engine-plane rows of a step batch: the same µs adds
-        as ``nsteps`` steps of :meth:`fold_event` calls, in step order,
-        with each invariant row's ``duration * 1e6`` computed once.
-        ``bytes_put`` adds ``nsteps`` times the staged bytes in one go:
-        whole byte counts, so every partial sum is an integer below
-        2**53 and exact in any grouping."""
+        """Fold the engine-plane rows of a step batch: the same adds as
+        ``nsteps`` steps of :meth:`fold_event` calls.  The staged bytes
+        add once for the run, the µs step by step in step order, with
+        each invariant row's ``duration * 1e6`` computed once."""
         adds = []
         for row in rows:
-            category = KIND_TO_CATEGORY.get(row.kind)
-            if category is None:
+            cell = self._route(row.kind, row.ranks, row.column(row.nbytes),
+                               nsteps)
+            if cell is None:
                 continue
-            ranks = row.ranks
-            if self.bin_of_rank is not None:
-                ranks = self.bin_of_rank[as_index(ranks)]
             us = (np.asarray(row.duration, dtype=np.float64) * 1e6
                   if row.varying else row.column(row.duration) * 1e6)
-            adds.append((self.us[category], ranks, us, row.varying))
-            if row.kind in _STAGING_KINDS:
-                scatter_add(self.bytes_put, ranks,
-                            row.column(row.nbytes) * nsteps)
+            adds.append((*cell, us, row.varying))
         for k in range(nsteps):
             for out, ranks, us, varying in adds:
                 scatter_add(out, ranks, us[k] if varying else us)
@@ -130,14 +134,12 @@ class EngineProfile:
         """Accumulate seconds (converted to µs) for one or many ranks."""
         if category not in self.us:
             raise KeyError(f"unknown profile category {category!r}")
-        self.fold_event(make_event(_CATEGORY_TO_KIND[category], ranks,
-                                   duration=seconds, layer="engine",
-                                   api="ENGINE"))
+        out, bins = self._route(_CATEGORY_TO_KIND[category], ranks, 0.0, 1)
+        scatter_add(out, bins, np.asarray(seconds, dtype=np.float64) * 1e6)
 
     def add_bytes(self, ranks, nbytes) -> None:
-        # a zero-duration staging event: contributes bytes_put only
-        self.fold_event(make_event("memcpy", ranks, nbytes=nbytes,
-                                   layer="engine", api="ENGINE"))
+        """Accumulate staged bytes (``bytes_put``) for one or many ranks."""
+        self._route("memcpy", ranks, np.asarray(nbytes, dtype=np.float64), 1)
 
     def total_us(self, category: str) -> float:
         return float(self.us[category].sum())

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.trace.events import EventBatch, IOEvent
+from repro.trace.events import IOEvent
 from repro.trace.export import _DXT_OP, _dxt_line
 from repro.util.scatter import rank_array
 
@@ -72,24 +72,13 @@ class DXTRecorder:
             setdefault(ino, path)
 
     def on_event(self, event: IOEvent) -> None:
-        if event.inos is not None:
-            self._trace(event.api, event.kind, event.ranks, event.inos,
-                        event.nbytes, event.start, event.end)
-
-    def on_batch(self, batch: EventBatch) -> None:
-        """Trace a struct-of-arrays batch row by row, in sequence order."""
-        if batch.inos is None:
+        if event.inos is None:
             return
-        for i, kind in enumerate(batch.kinds):
-            self._trace(batch.api, kind, batch.ranks, batch.inos,
-                        batch.nbytes[i], batch.start[i],
-                        batch.start[i] + batch.duration[i])
-
-    def _trace(self, api, kind, ranks, inos, nbytes, start, end) -> None:
+        ranks = event.ranks
         paths = [self._paths.get(ino, f"<ino {ino}>")
-                 for ino in np.broadcast_to(inos, ranks.shape).tolist()]
-        self.record(f"DXT_{api}", _DXT_OP[kind], ranks, paths, nbytes,
-                    start, end)
+                 for ino in np.broadcast_to(event.inos, ranks.shape).tolist()]
+        self.record(f"DXT_{event.api}", _DXT_OP[event.kind], ranks, paths,
+                    event.nbytes, event.start, event.end)
 
     def record(self, module: str, kind: str, ranks, paths, nbytes,
                starts, ends) -> None:

@@ -39,7 +39,7 @@ from repro.darshan.log import (
     FileTable,
     ModuleRecord,
 )
-from repro.trace.events import FS_LAYERS, EventBatch, IOEvent, StepBatch
+from repro.trace.events import FS_LAYERS, IOEvent, StepBatch
 from repro.util.scatter import as_index, as_run, scatter_add, scatter_add2
 
 #: fs event kind → (per-rank bytes counter, per-file op count column,
@@ -54,6 +54,11 @@ _ROUTE = {
     "open": (None, "opens", None),
     "create": (None, "opens", None),
 }
+
+
+def _copies(values, times: int):
+    """``times`` copies of a whole-number column, as one addend."""
+    return values if times == 1 else values * times
 
 
 class _ModuleCounters:
@@ -234,159 +239,120 @@ class DarshanMonitor:
             return
         if event.layer not in FS_LAYERS:
             return  # engine/MPI-plane events are not Darshan's to count
-        mod = self._modules.get(event.api)
-        if mod is None:  # unknown module: fold into POSIX
-            mod = self._modules["POSIX"]
         ranks = event.rank_range
-        self._fold(mod, event.kind, event.ranks if ranks is None else ranks,
-                   event.nbytes, event.duration, event.n_ops, event.inos)
+        fold = self._add_ops(
+            self._modules.get(event.api) or self._modules["POSIX"],
+            event.kind, event.ranks if ranks is None else ranks,
+            event.nbytes, event.n_ops, event.inos, 1)
+        self._add_time(fold, event.duration)
 
-    def on_batch(self, batch: EventBatch) -> None:
-        """Fold a struct-of-arrays batch without building event objects.
+    def on_steps(self, batch: StepBatch) -> None:
+        """Fold a step batch, a run of flush steps, without events.
 
-        Rows fold in order, so accumulation onto shared counters (the
-        per-file cumulative time, most visibly) stays bit-identical to
-        the equivalent sequence of scalar events.
+        A row over many ranks folds through the bodies of
+        :meth:`on_event`: :meth:`_add_ops` adds ``nsteps`` copies of its
+        whole-number columns once, and :meth:`_add_time` adds its
+        seconds step by step.  A row over one rank folds through
+        :meth:`on_scalar`, once per step.  Either way the seconds add
+        step after step, each step's rows in order, so a cell that
+        several rows reach (rank 0's, under a collective write and the
+        metadata appends after it) takes the per-step sequence of adds.
         """
-        if self._finalized is not None or batch.layer not in FS_LAYERS:
+        if self._finalized is not None:
             return
-        mod = self._modules.get(batch.api)
-        if mod is None:
-            mod = self._modules["POSIX"]
-        ranks = batch.rank_range
-        if ranks is None:
-            ranks = batch.ranks
-        for i, kind in enumerate(batch.kinds):
-            self._fold(mod, kind, ranks, batch.nbytes[i],
-                       batch.duration[i], batch.n_ops[i], batch.inos)
+        folds = []
+        for row in batch.rows:
+            if row.layer not in FS_LAYERS:
+                continue
+            fold = None
+            if not isinstance(row.ranks, (int, np.integer)):
+                fold = self._add_ops(
+                    self._modules.get(row.api) or self._modules["POSIX"],
+                    row.kind, row.ranks, row.column(row.nbytes),
+                    row.column(row.n_ops), row.inos, batch.nsteps)
+            folds.append((row, fold))
+        for k in range(batch.nsteps):
+            for row, fold in folds:
+                seconds = row.duration[k] if row.varying else row.duration
+                if fold is None:
+                    self.on_scalar(row.kind, row.layer, row.api, row.ranks,
+                                   row.nbytes, seconds, None, row.n_ops,
+                                   row.inos)
+                else:
+                    self._add_time(fold, row.column(seconds))
 
-    def _fold(self, mod: _ModuleCounters, kind: str, ranks, nbytes,
-              duration, ops_arr, inos) -> None:
-        """Fold one op's per-rank columns; ``ranks`` is an array or a
-        range (the range lane: every counter adds through a slice)."""
+    def _add_ops(self, mod: _ModuleCounters, kind: str, ranks, nbytes, ops,
+                 inos, times: int):
+        """Add ``times`` copies of one op's whole-number columns: op
+        counts, bytes, the access-size histogram and the files' ops and
+        bytes.  Every partial sum is an integer below 2**53, so one add
+        of ``times`` copies equals ``times`` adds of one.
+
+        ``ranks`` is an array or a range (the range lane: every counter
+        adds through a slice).  Returns what :meth:`_add_time` needs to
+        add the op's seconds.
+        """
         if self._bin_of_rank is not None:
             # node bins repeat, so the scatters below take np.add.at
             ranks = self._bin_of_rank[as_index(ranks)]
         count_field = OP_TO_COUNT.get(kind)
         if count_field is not None:
-            scatter_add(mod.counts[count_field], ranks, ops_arr)
-        time_field = OP_TO_TIME[kind]
-        scatter_add(mod.times[time_field], ranks, duration)
-
-        bytes_field = _ROUTE[kind][0]
+            scatter_add(mod.counts[count_field], ranks, _copies(ops, times))
+        bytes_field, ops_col, bytes_col = _ROUTE[kind]
         if bytes_field is not None:
-            scatter_add(mod.bytes[bytes_field], ranks, nbytes)
-            if nbytes.size and nbytes.strides == ops_arr.strides == (0,):
+            scatter_add(mod.bytes[bytes_field], ranks, _copies(nbytes, times))
+            if nbytes.size and nbytes.strides == ops.strides == (0,):
                 # one byte count and one op count for every rank (scalars
                 # the event broadcast): one bucket, one increment
-                per_op = nbytes[:1] / np.maximum(ops_arr[:1], 1.0)
+                per_op = nbytes[:1] / np.maximum(ops[:1], 1.0)
                 scatter_add2(mod.size_hist, ranks,
                              int(size_bucket_index(per_op)[0]),
-                             int(ops_arr[:1].astype(np.int64)[0]))
+                             int(ops[:1].astype(np.int64)[0]) * times)
             else:
-                per_op = nbytes / np.maximum(ops_arr, 1.0)
-                buckets = size_bucket_index(per_op)
-                scatter_add2(mod.size_hist, ranks, buckets,
-                             ops_arr.astype(np.int64))
-
+                per_op = nbytes / np.maximum(ops, 1.0)
+                scatter_add2(mod.size_hist, ranks, size_bucket_index(per_op),
+                             _copies(ops.astype(np.int64), times))
+        files = widen = evict = None
         if inos is not None:
-            self._record_files(kind, inos, nbytes, duration, ops_arr)
+            inos = np.atleast_1d(np.asarray(inos, dtype=np.int64))
+        if inos is not None and inos.size:
             if kind == "close" and self.evict_on_close:
-                self._evict(inos)
+                evict = inos
+            # one shared file touched by many ranks broadcasts the ino
+            # up; one op per file broadcasts the metrics up — take the
+            # widest
+            shape = np.broadcast_shapes(inos.shape, nbytes.shape)
+            if inos.shape == shape:
+                # files of one group open are one consecutive inode run:
+                # recognised here once, every scatter then slices
+                files = as_run(inos)
+            else:
+                files = np.broadcast_to(inos, shape)
+            ft = self._files
+            ft.ensure(files[-1] if type(files) is range else int(files.max()))
+            if nbytes.shape != shape:
+                widen = shape
+                nbytes = np.broadcast_to(nbytes, shape)
+                ops = np.broadcast_to(ops, shape)
+            if ops_col is not None:
+                scatter_add(getattr(ft, ops_col), files, _copies(ops, times))
+            if bytes_col is not None:
+                scatter_add(getattr(ft, bytes_col), files,
+                            _copies(nbytes, times))
+        return mod.times[OP_TO_TIME[kind]], ranks, files, widen, evict
 
-    def on_steps(self, batch: StepBatch) -> None:
-        """Fold a step batch, a run of flush steps, without events.
-
-        The whole-number columns (op counts, bytes, the size histogram,
-        the per-file ops and bytes) add ``nsteps`` times a step's value
-        once: every partial sum is an integer below 2**53, so the sum
-        is exact in any grouping.  The time columns add row by row in
-        step order, so a cell that several rows reach (rank 0's, under
-        a collective write and the metadata appends after it) takes the
-        per-step sequence of adds.  A row over one rank folds as
-        :meth:`on_scalar` would, any other as :meth:`_fold`.
-        """
-        if self._finalized is not None:
-            return
-        nsteps = batch.nsteps
-        ft = self._files
-        times = []
-        for row in batch.rows:
-            if row.layer not in FS_LAYERS:
-                continue
-            mod = self._modules.get(row.api)
-            if mod is None:
-                mod = self._modules["POSIX"]
-            kind = row.kind
-            count_field = OP_TO_COUNT.get(kind)
-            bytes_field, ops_col, bytes_col = _ROUTE[kind]
-            ranks, inos = row.ranks, row.inos
-            if isinstance(ranks, (int, np.integer)):
-                rank = int(ranks if self._bin_of_rank is None
-                           else self._bin_of_rank[ranks])
-                nbytes, n_ops = float(row.nbytes), float(row.n_ops)
-                if count_field is not None:
-                    mod.counts[count_field][rank] += n_ops * nsteps
-                if bytes_field is not None:
-                    mod.bytes[bytes_field][rank] += nbytes * nsteps
-                    bucket = size_bucket_of(nbytes / max(n_ops, 1.0))
-                    mod.size_hist[rank, bucket] += int(n_ops) * nsteps
-                if inos is not None:
-                    inos = int(inos)
-                    ft.ensure(inos)
-                    if ops_col is not None:
-                        getattr(ft, ops_col)[inos] += n_ops * nsteps
-                    if bytes_col is not None:
-                        getattr(ft, bytes_col)[inos] += nbytes * nsteps
-                times.append((mod.times[OP_TO_TIME[kind]], rank, row,
-                              inos, None))
-                continue
-            if self._bin_of_rank is not None:
-                ranks = self._bin_of_rank[as_index(ranks)]
-            nbytes, ops = row.column(row.nbytes), row.column(row.n_ops)
-            if count_field is not None:
-                scatter_add(mod.counts[count_field], ranks, ops * nsteps)
-            if bytes_field is not None:
-                scatter_add(mod.bytes[bytes_field], ranks, nbytes * nsteps)
-                if nbytes.size and nbytes.strides == ops.strides == (0,):
-                    per_op = nbytes[:1] / np.maximum(ops[:1], 1.0)
-                    scatter_add2(mod.size_hist, ranks,
-                                 int(size_bucket_index(per_op)[0]),
-                                 int(ops[:1].astype(np.int64)[0]) * nsteps)
-                else:
-                    per_op = nbytes / np.maximum(ops, 1.0)
-                    scatter_add2(mod.size_hist, ranks,
-                                 size_bucket_index(per_op),
-                                 ops.astype(np.int64) * nsteps)
-            shape = None
-            if inos is not None:
-                inos = np.atleast_1d(np.asarray(inos, dtype=np.int64))
-                shape = np.broadcast_shapes(inos.shape, nbytes.shape)
-                inos = (as_run(inos) if inos.shape == shape
-                        else np.broadcast_to(inos, shape))
-                ft.ensure(inos[-1] if type(inos) is range
-                          else int(inos.max()))
-                if ops_col is not None:
-                    scatter_add(getattr(ft, ops_col), inos,
-                                np.broadcast_to(ops, shape) * nsteps)
-                if bytes_col is not None:
-                    scatter_add(getattr(ft, bytes_col), inos,
-                                np.broadcast_to(nbytes, shape) * nsteps)
-            times.append((mod.times[OP_TO_TIME[kind]], ranks, row, inos,
-                          shape))
-        for k in range(nsteps):
-            for out, ranks, row, inos, shape in times:
-                seconds = row.duration[k] if row.varying else row.duration
-                if isinstance(ranks, int):  # one rank, as on_scalar
-                    out[ranks] += seconds
-                    if inos is not None:
-                        ft.time[inos] += seconds
-                    continue
-                seconds = row.column(seconds)
-                scatter_add(out, ranks, seconds)
-                if inos is not None:
-                    scatter_add(ft.time, inos,
-                                np.broadcast_to(seconds, shape))
+    def _add_time(self, fold, seconds: np.ndarray) -> None:
+        """Add one op's per-rank ``seconds`` to the cells
+        :meth:`_add_ops` routed it to: the ranks' time counter, then the
+        files' time; then shed the rows of the files a close names
+        (``evict_on_close``)."""
+        out, ranks, files, widen, evict = fold
+        scatter_add(out, ranks, seconds)
+        if files is not None:
+            scatter_add(self._files.time, files, seconds if widen is None
+                        else np.broadcast_to(seconds, widen))
+        if evict is not None:
+            self._evict(evict)
 
     def on_scalar(self, kind: str, layer: str, api: str, rank, nbytes,
                   duration, start, n_ops, ino) -> None:
@@ -395,8 +361,12 @@ class DarshanMonitor:
 
         Bit-identical to :meth:`on_event` on the one-element event with
         the same fields: every counter cell gets the same float64 adds,
-        in the same order, as :meth:`_fold` and :meth:`_record_files`
-        make — only without building arrays to hold one value.
+        in the same order, as :meth:`_add_ops` and :meth:`_add_time`
+        make — only without building arrays to hold one value.  It is
+        the one fold with a body of its own: a serving round makes tens
+        of thousands of these folds, and routing them through the array
+        bodies slows that round down.  :meth:`on_steps` folds its
+        one-rank rows through it.
         """
         if self._finalized is not None or layer not in FS_LAYERS:
             return
@@ -430,32 +400,6 @@ class DarshanMonitor:
             ft.time[ino] += duration
             if kind == "close" and self.evict_on_close:
                 self._evict_one(ino)
-
-    def _record_files(self, kind: str, inos, nbytes, seconds, ops) -> None:
-        inos = np.atleast_1d(np.asarray(inos, dtype=np.int64))
-        if inos.size == 0:
-            return
-        # one shared file touched by many ranks broadcasts the ino up;
-        # one op per file broadcasts the metrics up — take the widest
-        shape = np.broadcast_shapes(inos.shape, np.shape(nbytes))
-        if inos.shape == shape:
-            # files of one group open are one consecutive inode run:
-            # recognised here once, every scatter below then slices
-            inos = as_run(inos)
-        else:
-            inos = np.broadcast_to(inos, shape)
-        ft = self._files
-        ft.ensure(inos[-1] if type(inos) is range else int(inos.max()))
-        if np.shape(nbytes) != shape:
-            nbytes = np.broadcast_to(nbytes, shape)
-            seconds = np.broadcast_to(seconds, shape)
-            ops = np.broadcast_to(ops, shape)
-        _, ops_col, bytes_col = _ROUTE[kind]
-        if ops_col is not None:
-            scatter_add(getattr(ft, ops_col), inos, ops)
-        if bytes_col is not None:
-            scatter_add(getattr(ft, bytes_col), inos, nbytes)
-        scatter_add(ft.time, inos, seconds)
 
     def _evict(self, inos) -> None:
         """Fold live rows of just-closed files into frozen partials."""

@@ -574,33 +574,14 @@ class PosixIO:
             costs = perf.write_op_cost(
                 per_chunk, self._writers, stripe_count, stripe_size,
                 n_ops=n_chunks) * float(perf.noise())
-        if not sync_each_chunk:
-            self.charge(ranks, costs, "write", nbytes=nbytes, api=api,
-                        inos=inos, n_ops=n_chunks)
-            return
-        self.charge(ranks, costs)
-        # write + fsync leave as one SoA batch: snapshot each row's
-        # start from the clocks exactly where the scalar emits would
-        # (write's before the sync charge), so timestamps, sequence
-        # ids and noise-draw order are bit-identical to two emits
-        bus = self.trace
-        want = bus.wants("write") or bus.wants("fsync")
-        start_w = (self._clocks_at(ranks) - costs
-                   if want and self.comm is not None else None)
-        sync_costs = perf.fsync_cost(
-            self._writers, stripe_count, n_ops=n_chunks) * float(perf.noise())
-        self.charge(ranks, sync_costs)
-        if not want:
-            return
-        start_s = (self._clocks_at(ranks) - sync_costs
-                   if self.comm is not None else None)
-        bus.emit_batch(
-            ("write", "fsync"), ranks,
-            nbytes=(nbytes, 0.0),
-            duration=(costs, sync_costs),
-            start=None if start_w is None else (start_w, start_s),
-            n_ops=(n_chunks, n_chunks),
-            api=api, layer=_API_LAYER.get(api, "posix"), inos=inos)
+        self.charge(ranks, costs, "write", nbytes=nbytes, api=api,
+                    inos=inos, n_ops=n_chunks)
+        if sync_each_chunk:
+            sync_costs = perf.fsync_cost(
+                self._writers, stripe_count, n_ops=n_chunks) \
+                * float(perf.noise())
+            self.charge(ranks, sync_costs, "fsync", api=api, inos=inos,
+                        n_ops=n_chunks)
 
     def read_group(self, ranks: np.ndarray | range, fds: np.ndarray,
                    nbytes_each: int | np.ndarray,

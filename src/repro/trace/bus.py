@@ -20,11 +20,9 @@ from contextlib import contextmanager
 
 from repro.trace.events import (
     EVENT_KINDS,
-    EventBatch,
     IOEvent,
     StepBatch,
     StepRow,
-    make_batch,
     make_event,
 )
 
@@ -32,8 +30,8 @@ from repro.trace.events import (
 class TraceBus:
     """Dispatches typed I/O events to an ordered list of subscribers.
 
-    A subscriber is any object with an ``on_event(event)`` method.  Two
-    optional attributes refine dispatch:
+    A subscriber is any object with an ``on_event(event)`` method.
+    Optional attributes refine dispatch:
 
     - ``kinds``: a set of event kinds the subscriber cares about
       (``None`` or absent means *all* kinds);
@@ -41,14 +39,23 @@ class TraceBus:
       called when producers name the files behind inode numbers, so
       path-keyed subscribers (Darshan file table, DXT) can label
       records;
-    - ``on_batch(batch)``: folds a whole :class:`EventBatch` (see
-      :meth:`emit_batch`);
     - ``on_scalar(kind, layer, api, rank, nbytes, duration, start, n_ops,
       ino)``: folds one single-rank event given as plain scalars (see
       :meth:`emit_scalar`).  Subscribers that need the event's scope,
       step or sequence id leave it out and receive an :class:`IOEvent`;
     - ``on_steps(batch)``: folds a :class:`StepBatch`, a run of flush
       steps (see :meth:`emit_steps`).
+
+    Producers come in through three entries, one per shape of input:
+
+    - :meth:`emit`, one event over any ranks.  It stays the general
+      form because the subscribers that keep raw events (an
+      ``EventRecorder`` under ``trace_mode="full"``, a ``DXTRecorder``)
+      need each event's per-rank starts, which a step batch lacks;
+    - :meth:`emit_scalar`, one event of one rank, given as scalars: the
+      bulk of a serving run's folds, where building an event per call
+      would cost more than the fold;
+    - :meth:`emit_steps`, a run of flush steps folded at once.
     """
 
     __slots__ = ("_subs", "_dispatch", "_wanted", "_scope_stack", "_step",
@@ -124,15 +131,14 @@ class TraceBus:
         """Precompute dispatch pairs and the union of interests."""
         self._dispatch = [
             (sub.on_event, getattr(sub, "kinds", None),
-             getattr(sub, "on_batch", None), getattr(sub, "on_scalar", None),
-             getattr(sub, "on_steps", None))
+             getattr(sub, "on_scalar", None), getattr(sub, "on_steps", None))
             for sub in self._subs
         ]
-        if any(kinds is None for _, kinds, _, _, _ in self._dispatch):
+        if any(kinds is None for _, kinds, _, _ in self._dispatch):
             self._wanted = None  # someone wants everything
         else:
             union: set[str] = set()
-            for _, kinds, _, _, _ in self._dispatch:
+            for _, kinds, _, _ in self._dispatch:
                 union |= set(kinds)
             self._wanted = frozenset(union)
 
@@ -264,7 +270,7 @@ class TraceBus:
             n_ops=n_ops, api=api, layer=layer, inos=inos,
             scope=self.current_scope, step=self._step, seq=self._seq)
         self._seq += 1
-        for on_event, kinds, _, _, _ in self._dispatch:
+        for on_event, kinds, _, _ in self._dispatch:
             if kinds is None or kind in kinds:
                 on_event(event)
         return event
@@ -289,7 +295,7 @@ class TraceBus:
         seq = self._seq
         self._seq = seq + 1
         event = None
-        for on_event, kinds, _, on_scalar, _ in self._dispatch:
+        for on_event, kinds, on_scalar, _ in self._dispatch:
             if kinds is not None and kind not in kinds:
                 continue
             if on_scalar is not None:
@@ -304,56 +310,6 @@ class TraceBus:
                     seq=seq)
             on_event(event)
 
-    def emit_batch(self, kinds, ranks, *, nbytes, duration, start=None,
-                   n_ops=None, api: str = "POSIX", layer: str = "posix",
-                   inos=None) -> EventBatch | None:
-        """Build and dispatch a struct-of-arrays event batch.
-
-        Semantically identical to calling :meth:`emit` once per row, in
-        order — rows no subscriber wants are dropped (and consume no
-        sequence ids, exactly as their scalar emits would not), and the
-        surviving rows take consecutive sequence ids.  Subscribers with
-        an ``on_batch(batch)`` hook that want every surviving row get
-        the whole batch in one call; everyone else receives the rows as
-        individual events.
-        """
-        wanted = self._wanted
-        rows = None
-        if wanted is not None:
-            rows = [i for i, k in enumerate(kinds) if k in wanted]
-            if len(rows) == len(kinds):
-                rows = None
-            elif not rows:
-                for kind in kinds:  # keep typo detection on the
-                    if kind not in EVENT_KINDS:  # disabled path too
-                        raise ValueError(
-                            f"unknown trace event kind {kind!r}")
-                return None
-        batch = make_batch(
-            kinds, ranks, nbytes=nbytes, duration=duration, start=start,
-            n_ops=n_ops, api=api, layer=layer, inos=inos,
-            scope=self.current_scope, step=self._step, seq0=self._seq,
-            rows=rows)
-        self._seq += len(batch)
-        events: list[IOEvent] | None = None
-        for on_event, sub_kinds, on_batch, _, _ in self._dispatch:
-            if sub_kinds is None:
-                keep = None
-            else:
-                keep = [i for i, k in enumerate(batch.kinds)
-                        if k in sub_kinds]
-                if not keep:
-                    continue
-            if on_batch is not None and (
-                    keep is None or len(keep) == len(batch)):
-                on_batch(batch)
-                continue
-            if events is None:
-                events = batch.events()
-            for i in (range(len(batch)) if keep is None else keep):
-                on_event(events[i])
-        return batch
-
     def takes_steps(self, kinds) -> bool:
         """True when every subscriber that wants one of ``kinds`` folds
         step batches (has ``on_steps``), so :meth:`emit_steps` can
@@ -362,7 +318,7 @@ class TraceBus:
         return all(
             on_steps is not None
             or (sub_kinds is not None and kinds.isdisjoint(sub_kinds))
-            for _, sub_kinds, _, _, on_steps in self._dispatch)
+            for _, sub_kinds, _, on_steps in self._dispatch)
 
     def emit_steps(self, rows: list[StepRow], steps) -> StepBatch | None:
         """Dispatch a run of steps as one :class:`StepBatch`.
@@ -383,7 +339,7 @@ class TraceBus:
         batch = StepBatch(rows, tuple(steps), self._seq)
         self._seq += len(batch)
         kinds = {row.kind for row in rows}
-        for on_event, sub_kinds, _, _, on_steps in self._dispatch:
+        for on_event, sub_kinds, _, on_steps in self._dispatch:
             if sub_kinds is not None and kinds.isdisjoint(sub_kinds):
                 continue
             if on_steps is None:

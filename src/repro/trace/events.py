@@ -67,36 +67,6 @@ EVENT_KINDS = frozenset({
 FS_LAYERS = frozenset({"posix", "stdio", "mpiio"})
 
 
-def _lazy_ranks(self, name: str):
-    """``__getattr__`` of the event types: reached only for an unset
-    slot, which is ``ranks`` on a range-lane event until first read."""
-    if name == "ranks":
-        rr = object.__getattribute__(self, "rank_range")
-        if rr is not None:
-            ranks = rank_array(rr)
-            object.__setattr__(self, "ranks", ranks)
-            return ranks
-    raise AttributeError(
-        f"{type(self).__name__!r} object has no attribute {name!r}")
-
-
-def _defer_ranks(event):
-    """``event`` with its ``ranks`` slot left unset when it carries a
-    ``rank_range``: the array is built on first read (:func:`_lazy_ranks`)."""
-    if event.rank_range is not None:
-        object.__delattr__(event, "ranks")
-    return event
-
-
-def _rank_shape(ranks):
-    """(rank array or None, lane range or None, per-rank shape)."""
-    if type(ranks) is range:
-        range_index(ranks)  # the lane takes start >= 0, step >= 1 only
-        return None, ranks, (len(ranks),)
-    arr = np.atleast_1d(np.asarray(ranks, dtype=np.int64))
-    return arr, None, arr.shape
-
-
 @dataclass(frozen=True, slots=True)
 class IOEvent:
     """One typed, timestamped accounting record.
@@ -127,7 +97,17 @@ class IOEvent:
     seq: int = field(default=-1)
     rank_range: range | None = None
 
-    __getattr__ = _lazy_ranks
+    def __getattr__(self, name: str):
+        """Reached only for an unset slot, which is ``ranks`` on a
+        range-lane event until first read: the array is built then."""
+        if name == "ranks":
+            rr = object.__getattribute__(self, "rank_range")
+            if rr is not None:
+                ranks = rank_array(rr)
+                object.__setattr__(self, "ranks", ranks)
+                return ranks
+        raise AttributeError(
+            f"{type(self).__name__!r} object has no attribute {name!r}")
 
     @property
     def size(self) -> int:
@@ -156,70 +136,6 @@ class IOEvent:
                 + (f" scope={self.scope!r}" if self.scope else "")
                 + (f" step={self.step}" if self.step is not None else "")
                 + ")")
-
-
-@dataclass(frozen=True, slots=True)
-class EventBatch:
-    """A struct-of-arrays bundle of events sharing one rank vector.
-
-    Row ``i`` describes one event of kind ``kinds[i]`` whose per-rank
-    columns are ``nbytes[i]``, ``duration[i]``, ``start[i]``,
-    ``n_ops[i]`` — each a ``(rows, ranks)`` float64 matrix.  A batch is
-    exactly equivalent to emitting its rows as individual events in
-    order (row ``i`` carries sequence id ``seq0 + i``); subscribers
-    without an ``on_batch`` hook receive precisely that expansion.
-    Producers use batches to hand the bus several tightly-coupled
-    events (a group write and its fsync) in one call, so subscribers
-    can fold whole columns without building per-event objects.
-    """
-
-    kinds: tuple[str, ...]
-    layer: str
-    api: str
-    ranks: np.ndarray
-    nbytes: np.ndarray
-    duration: np.ndarray
-    start: np.ndarray
-    n_ops: np.ndarray
-    inos: np.ndarray | None = None
-    scope: str | None = None
-    step: int | None = None
-    seq0: int = field(default=-1)
-    rank_range: range | None = None
-
-    __getattr__ = _lazy_ranks
-
-    def __len__(self) -> int:
-        return len(self.kinds)
-
-    @property
-    def size(self) -> int:
-        """Number of participating ranks."""
-        if self.rank_range is not None:
-            return len(self.rank_range)
-        return int(self.ranks.shape[0])
-
-    def event(self, i: int) -> IOEvent:
-        """Materialise row ``i`` as a standalone :class:`IOEvent`."""
-        rr = self.rank_range
-        return _defer_ranks(IOEvent(
-            kind=self.kinds[i],
-            layer=self.layer,
-            api=self.api,
-            ranks=self.ranks if rr is None else None,
-            nbytes=self.nbytes[i],
-            duration=self.duration[i],
-            start=self.start[i],
-            n_ops=self.n_ops[i],
-            inos=self.inos,
-            scope=self.scope,
-            step=self.step,
-            seq=self.seq0 + i,
-            rank_range=rr,
-        ))
-
-    def events(self) -> list[IOEvent]:
-        return [self.event(i) for i in range(len(self.kinds))]
 
 
 @dataclass(frozen=True, slots=True)
@@ -282,61 +198,6 @@ class StepBatch:
         return len(self.rows) * len(self.steps)
 
 
-def _rows(values, nrows: int, shape) -> np.ndarray:
-    """Stack per-row column specs into a dense ``(nrows, ranks)`` matrix."""
-    out = np.empty((nrows,) + shape, dtype=np.float64)
-    for i in range(nrows):
-        out[i] = values[i]
-    return out
-
-
-def make_batch(kinds, ranks, *, nbytes, duration, start=None, n_ops=None,
-               api: str = "POSIX", layer: str = "posix", inos=None,
-               scope: str | None = None, step: int | None = None,
-               seq0: int = -1, rows=None) -> EventBatch:
-    """Normalise per-row column specs into an :class:`EventBatch`.
-
-    ``nbytes``/``duration``/``start``/``n_ops`` are sequences with one
-    entry per row; each entry may be a scalar or a per-rank array.
-    ``rows`` optionally selects a subset of rows (in order) — used by
-    the bus to drop rows no subscriber wants.
-    """
-    kinds = tuple(kinds)
-    for kind in kinds:
-        if kind not in EVENT_KINDS:
-            raise ValueError(f"unknown trace event kind {kind!r}; "
-                             f"valid kinds: {sorted(EVENT_KINDS)}")
-    if rows is not None:
-        sel = list(rows)
-        kinds = tuple(kinds[i] for i in sel)
-        nbytes = [nbytes[i] for i in sel]
-        duration = [duration[i] for i in sel]
-        if start is not None:
-            start = [start[i] for i in sel]
-        if n_ops is not None:
-            n_ops = [n_ops[i] for i in sel]
-    n = len(kinds)
-    ranks_arr, rank_range, shape = _rank_shape(ranks)
-    inos_arr = None if inos is None else np.atleast_1d(np.asarray(inos))
-    return _defer_ranks(EventBatch(
-        kinds=kinds,
-        layer=layer,
-        api=api,
-        ranks=ranks_arr,
-        nbytes=_rows(nbytes, n, shape),
-        duration=_rows(duration, n, shape),
-        start=(np.zeros((n,) + shape) if start is None
-               else _rows(start, n, shape)),
-        n_ops=(np.ones((n,) + shape) if n_ops is None
-               else _rows(n_ops, n, shape)),
-        inos=inos_arr,
-        scope=scope,
-        step=step,
-        seq0=seq0,
-        rank_range=rank_range,
-    ))
-
-
 def _per_rank(value, shape) -> np.ndarray:
     """Broadcast a scalar or array to the per-rank shape (view, no copy)."""
     arr = np.asarray(value, dtype=np.float64)
@@ -366,15 +227,21 @@ def make_event(kind: str, ranks, *, nbytes=0, duration=0.0, start=None,
     if kind not in EVENT_KINDS:
         raise ValueError(f"unknown trace event kind {kind!r}; "
                          f"valid kinds: {sorted(EVENT_KINDS)}")
-    ranks_arr, rank_range, shape = _rank_shape(ranks)
+    rank_range = None
+    if type(ranks) is range:
+        range_index(ranks)  # the lane takes start >= 0, step >= 1 only
+        rank_range, ranks, shape = ranks, None, (len(ranks),)
+    else:
+        ranks = np.atleast_1d(np.asarray(ranks, dtype=np.int64))
+        shape = ranks.shape
     start_arr = (np.zeros(shape) if start is None
                  else _per_rank(start, shape))
     inos_arr = None if inos is None else np.atleast_1d(np.asarray(inos))
-    return _defer_ranks(IOEvent(
+    event = IOEvent(
         kind=kind,
         layer=layer,
         api=api,
-        ranks=ranks_arr,
+        ranks=ranks,
         nbytes=_per_rank(nbytes, shape),
         duration=_per_rank(duration, shape),
         start=start_arr,
@@ -384,4 +251,7 @@ def make_event(kind: str, ranks, *, nbytes=0, duration=0.0, start=None,
         step=step,
         seq=seq,
         rank_range=rank_range,
-    ))
+    )
+    if rank_range is not None:  # built on first read (__getattr__)
+        object.__delattr__(event, "ranks")
+    return event

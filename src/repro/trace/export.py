@@ -171,13 +171,18 @@ class LayerBreakdown:
         # (layer, kind) -> [seconds, bytes, ops, events]
         self._totals: dict[tuple[str, str], list[float]] = {}
 
-    def on_event(self, event: IOEvent) -> None:
-        cell = self._totals.setdefault((event.layer, event.kind),
-                                       [0.0, 0.0, 0.0, 0])
-        cell[0] += float(np.sum(event.duration))
-        cell[1] += float(np.sum(event.nbytes))
-        cell[2] += float(np.sum(event.n_ops))
+    def _add(self, layer: str, kind: str, seconds: float, nbytes: float,
+             n_ops: float) -> None:
+        """Add one event's sums to its (layer, kind) cell."""
+        cell = self._totals.setdefault((layer, kind), [0.0, 0.0, 0.0, 0])
+        cell[0] += seconds
+        cell[1] += nbytes
+        cell[2] += n_ops
         cell[3] += 1
+
+    def on_event(self, event: IOEvent) -> None:
+        self._add(event.layer, event.kind, float(np.sum(event.duration)),
+                  float(np.sum(event.nbytes)), float(np.sum(event.n_ops)))
 
     def on_steps(self, batch: StepBatch) -> None:
         """Fold a step batch: each step's rows add to their cells in
@@ -185,23 +190,18 @@ class LayerBreakdown:
         reused from step to step."""
         sums = []
         for row in batch.rows:
-            cell = self._totals.setdefault((row.layer, row.kind),
-                                           [0.0, 0.0, 0.0, 0])
             if row.varying:
                 seconds = [float(np.sum(row.column(d)))
                            for d in row.duration]
             else:
                 seconds = [float(np.sum(row.column(row.duration)))] \
                     * batch.nsteps
-            sums.append((cell, seconds,
+            sums.append((row, seconds,
                          float(np.sum(row.column(row.nbytes))),
                          float(np.sum(row.column(row.n_ops)))))
         for k in range(batch.nsteps):
-            for cell, seconds, nbytes, n_ops in sums:
-                cell[0] += seconds[k]
-                cell[1] += nbytes
-                cell[2] += n_ops
-                cell[3] += 1
+            for row, seconds, nbytes, n_ops in sums:
+                self._add(row.layer, row.kind, seconds[k], nbytes, n_ops)
 
     def totals(self) -> dict[tuple[str, str], dict[str, float]]:
         return {

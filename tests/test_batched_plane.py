@@ -33,7 +33,7 @@ from repro.pic.deposit import deposit_density
 from repro.pic.grid import Grid1D
 from repro.pic.species import ParticleArrays
 from repro.trace.bus import TraceBus
-from repro.trace.events import EVENT_KINDS, make_batch, make_event
+from repro.trace.events import EVENT_KINDS, StepBatch, StepRow, make_event
 from repro.trace.subscribers import EventRecorder
 from repro.util.scatter import scatter_add, scatter_add2, scatter_max
 
@@ -273,35 +273,6 @@ class TestGroupOpsMatchScalar:
                 shape(posix, 4, np.full(4, 1024), False)
 
 
-@st.composite
-def event_batch(draw):
-    """A random multi-kind SoA batch over a few files."""
-    nranks = draw(st.integers(1, 10))
-    nrows = draw(st.integers(1, 6))
-    kinds = tuple(draw(st.sampled_from(
-        ["write", "read", "fsync", "open", "create", "close"]))
-        for _ in range(nrows))
-    ranks = np.arange(nranks)
-    ints = st.lists(st.integers(0, 1 << 24), min_size=nranks,
-                    max_size=nranks)
-    durs = st.lists(st.floats(1e-9, 10.0, allow_nan=False),
-                    min_size=nranks, max_size=nranks)
-    nbytes = [np.asarray(draw(ints), dtype=np.float64) for _ in range(nrows)]
-    duration = [np.asarray(draw(durs)) for _ in range(nrows)]
-    n_ops = [np.asarray(draw(st.lists(st.integers(1, 9), min_size=nranks,
-                                      max_size=nranks)), dtype=np.float64)
-             for _ in range(nrows)]
-    # duplicate inos across ranks exercise in-order accumulation onto
-    # shared per-file records — where out-of-order folds would show up
-    inos = np.asarray(draw(st.lists(st.integers(0, 2), min_size=nranks,
-                                    max_size=nranks)), dtype=np.int64)
-    api = draw(st.sampled_from(["POSIX", "STDIO"]))
-    return make_batch(kinds, ranks, nbytes=nbytes, duration=duration,
-                      n_ops=n_ops, api=api,
-                      layer="stdio" if api == "STDIO" else "posix",
-                      inos=inos, seq0=0)
-
-
 #: every kind Darshan folds that the spine can carry
 _FOLD_KINDS = sorted(DarshanMonitor.kinds & EVENT_KINDS)
 
@@ -403,37 +374,6 @@ def _assert_events_identical(events_a, events_b):
 
 
 class TestBatchedTraceFold:
-    @given(event_batch())
-    @settings(max_examples=60, deadline=None)
-    def test_on_batch_matches_per_event_fold(self, batch):
-        nranks = len(batch.ranks)
-        mon_scalar = DarshanMonitor(nranks)
-        mon_batch = DarshanMonitor(nranks)
-        for ino in range(3):
-            mon_scalar.register_file(ino, f"/file{ino}")
-            mon_batch.register_file(ino, f"/file{ino}")
-        for event in batch.events():  # the scalar reference: row by row
-            mon_scalar.on_event(event)
-        mon_batch.on_batch(batch)
-        log_s, log_b = mon_scalar.finalize(), mon_batch.finalize()
-        for name, mod_s in log_s.modules.items():
-            mod_b = log_b.modules[name]
-            for counter, values in mod_s.counters.items():
-                assert np.array_equal(values, mod_b.counters[counter]), \
-                    (name, counter)
-        assert log_s.files == log_b.files
-
-    @given(event_batch())
-    @settings(max_examples=30, deadline=None)
-    def test_batch_rows_equal_their_events(self, batch):
-        events = batch.events()
-        assert len(events) == len(batch)
-        for i, event in enumerate(events):
-            assert event.kind == batch.kinds[i]
-            assert event.seq == batch.seq0 + i
-            assert np.array_equal(event.nbytes, batch.nbytes[i])
-            assert np.array_equal(event.duration, batch.duration[i])
-
     @given(rank_events())
     @settings(max_examples=80, deadline=None)
     def test_multi_rank_event_equals_its_single_rank_events(self, case):
@@ -474,6 +414,36 @@ class TestBatchedTraceFold:
                 lane_bus.emit_scalar(event.kind, rank, **common, ino=ino)
         _assert_events_identical(rec_a.events, rec_s.events)
         _assert_logs_identical(mon_a.finalize(), mon_s.finalize())
+
+
+    @given(rank_events(), st.integers(1, 4), st.booleans(), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_step_batch_equals_its_events(self, case, nsteps, one_batch,
+                                          data):
+        """Events as the rows of step batches of ``nsteps`` steps fold
+        as the events the batches stand for: each event a batch of its
+        own, or all of them the rows of one.  A one-rank event's row
+        may name its rank as an int, the one-rank row form."""
+        monitor, events = case
+        mon_events, mon_steps = monitor(), monitor()
+        for run in [events] if one_batch else [[e] for e in events]:
+            for _ in range(nsteps):
+                for e in run:
+                    mon_events.on_event(e)
+            rows = []
+            for e in run:
+                varying = data.draw(st.booleans())
+                fields = (e.ranks, e.nbytes, e.duration, e.n_ops, e.inos)
+                if e.size == 1 and (e.inos is None or e.inos.size == 1) \
+                        and data.draw(st.booleans()):
+                    fields = [None if f is None else f.item() for f in fields]
+                ranks, nbytes, duration, n_ops, inos = fields
+                rows.append(StepRow(
+                    e.kind, e.layer, e.api, None, ranks, nbytes,
+                    [duration] * nsteps if varying else duration, varying,
+                    n_ops, inos))
+            mon_steps.on_steps(StepBatch(tuple(rows), (None,) * nsteps))
+        _assert_logs_identical(mon_events.finalize(), mon_steps.finalize())
 
 
 class _ArrayPathPerf(StoragePerfModel):

@@ -17,7 +17,7 @@ from repro.pic import (
     expected_drift_decay,
 )
 from repro.pic.constants import MD, ME, QE
-from repro.trace import TraceBus, TraceSession
+from repro.trace import TraceSession
 from repro.workloads import small_use_case
 
 
@@ -107,8 +107,8 @@ class TestDXT:
         assert log.counter_total("POSIX_BYTES_READ") == 768
 
     def test_sync_each_chunk_batch_traces_the_writes(self, env):
-        """``write_group(sync_each_chunk=True)`` emits a write+fsync
-        batch: Darshan folds both rows, DXT traces the write row."""
+        """``write_group(sync_each_chunk=True)`` emits a write and then
+        an fsync: Darshan folds both, DXT traces the write."""
         fs, comm = env
         posix, monitor, rec, session = _traced(fs, comm, mode="full")
         ranks = np.arange(4)
@@ -125,18 +125,6 @@ class TestDXT:
         log = monitor.finalize()
         assert log.counter_total("POSIX_FSYNCS") == 12
         assert log.counter_total("POSIX_WRITES") == 12
-
-    def test_batch_of_data_rows_folds_in_order(self):
-        bus = TraceBus()
-        rec = bus.subscribe(DXTRecorder())
-        bus.register_files([7, 8], ["/a", "/b"])
-        bus.emit_batch(("write", "read"), [0, 1], nbytes=(10.0, 20.0),
-                       duration=(1.0, 2.0), start=(0.0, 5.0),
-                       inos=[7, 8])
-        assert [(s.kind, s.rank, s.path, s.nbytes, s.start, s.end)
-                for s in rec.segments] == [
-            ("write", 0, "/a", 10, 0.0, 1.0), ("write", 1, "/b", 10, 0.0, 1.0),
-            ("read", 0, "/a", 20, 5.0, 7.0), ("read", 1, "/b", 20, 5.0, 7.0)]
 
     def test_openpmd_engine_writes_are_traced(self, env):
         """BP4 subfile flushes (``collective_write``) and index appends

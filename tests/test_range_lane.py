@@ -193,7 +193,7 @@ def _assert_subscribers_identical(subs_a, subs_b, profile_a, profile_b):
 @st.composite
 def lane_events(draw):
     """A run of events over ranges: (nprocs, granularity, evict, calls);
-    each call is (kind, range, columns, inos, batch)."""
+    each call is (kind, range, columns, inos)."""
     nprocs = draw(st.integers(1, 12))
     granularity = draw(st.sampled_from(["rank", "node"]))
     evict = draw(st.booleans())
@@ -202,7 +202,6 @@ def lane_events(draw):
         r = draw(lane_ranges(nprocs))
         k = len(r)
         kind = draw(st.sampled_from(_KINDS))
-        batch = draw(st.booleans()) and kind not in _ENGINE
         columns = {}
         for name, strategy in (
                 ("nbytes", st.integers(0, 1 << 24)),
@@ -232,21 +231,13 @@ def lane_events(draw):
             inos = np.asarray(draw(st.lists(
                 st.integers(0, 3 * nprocs - 1), min_size=k, max_size=k)),
                 dtype=np.int64)
-        calls.append((kind, r, columns, inos, batch))
+        calls.append((kind, r, columns, inos))
     return nprocs, granularity, evict, calls
 
 
-def _emit(bus, kind, ranks, columns, inos, batch):
+def _emit(bus, kind, ranks, columns, inos):
     layer = "engine" if kind in _ENGINE else "posix"
-    if batch:
-        bus.emit_batch((kind, "fsync"), ranks,
-                       nbytes=(columns["nbytes"], 0.0),
-                       duration=(columns["duration"], columns["duration"]),
-                       start=(columns["start"], columns["start"]),
-                       n_ops=(columns["n_ops"], columns["n_ops"]),
-                       layer=layer, inos=inos)
-    else:
-        bus.emit(kind, ranks, layer=layer, inos=inos, **columns)
+    bus.emit(kind, ranks, layer=layer, inos=inos, **columns)
 
 
 class TestRangeEvents:
@@ -259,11 +250,11 @@ class TestRangeEvents:
         nprocs, granularity, evict, calls = case
         bus_l, subs_l, prof_l = _subscribers(nprocs, granularity, evict)
         bus_a, subs_a, prof_a = _subscribers(nprocs, granularity, evict)
-        for kind, r, columns, inos, batch in calls:
-            _emit(bus_l, kind, r, columns, inos, batch)
+        for kind, r, columns, inos in calls:
+            _emit(bus_l, kind, r, columns, inos)
             spelled = {name: np.full(len(r), value) if np.ndim(value) == 0
                        else value for name, value in columns.items()}
-            _emit(bus_a, kind, _arange(r), spelled, inos, batch)
+            _emit(bus_a, kind, _arange(r), spelled, inos)
         _assert_subscribers_identical(subs_l, subs_a, prof_l, prof_a)
 
     def test_ranks_are_built_only_when_read(self):
