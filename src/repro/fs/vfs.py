@@ -435,7 +435,9 @@ class VirtualFS:
             store.account = account
         if resident:
             account.charge(resident)
-        if spill:
+        if spill and account.quota is not None:
+            # the hook runs only over a quota; on an unlimited account
+            # it would only tie this vfs into a reference cycle with it
             account.on_pressure = self._shed_extents
         return account
 

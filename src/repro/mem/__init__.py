@@ -30,6 +30,7 @@ from repro.mem.budget import (
     MemoryQuotaExceeded,
     current_budget,
     fingerprint,
+    installed_budget,
     set_budget,
     use_budget,
 )
@@ -45,6 +46,7 @@ __all__ = [
     "current_budget",
     "derive_block_size",
     "fingerprint",
+    "installed_budget",
     "set_budget",
     "use_budget",
 ]

@@ -215,6 +215,12 @@ def current_budget() -> MemoryBudget:
     return _current
 
 
+def installed_budget() -> MemoryBudget | None:
+    """The budget installed with :func:`use_budget` or :func:`set_budget`,
+    None while the process default is ambient."""
+    return None if _current is _DEFAULT else _current
+
+
 def set_budget(budget: MemoryBudget | None) -> MemoryBudget:
     """Install ``budget`` as ambient (None restores the default)."""
     global _current

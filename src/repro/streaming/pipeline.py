@@ -347,69 +347,70 @@ def run_streaming_scaled(machine, nodes: int,
     traffic the streaming path pays.
     """
     config = config or paper_use_case()
-    comm, fs, posix, monitor, session = _setup(
-        machine, nodes, ranks_per_node, storage_name, seed,
-        "bit1-sst", trace_mode)
-    injector = (install_faults(posix, fault_plan, retry_policy)
-                if fault_plan is not None else None)
-    model = Bit1DataModel(config, comm.size)
-    registry = StreamRegistry()
-    engine = SSTEngine(posix, comm, "bit1_stream.sst",
-                       queue_depth=queue_depth, policy=policy,
-                       registry=registry)
-    transport = StagedTransport(engine, bus=session.bus)
-    transport.attach(InSituConsumer("analysis", analysis_rate=analysis_rate))
-    tee = None
-    if checkpoint_tee:
-        # the tee is a staging-node process: its own 1-rank comm and an
-        # untraced POSIX stack so its writes never pollute the producer
-        # job's Darshan counters
-        tee_comm = VirtualComm(1, 1, latency=machine.network.latency,
-                               bandwidth=machine.network.nic_bandwidth)
-        tee_posix = PosixIO(fs, tee_comm)
-        tee = CheckpointTee(tee_posix, tee_comm, "/scratch/io_stream")
-        transport.attach(tee)
-    controller = _StreamFaultController(fault_plan, transport, comm,
-                                        bus=session.bus)
+    with _setup(machine, nodes, ranks_per_node, storage_name, seed,
+                "bit1-sst", trace_mode) as (
+            comm, fs, posix, monitor, session, _budget):
+        injector = (install_faults(posix, fault_plan, retry_policy)
+                    if fault_plan is not None else None)
+        model = Bit1DataModel(config, comm.size)
+        registry = StreamRegistry()
+        engine = SSTEngine(posix, comm, "bit1_stream.sst",
+                           queue_depth=queue_depth, policy=policy,
+                           registry=registry)
+        transport = StagedTransport(engine, bus=session.bus)
+        transport.attach(InSituConsumer("analysis",
+                                        analysis_rate=analysis_rate))
+        tee = None
+        if checkpoint_tee:
+            # the tee is a staging-node process: its own 1-rank comm and an
+            # untraced POSIX stack so its writes never pollute the producer
+            # job's Darshan counters
+            tee_comm = VirtualComm(1, 1, latency=machine.network.latency,
+                                   bandwidth=machine.network.nic_bandwidth)
+            tee_posix = PosixIO(fs, tee_comm)
+            tee = CheckpointTee(tee_posix, tee_comm, "/scratch/io_stream")
+            transport.attach(tee)
+        controller = _StreamFaultController(fault_plan, transport, comm,
+                                            bus=session.bus)
 
-    ranks = np.arange(comm.size)
-    diag_bytes = model.diag_bytes_per_rank_per_event()
-    ckpt_bytes = model.ckpt_bytes_per_rank()
-    prev_step = 0
-    with posix.phase(writers=comm.size, md_clients=comm.size):
-        for step, is_ckpt in _event_steps(config):
-            with posix.trace.step(step):
-                if injector is not None:
-                    injector.begin_step(step)
-                controller.begin_step(step)
-                if compute_seconds_per_step and step > prev_step:
-                    comm.advance_all(
-                        (step - prev_step) * compute_seconds_per_step)
-                prev_step = step
-                transport.begin_step()
-                transport.put_attribute("time_step", step)
-                if is_ckpt:
-                    transport.put_attribute("kind", "checkpoint")
-                    transport.put_group("phase_space", ranks, ckpt_bytes)
-                else:
-                    transport.put_attribute("kind", "diagnostics")
-                    transport.put_group("rank_summary", ranks,
-                                        int(diag_bytes))
-                transport.end_step()
-        transport.close()
+        ranks = np.arange(comm.size)
+        diag_bytes = model.diag_bytes_per_rank_per_event()
+        ckpt_bytes = model.ckpt_bytes_per_rank()
+        prev_step = 0
+        with posix.phase(writers=comm.size, md_clients=comm.size):
+            for step, is_ckpt in _event_steps(config):
+                with posix.trace.step(step):
+                    if injector is not None:
+                        injector.begin_step(step)
+                    controller.begin_step(step)
+                    if compute_seconds_per_step and step > prev_step:
+                        comm.advance_all(
+                            (step - prev_step) * compute_seconds_per_step)
+                    prev_step = step
+                    transport.begin_step()
+                    transport.put_attribute("time_step", step)
+                    if is_ckpt:
+                        transport.put_attribute("kind", "checkpoint")
+                        transport.put_group("phase_space", ranks, ckpt_bytes)
+                    else:
+                        transport.put_attribute("kind", "diagnostics")
+                        transport.put_group("rank_summary", ranks,
+                                            int(diag_bytes))
+                    transport.end_step()
+            transport.close()
 
-    label = f"SST+{policy}+q{queue_depth}"
-    monitor.finalize(runtime_seconds=transport.makespan(),
-                     machine=machine.name, config=label)
-    return StreamingRunResult(
-        machine=machine.name, config_label=label, nodes=nodes,
-        nranks=comm.size, comm=comm, transport=transport,
-        makespan=transport.makespan(),
-        producer_seconds=transport.producer_seconds(),
-        time_to_first_insight=transport.time_to_first_insight(),
-        peak_staging_bytes=transport.peak_staging_bytes(),
-        stalls=transport.stalls, stall_seconds=transport.stall_seconds,
-        dropped=transport.dropped, published=transport.published,
-        stored_bytes=tee.stored_bytes if tee is not None else 0,
-        file_bytes_equivalent=model.openpmd_transferred_bytes(),
-        consumer_stats=transport.stats(), trace=session)
+        label = f"SST+{policy}+q{queue_depth}"
+        monitor.finalize(runtime_seconds=transport.makespan(),
+                         machine=machine.name, config=label)
+        return StreamingRunResult(
+            machine=machine.name, config_label=label, nodes=nodes,
+            nranks=comm.size, comm=comm, transport=transport,
+            makespan=transport.makespan(),
+            producer_seconds=transport.producer_seconds(),
+            time_to_first_insight=transport.time_to_first_insight(),
+            peak_staging_bytes=transport.peak_staging_bytes(),
+            stalls=transport.stalls, stall_seconds=transport.stall_seconds,
+            dropped=transport.dropped, published=transport.published,
+            stored_bytes=tee.stored_bytes if tee is not None else 0,
+            file_bytes_equivalent=model.openpmd_transferred_bytes(),
+            consumer_stats=transport.stats(), trace=session)

@@ -14,7 +14,9 @@ from __future__ import annotations
 import base64
 import json
 import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -40,6 +42,7 @@ from repro.mem import (
     blocks,
     current_budget,
     derive_block_size,
+    installed_budget,
     use_budget,
 )
 from repro.mpi.comm import VirtualComm, comm_for_nodes
@@ -151,12 +154,20 @@ def _event_steps(config: Bit1Config) -> list[tuple[int, bool]]:
     return out
 
 
+@contextmanager
 def _setup(machine: Machine, nodes: int, ranks_per_node: int,
            storage_name: str | None, seed: int, exe: str,
            trace_mode: str | None = None,
            counter_granularity: str = "rank",
-           ) -> tuple[VirtualComm, MountedFilesystem, PosixIO,
-                      DarshanMonitor, TraceSession]:
+           ) -> Iterator[tuple[VirtualComm, MountedFilesystem, PosixIO,
+                               DarshanMonitor, TraceSession, MemoryBudget]]:
+    """A scaled run's stack, built and run under the run's memory budget
+    (the scaled runners and ``run_streaming_scaled`` share it).
+
+    The budget is the one a caller installed (``use_budget``), else one
+    of the run's own: never the process default, whose accounts would
+    carry every earlier run's residency into this run's ``mem_report``.
+    """
     if nodes < 1 or nodes > machine.num_nodes:
         raise ValueError(
             f"{machine.name} has {machine.num_nodes} nodes; asked for {nodes}")
@@ -164,25 +175,30 @@ def _setup(machine: Machine, nodes: int, ranks_per_node: int,
                               else machine.storage_named(storage_name))
     # run identity feeds the RNG so "storage weather" differs per run
     rng = RngRegistry(stream_seed(seed, machine.name, nodes, exe))
-    budget = current_budget()
-    fs = mount(storage, rng)
-    fs.vfs.configure_memory(budget.account("vfs"))
-    comm = comm_for_nodes(nodes, ranks_per_node,
-                          latency=machine.network.latency,
-                          bandwidth=machine.network.nic_bandwidth,
-                          shm_bandwidth=machine.node.memory_bandwidth)
-    # one TraceSession per run is the instrumentation spine: the Darshan
-    # monitor subscribes to its bus, and PosixIO emits onto the same bus
-    # (passing the monitor to PosixIO as well would double-subscribe it)
-    monitor = DarshanMonitor(
-        comm.size, exe=exe, granularity=counter_granularity,
-        node_of_rank=(comm.node_of_rank
-                      if counter_granularity == "node" else None),
-        mem_account=budget.account("darshan"))
-    session = TraceSession(comm, monitor=monitor, mode=trace_mode)
-    budget.attach(session.bus)
-    posix = PosixIO(fs, comm, trace=session.bus)
-    return comm, fs, posix, monitor, session
+    with use_budget(installed_budget() or MemoryBudget()) as budget:
+        fs = mount(storage, rng)
+        fs.vfs.configure_memory(budget.account("vfs"))
+        comm = comm_for_nodes(nodes, ranks_per_node,
+                              latency=machine.network.latency,
+                              bandwidth=machine.network.nic_bandwidth,
+                              shm_bandwidth=machine.node.memory_bandwidth)
+        # one TraceSession per run is the instrumentation spine: the
+        # Darshan monitor subscribes to its bus, and PosixIO emits onto
+        # the same bus (passing the monitor to PosixIO as well would
+        # double-subscribe it)
+        monitor = DarshanMonitor(
+            comm.size, exe=exe, granularity=counter_granularity,
+            node_of_rank=(comm.node_of_rank
+                          if counter_granularity == "node" else None),
+            mem_account=budget.account("darshan"))
+        session = TraceSession(comm, monitor=monitor, mode=trace_mode)
+        if budget.has_quotas:
+            # only a quota crosses watermarks; an attached bus would tie
+            # the run's subscribers into the budget's reference cycle
+            # with its accounts, alive until the cyclic collector runs
+            budget.attach(session.bus)
+        posix = PosixIO(fs, comm, trace=session.bus)
+        yield comm, fs, posix, monitor, session, budget
 
 
 def run_original_scaled(machine: Machine, nodes: int,
@@ -208,72 +224,76 @@ def run_original_scaled(machine: Machine, nodes: int,
     :class:`~repro.faults.NodeCrashError`.
     """
     config = config or paper_use_case()
-    comm, fs, posix, monitor, session = _setup(
-        machine, nodes, ranks_per_node, storage_name, seed,
-        "bit1-original", trace_mode)
-    injector = (install_faults(posix, fault_plan, retry_policy)
-                if fault_plan is not None else None)
-    model = Bit1DataModel(config, comm.size)
-    outdir = "/scratch/bit1_original"
-    posix.mkdir(0, outdir, parents=True)
-    ranks = comm.rank_range()
+    with _setup(machine, nodes, ranks_per_node, storage_name, seed,
+                "bit1-original", trace_mode) as (
+            comm, fs, posix, monitor, session, budget):
+        injector = (install_faults(posix, fault_plan, retry_policy)
+                    if fault_plan is not None else None)
+        model = Bit1DataModel(config, comm.size)
+        outdir = "/scratch/bit1_original"
+        posix.mkdir(0, outdir, parents=True)
+        ranks = comm.rank_range()
 
-    dat_paths = [f"{outdir}/bit1_r{r:05d}.dat" for r in ranks]
-    dmp_paths = [f"{outdir}/bit1_r{r:05d}.dmp" for r in ranks]
-    with posix.phase(writers=comm.size, md_clients=comm.size):
-        _read_startup_inputs(posix, comm, model, outdir)
-        dat_fds = posix.open_group(ranks, dat_paths, create=True, api="STDIO")
-        dmp_fds = posix.open_group(ranks, dmp_paths, create=True, api="STDIO")
-        # per-file stdio header
-        posix.write_group(ranks, dat_fds, int(ORIGINAL_FILE_HEADER),
-                          api="STDIO")
+        dat_paths = [f"{outdir}/bit1_r{r:05d}.dat" for r in ranks]
+        dmp_paths = [f"{outdir}/bit1_r{r:05d}.dmp" for r in ranks]
+        with posix.phase(writers=comm.size, md_clients=comm.size):
+            _read_startup_inputs(posix, comm, model, outdir)
+            dat_fds = posix.open_group(ranks, dat_paths, create=True,
+                                       api="STDIO")
+            dmp_fds = posix.open_group(ranks, dmp_paths, create=True,
+                                       api="STDIO")
+            # per-file stdio header
+            posix.write_group(ranks, dat_fds, int(ORIGINAL_FILE_HEADER),
+                              api="STDIO")
 
-        diag_per_event = model.original_diag_text_per_event()
-        ckpt_per_rank = model.ckpt_particle_bytes_per_rank() \
-            + model.ckpt_grid_bytes_per_rank()
-        global_fd = posix.open(0, f"{outdir}/history.dat", create=True,
-                               api="STDIO")
-        for i in range(ORIGINAL_GLOBAL_FILES - 1):
-            fd = posix.open(0, f"{outdir}/global{i}.dat", create=True,
-                            api="STDIO")
-            posix.write(0, fd, SyntheticPayload(
-                int(ORIGINAL_GLOBAL_FILE_BYTES), "ascii_table"), api="STDIO")
-            posix.close(0, fd)
+            diag_per_event = model.original_diag_text_per_event()
+            ckpt_per_rank = model.ckpt_particle_bytes_per_rank() \
+                + model.ckpt_grid_bytes_per_rank()
+            global_fd = posix.open(0, f"{outdir}/history.dat", create=True,
+                                   api="STDIO")
+            for i in range(ORIGINAL_GLOBAL_FILES - 1):
+                fd = posix.open(0, f"{outdir}/global{i}.dat", create=True,
+                                api="STDIO")
+                posix.write(0, fd, SyntheticPayload(
+                    int(ORIGINAL_GLOBAL_FILE_BYTES), "ascii_table"),
+                    api="STDIO")
+                posix.close(0, fd)
 
-        for step, is_ckpt in _event_steps(config):
-            with posix.trace.step(step):
-                if injector is not None:
-                    injector.begin_step(step)
-                # diagnostics: reopen-append-close per event, buffered
-                # stdio
-                posix.meta_group(ranks, "open", api="STDIO")
-                posix.write_group(ranks, dat_fds, diag_per_event,
-                                  api="STDIO")
-                posix.meta_group(ranks, "close", api="STDIO")
-                posix.write(0, global_fd,
-                            SyntheticPayload(64, "ascii_table"), api="STDIO")
-                if is_ckpt:
-                    # checkpoint: truncate + rewrite the full state in
-                    # buffered chunks, each committed with fsync
+            for step, is_ckpt in _event_steps(config):
+                with posix.trace.step(step):
+                    if injector is not None:
+                        injector.begin_step(step)
+                    # diagnostics: reopen-append-close per event, buffered
+                    # stdio
                     posix.meta_group(ranks, "open", api="STDIO")
-                    posix.write_group(
-                        ranks, dmp_fds,
-                        ckpt_per_rank + int(ORIGINAL_FILE_HEADER),
-                        chunk_size=bufsize,
-                        sync_each_chunk=fsync_checkpoints,
-                        truncate_first=True, api="STDIO")
+                    posix.write_group(ranks, dat_fds, diag_per_event,
+                                      api="STDIO")
                     posix.meta_group(ranks, "close", api="STDIO")
-                comm.barrier()
+                    posix.write(0, global_fd,
+                                SyntheticPayload(64, "ascii_table"),
+                                api="STDIO")
+                    if is_ckpt:
+                        # checkpoint: truncate + rewrite the full state in
+                        # buffered chunks, each committed with fsync
+                        posix.meta_group(ranks, "open", api="STDIO")
+                        posix.write_group(
+                            ranks, dmp_fds,
+                            ckpt_per_rank + int(ORIGINAL_FILE_HEADER),
+                            chunk_size=bufsize,
+                            sync_each_chunk=fsync_checkpoints,
+                            truncate_first=True, api="STDIO")
+                        posix.meta_group(ranks, "close", api="STDIO")
+                    comm.barrier()
 
-        posix.close(0, global_fd)
-        posix.close_group(ranks, dat_fds, api="STDIO")
-        posix.close_group(ranks, dmp_fds, api="STDIO")
+            posix.close(0, global_fd)
+            posix.close_group(ranks, dat_fds, api="STDIO")
+            posix.close_group(ranks, dmp_fds, api="STDIO")
 
-    log = monitor.finalize(runtime_seconds=comm.max_time(),
-                           machine=machine.name, config="original")
-    return ScaledRunResult(machine.name, "original", nodes, comm.size,
-                           log, fs, comm, outdir, trace=session,
-                           mem_report=current_budget().report())
+        log = monitor.finalize(runtime_seconds=comm.max_time(),
+                               machine=machine.name, config="original")
+        return ScaledRunResult(machine.name, "original", nodes, comm.size,
+                               log, fs, comm, outdir, trace=session,
+                               mem_report=budget.report())
 
 
 def run_openpmd_scaled(machine: Machine, nodes: int,
@@ -326,14 +346,13 @@ def run_openpmd_scaled(machine: Machine, nodes: int,
     machine preset.
     """
     config = config or paper_use_case()
-    budget = (MemoryBudget(total=mem_budget) if mem_budget is not None
-              else current_budget())
     block = (rank_block_size if rank_block_size is not None
              else derive_block_size(mem_budget, ranks_per_node))
-    with use_budget(budget):
-        comm, fs, posix, monitor, session = _setup(
-            machine, nodes, ranks_per_node, storage_name, seed,
-            "bit1-openpmd", trace_mode, counter_granularity)
+    with use_budget(MemoryBudget(total=mem_budget) if mem_budget is not None
+                    else current_budget()), \
+            _setup(machine, nodes, ranks_per_node, storage_name, seed,
+                   "bit1-openpmd", trace_mode, counter_granularity) as (
+                comm, fs, posix, monitor, session, budget):
         injector = (install_faults(posix, fault_plan, retry_policy)
                     if fault_plan is not None else None)
         stager = None

@@ -33,7 +33,11 @@ from repro.mem import (
 )
 from repro.mpi.comm import BlockNodeMap, VirtualComm
 from repro.trace.bus import TraceBus
-from repro.workloads import paper_use_case, run_openpmd_scaled
+from repro.workloads import (
+    paper_use_case,
+    run_openpmd_scaled,
+    run_original_scaled,
+)
 
 GiB = 2**30
 
@@ -406,16 +410,21 @@ class TestBusPathCaching:
 
 class TestRunLifetime:
     def test_dropping_the_result_frees_the_run(self):
-        # a closed series is no reference cycle: the run's clocks and
-        # filesystem go with its result, without the cyclic collector
+        # a closed series is no reference cycle, and neither is the
+        # run's own memory budget: the run's clocks, filesystem and
+        # Darshan monitor go with its result, without the cyclic
+        # collector
         gc.disable()
         try:
             res = run_openpmd_scaled(
                 dardel(), 2, config=paper_use_case().with_(last_step=2000))
             comm, fs = weakref.ref(res.comm), weakref.ref(res.fs)
+            vfs, monitor = weakref.ref(res.fs.vfs), weakref.ref(
+                res.trace.monitor)
             del res
             assert comm() is None
             assert fs() is None
+            assert vfs() is None and monitor() is None
         finally:
             gc.enable()
 
@@ -526,3 +535,20 @@ class TestMemReport:
         res = _run(None, mem_budget=64 << 20)
         assert "vfs" in res.mem_report
         assert res.mem_report["vfs"]["high_water"] >= 0
+
+    def test_a_run_reports_only_its_own_memory(self):
+        """Runs without ``mem_budget`` leave the process default alone and
+        report their own accounts; a budget a caller installs is still
+        the one charged."""
+        config = paper_use_case().with_(last_step=30_000)
+        before = current_budget().report()
+        first, second = (run_openpmd_scaled(dardel(), 2, config=config)
+                         for _ in range(2))
+        assert first.mem_report == second.mem_report
+        assert first.mem_report["darshan"]["used"] > 0
+        original = run_original_scaled(dardel(), 2, config=config)
+        assert "engine" not in original.mem_report
+        with use_budget(MemoryBudget()) as budget:
+            alone = run_original_scaled(dardel(), 2, config=config)
+        assert original.mem_report == alone.mem_report == budget.report()
+        assert current_budget().report() == before
