@@ -1,7 +1,7 @@
 """Bit-identity of the batched data plane against its scalar reference.
 
 The vectorised fast paths (scatter helpers, array-native collectives,
-POSIX group ops, struct-of-arrays trace folds, the bincount deposition)
+POSIX group ops, step-batch trace folds, the bincount deposition)
 all promise the *same bits* as the element-at-a-time code they replace.
 These properties pin that promise down, including under an active
 :class:`~repro.faults.FaultPlan`.
