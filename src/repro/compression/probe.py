@@ -22,6 +22,7 @@ The block generators model BIT1's data:
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -47,9 +48,13 @@ def probe_block(entropy: str, nbytes: int = PROBE_BYTES) -> bytes:
     if entropy == "diagnostic_float64":
         # Time-averaged distribution-function values span many decades
         # (sheath tails reach 1e-30 of the bulk), so both mantissa and
-        # exponent bytes carry near-full entropy.
+        # exponent bytes carry near-full entropy.  libm computes the
+        # exponentials: NumPy's exp picks a SIMD kernel by host CPU, and
+        # its AVX-512 kernel rounds some values differently, which would
+        # move every probed ratio with the host.
         n = nbytes // 8
-        vals = np.exp(rng.normal(0.0, 60.0, n)).astype(np.float64)
+        x = rng.normal(0.0, 60.0, n)
+        vals = np.fromiter(map(math.exp, x.tolist()), np.float64, n)
         return vals.tobytes()[:nbytes]
     if entropy == "histogram_counts":
         n = nbytes // 8
