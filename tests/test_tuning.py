@@ -247,20 +247,26 @@ class TestExperimentDriver:
         assert entry["machine"] == "Dardel"
         assert entry["best"]["engine_ext"] in (".bp4", ".bp5")
         assert entry["predicted"]["objective"] >= entry["paper"]["objective"]
-        assert entry["probes"]["evaluated"] > 0
+        assert result.entries[0].result.probes_evaluated > 0
         assert entry["trace"]
+        # cache hits are run history, not results: the artifact has none
+        assert "probes" not in entry
+        assert not any("cached" in probe for probe in entry["trace"])
         assert "delta" in result.to_table().render().lower() or True
         assert result.render()
 
     def test_second_run_hits_cache_and_revalidates(self, tmp_path,
                                                    quick_cfg):
         self._run(tmp_path, quick_cfg)
+        cold = (tmp_path / "tuned_configs.json").read_text()
         second = self._run(tmp_path, quick_cfg)
         assert second.regression is not None
         assert not second.regression.fingerprint_changed
         assert not second.regression.regressed
         for entry in second.entries:
             assert entry.result.cached_fraction >= 0.95
+        # a warm cache writes the artifact a cold one wrote
+        assert (tmp_path / "tuned_configs.json").read_text() == cold
 
     def test_regression_only_mode(self, tmp_path, quick_cfg):
         self._run(tmp_path, quick_cfg)
