@@ -48,10 +48,8 @@ def probe_block(entropy: str, nbytes: int = PROBE_BYTES) -> bytes:
     if entropy == "diagnostic_float64":
         # Time-averaged distribution-function values span many decades
         # (sheath tails reach 1e-30 of the bulk), so both mantissa and
-        # exponent bytes carry near-full entropy.  libm computes the
-        # exponentials: NumPy's exp picks a SIMD kernel by host CPU, and
-        # its AVX-512 kernel rounds some values differently, which would
-        # move every probed ratio with the host.
+        # exponent bytes carry near-full entropy.  libm's exp, because
+        # NumPy's AVX-512 kernel rounds differently from its other ones.
         n = nbytes // 8
         x = rng.normal(0.0, 60.0, n)
         vals = np.fromiter(map(math.exp, x.tolist()), np.float64, n)

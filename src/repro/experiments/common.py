@@ -64,6 +64,17 @@ class ExperimentResult:
         return out
 
 
+@dataclass
+class TableResult:
+    """A rendered table and the measured values its check reads."""
+
+    text: str
+    values: dict = field(default_factory=dict)
+
+    def render(self) -> str:
+        return self.text
+
+
 def resolve_machine(machine: str | Machine) -> Machine:
     if isinstance(machine, Machine):
         return machine

@@ -38,10 +38,10 @@ def _report(res) -> dict:
     }
 
 
-def original_report(machine, nodes, config=None, seed=0) -> dict:
-    """One original-I/O run (Figs. 2-5, 7, Table II, weak scaling)."""
-    return _report(run_original_scaled(machine, nodes, config=config,
-                                       seed=seed))
+def original_report(machine, nodes, **run) -> dict:
+    """One original-I/O run (Figs. 2-5, 7, Table II, weak scaling, the
+    ablations); ``run`` is any :func:`run_original_scaled` keyword."""
+    return _report(run_original_scaled(machine, nodes, **run))
 
 
 def openpmd_report(machine, nodes, **run) -> dict:

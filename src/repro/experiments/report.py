@@ -1,9 +1,10 @@
 """Aggregate report generator: one markdown document for the whole
 evaluation.
 
-Collects the archived experiment outputs from ``results/`` (written by
-the benchmark harness) into ``results/REPORT.md``, with the paper's
-anchors inlined — a single artifact a reviewer can read top to bottom.
+Collects the experiment tables from ``results/`` (written by
+``python -m repro.experiments``) into ``results/REPORT.md``, with the
+paper's anchors inlined — a single artifact a reviewer can read top to
+bottom.
 """
 
 from __future__ import annotations
@@ -89,7 +90,7 @@ def build_report(results_dir: str | Path) -> str:
         else:
             missing.append(name)
             lines.append("_not yet generated — run "
-                         f"`pytest benchmarks/ --benchmark-only`_")
+                         "`python -m repro.experiments`_")
         lines.append("")
     if missing:
         lines.append(f"_missing sections: {', '.join(missing)}_")
@@ -103,13 +104,3 @@ def write_report(results_dir: str | Path) -> Path:
     out.write_text(build_report(results_dir) + "\n")
     return out
 
-
-def main() -> None:  # pragma: no cover
-    import sys
-
-    target = sys.argv[1] if len(sys.argv) > 1 else "results"
-    print(f"wrote {write_report(target)}")
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -139,8 +139,7 @@ class TuningExperimentResult:
         return "\n".join(out)
 
     def artifact(self, config: Bit1Config) -> dict:
-        """What the source and the seed determine: the probes' cache
-        hits are run history, so only the table and notes show them."""
+        """What the source and seed determine; cache hits only print."""
         entries = []
         for e in self.entries:
             r = e.result

@@ -188,28 +188,18 @@ class TestProbedRatios:
         assert probed_ratio(get_compressor("bzip2"), "ascii_table") < 0.5
 
     def test_probe_block_deterministic(self):
-        """Every entropy class's block has the same bytes on every host:
-        the probed ratios, and every result built on them, follow it."""
-        pinned = {
-            "particle_float32": "422737ce0cbf8dbd5d9b2fc3dd469ecb"
-                                "a147581f930bbd523e62707867d956b1",
-            "diagnostic_float64": "5c54a0a6a3646ace6659bea5482a0a75"
-                                  "5ce2d0238262ca7baf2789661bb7d302",
-            "histogram_counts": "6ad99b6a422bc70e6f78a2af3ea7898d"
-                                "629c951c792a7fc1e4a04239dbc656e2",
-            "ascii_table": "7244fc995ad5373b4712f4b1ab1272bc"
-                           "28195133c6fc4e69645e2367c29ac8d1",
-            "metadata": "5afb28297415eb94a299477700cca443"
-                        "c7b675b39603a607d28adca7b3edb6af",
-            "zeros": "5647f05ec18958947d32874eeb788fa3"
-                     "96a05d0bab7c1b71f112ceb7e9b31eee",
-            "random": "932d0ace0c04e57445fd38cefd0ece4d"
-                      "6b9809b30fa9f79b24cb0ef8713db18a",
-        }
+        """Each entropy class's block, and so its ratios, is host-free."""
+        pinned = {"particle_float32": "422737ce0cbf8dbd",
+                  "diagnostic_float64": "5c54a0a6a3646ace",
+                  "histogram_counts": "6ad99b6a422bc70e",
+                  "ascii_table": "7244fc995ad5373b",
+                  "metadata": "5afb28297415eb94",
+                  "zeros": "5647f05ec1895894",
+                  "random": "932d0ace0c04e574"}
         assert set(pinned) == set(ENTROPY_CLASSES)
-        for entropy, digest in pinned.items():
-            assert hashlib.sha256(probe_block(entropy)).hexdigest() == digest, \
-                entropy
+        for entropy, prefix in pinned.items():
+            digest = hashlib.sha256(probe_block(entropy)).hexdigest()
+            assert digest.startswith(prefix), entropy
 
     def test_probe_block_unknown_class(self):
         with pytest.raises(ValueError):

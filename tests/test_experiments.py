@@ -1,5 +1,7 @@
-"""Tests for the experiment drivers (reduced sweeps; full sweeps live in
-the benchmark harness)."""
+"""Tests for the experiment drivers (reduced sweeps; the full sweeps run,
+write and check results/ in ``python -m repro.experiments``)."""
+
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from repro.experiments.points import openpmd_profile, openpmd_report
 from repro.util.units import MiB
 
 QUICK_NODES = (1, 10, 50)
+RESULTS = Path(__file__).resolve().parent.parent / "results"
 
 
 class TestCommon:
@@ -242,6 +245,40 @@ class TestCommandLine:
 
         monkeypatch.setenv("REPRO_SWEEP_CACHE", "")
         monkeypatch.chdir(tmp_path)
-        assert main(["--quick", "resilience_ml"]) == 0
+        assert main(["--quick", "resilience_ml", "fig8"]) == 0
         assert "artifact written" not in capsys.readouterr().out
         assert not (tmp_path / "results").exists()
+
+    def test_outputs_name_every_results_file_once(self):
+        """One experiment per results/ file and per REPORT.md section."""
+        from repro.experiments.__main__ import ALL, OUTPUTS
+        from repro.experiments.report import SECTIONS
+
+        assert sorted(OUTPUTS.values()) == sorted(
+            p.name for p in RESULTS.iterdir()
+            if p.is_file() and p.name != "REPORT.md")
+        assert set(OUTPUTS) <= set(ALL)
+        assert {f"{s[0]}.txt" for s in SECTIONS} <= set(OUTPUTS.values())
+
+    def test_full_run_writes_checks_and_can_fail(self, tmp_path,
+                                                 monkeypatch, capsys):
+        """A full run writes its table and REPORT.md, even past a check
+        that fails: it prints the failure and returns 1."""
+        from repro.experiments import checks
+        from repro.experiments.__main__ import main
+
+        monkeypatch.setenv("REPRO_SWEEP_CACHE", "")
+        monkeypatch.chdir(tmp_path)
+        table = tmp_path / "results" / "table3_listing1.txt"
+        report = tmp_path / "results" / "REPORT.md"
+        assert main(["table3_listing1"]) == 0
+        assert table.read_text() == \
+            (RESULTS / "table3_listing1.txt").read_text()
+        assert table.read_text().rstrip() in report.read_text()
+        for path in (table, report):
+            path.unlink()
+        monkeypatch.setattr(checks, "table3_listing1",
+                            lambda result: ["stripe count"])
+        assert main(["table3_listing1"]) == 1
+        assert "CHECK FAILED table3_listing1: stripe" in capsys.readouterr().out
+        assert table.exists() and report.exists()
