@@ -64,6 +64,8 @@ MD0_STEP_BASE = 512
 MD0_PER_AGG = 64
 MDIDX_HEADER = 64
 MDIDX_PER_STEP = 64
+#: staging-copy bandwidth for the memcpy accounting, bytes/s
+MEMCPY_BANDWIDTH = 8.0e9
 
 
 def _extra_md_bytes(md_bytes: int) -> int:
@@ -83,8 +85,6 @@ class EngineConfig:
     compressor: str | None = None
     #: emit profiling.json on close (OPENPMD_ADIOS2_HAVE_PROFILING=1)
     profiling: bool = False
-    #: staging-copy bandwidth for the memcpy accounting, bytes/s
-    memcpy_bandwidth: float = 8.0e9
     #: staging-buffer bound per aggregator; None = unbounded (BP4's
     #: "aggressive optimization"), a value = BP5's "tighter control over
     #: the host memory usage": flushes happen in bounded batches
@@ -830,7 +830,7 @@ class BPEngineBase(Engine):
         d = self._derive(True, partial(self._blocked_derivation, shuffle,
                                        windows))
         if self.compressor is None:
-            kind, bandwidth = "memcpy", self.config.memcpy_bandwidth
+            kind, bandwidth = "memcpy", MEMCPY_BANDWIDTH
         else:
             kind, bandwidth = "compress", self.compressor.compress_bandwidth
         for lo, hi in windows:
@@ -1029,7 +1029,7 @@ class BPEngineBase(Engine):
         n = self.comm.size
         staged = self._staged_bytes()
         if self.compressor is None:
-            op_s = staged / self.config.memcpy_bandwidth
+            op_s = staged / MEMCPY_BANDWIDTH
             stored = staged
         else:
             op_s = staged / self.compressor.compress_bandwidth

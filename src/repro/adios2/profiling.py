@@ -137,10 +137,6 @@ class EngineProfile:
         out, bins = self._route(_CATEGORY_TO_KIND[category], ranks, 0.0, 1)
         scatter_add(out, bins, np.asarray(seconds, dtype=np.float64) * 1e6)
 
-    def add_bytes(self, ranks, nbytes) -> None:
-        """Accumulate staged bytes (``bytes_put``) for one or many ranks."""
-        self._route("memcpy", ranks, np.asarray(nbytes, dtype=np.float64), 1)
-
     def total_us(self, category: str) -> float:
         return float(self.us[category].sum())
 
@@ -171,7 +167,3 @@ class EngineProfile:
                 "p95_us": float(np.percentile(arr, 95)),
             })
         return json.dumps(records, indent=2)
-
-    @property
-    def json_nbytes(self) -> int:
-        return len(self.to_json().encode())

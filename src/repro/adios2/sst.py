@@ -14,9 +14,8 @@ attach via the engine's contact file.
 
 Flow control mirrors ADIOS2's SST engine parameters:
 
-* the staging buffer is bounded (``queue_depth`` steps, optionally
-  ``max_buffer_bytes``); an entry is retired once every attached
-  consumer has taken it;
+* the staging buffer is bounded (``queue_depth`` steps); an entry is
+  retired once every attached consumer has taken it;
 * ``policy="discard"`` (SST's ``QueueFullPolicy=Discard``) drops the
   oldest buffered step when the buffer is full — consumers that had not
   reached it skip ahead;
@@ -138,7 +137,6 @@ class _Stream:
     name: str
     queue_depth: int
     policy: str = "discard"
-    max_buffer_bytes: int | None = None
     entries: deque = field(default_factory=deque)
     base: int = 0
     published: int = 0
@@ -191,19 +189,14 @@ class _Stream:
 
     # -- producer side ----------------------------------------------------
 
-    def can_accept(self, nbytes: int) -> bool:
+    def can_accept(self) -> bool:
         """Room for one more step without dropping?"""
-        if len(self.entries) >= self.queue_depth:
-            return False
-        if (self.max_buffer_bytes is not None and self.entries
-                and self.buffered_bytes + nbytes > self.max_buffer_bytes):
-            return False
-        return True
+        return len(self.entries) < self.queue_depth
 
     def publish(self, data: StepData) -> list[tuple[int, StepData]]:
         """Buffer one step; returns the (index, step) pairs dropped."""
         dropped: list[tuple[int, StepData]] = []
-        while not self.can_accept(data.total_bytes):
+        while not self.can_accept():
             if self.policy == "block":
                 raise StagingBackpressure(
                     f"stream {self.name!r} staging buffer full "
@@ -256,7 +249,6 @@ class SSTEngine(Engine):
     def __init__(self, posix, comm: VirtualComm, path: str,
                  mode: str = "w", config: EngineConfig | None = None,
                  queue_depth: int = 2, policy: str = "discard",
-                 max_buffer_bytes: int | None = None,
                  registry: StreamRegistry | None = None):
         if mode != "w":
             raise ValueError("SSTEngine is write-side; use SSTReader to read")
@@ -271,8 +263,7 @@ class SSTEngine(Engine):
         if name.endswith(".sst"):
             name = name[: -len(".sst")]
         self.stream = _Stream(name=name, queue_depth=queue_depth,
-                              policy=policy,
-                              max_buffer_bytes=max_buffer_bytes)
+                              policy=policy)
         self.registry.advertise(self.stream)
         # ``posix`` may be None: a stream needs no filesystem, and an
         # engine without one folds its profile directly
@@ -290,12 +281,6 @@ class SSTEngine(Engine):
         """Tag the current step (rides along in ``StepData.attributes``)."""
         self._check_in_step()
         self._cur_attrs[name] = value
-
-    def pending_bytes(self) -> int:
-        """Bytes the current (un-ended) step would publish."""
-        total = sum(var.total_bytes for var in self._cur_vars.values())
-        total += sum(int(sizes.sum()) for _, _, sizes, _ in self._cur_bulk)
-        return int(total)
 
     def end_step(self) -> StepData:
         """Publish the step to the stream (network cost, no storage)."""
@@ -325,7 +310,7 @@ class SSTEngine(Engine):
         # caller (a staging transport) can drain consumers, model the
         # stall in virtual time, and re-issue the end_step
         if self.stream.policy == "block" and \
-                not self.stream.can_accept(data.total_bytes):
+                not self.stream.can_accept():
             raise StagingBackpressure(
                 f"stream {self.stream.name!r} staging buffer full "
                 f"({len(self.stream.entries)}/{self.stream.queue_depth} "

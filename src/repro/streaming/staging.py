@@ -163,10 +163,9 @@ class StagedTransport:
 
     def end_step(self) -> StepData:
         comm = self.engine.comm
-        incoming = self.engine.pending_bytes()
         if self.stream.policy == "block":
             t_ready = comm.max_time()
-            release = self._make_room_blocking(incoming)
+            release = self._make_room_blocking()
             if release > t_ready:
                 stall = release - t_ready
                 self.stalls += 1
@@ -244,11 +243,11 @@ class StagedTransport:
                 if cs.attached and self._deliver_next(cs, until):
                     progressed = True
 
-    def _make_room_blocking(self, incoming: int) -> float:
+    def _make_room_blocking(self) -> float:
         """Drain the oldest entries until the buffer can accept one more;
         returns the virtual time the last needed slot is released."""
         release = 0.0
-        while not self.stream.can_accept(incoming):
+        while not self.stream.can_accept():
             active = [cs for cs in self._consumers if cs.attached]
             if not active:
                 # nothing will ever drain the buffer: surface the

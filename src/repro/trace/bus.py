@@ -179,10 +179,6 @@ class TraceBus:
     def current_scope(self) -> str | None:
         return self._scope_stack[-1] if self._scope_stack else None
 
-    @property
-    def current_step(self) -> int | None:
-        return self._step
-
     # -- file registry ---------------------------------------------------
 
     @staticmethod
