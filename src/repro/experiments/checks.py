@@ -230,3 +230,18 @@ def ablation_stdio_buffer(r) -> list[str]:
     return _failed(
         (gib[-1] > gib[0], "larger buffers must help"),
         (np.all(np.diff(gib) > -1e-9), "monotone improvement expected"))
+
+
+def _failing_cells(r) -> list[str]:
+    """One message per acceptance cell of ``r.checks`` that fails: the
+    GPU and serving drivers evaluate their own cells."""
+    return [f"{name}: {cell}" for name, cell in sorted(r.checks.items())
+            if not cell.get("pass")]
+
+
+def gpu(r) -> list[str]:
+    return _failing_cells(r)
+
+
+def serving(r) -> list[str]:
+    return _failing_cells(r)

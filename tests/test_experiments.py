@@ -282,3 +282,23 @@ class TestCommandLine:
         assert main(["table3_listing1"]) == 1
         assert "CHECK FAILED table3_listing1: stripe" in capsys.readouterr().out
         assert table.exists() and report.exists()
+
+    @pytest.mark.parametrize("name", ["gpu", "serving"])
+    def test_failed_acceptance_cell_fails_the_run(self, name, monkeypatch,
+                                                  capsys):
+        """The GPU and serving drivers judge their own cells; a failing
+        cell fails the results run like any other check."""
+        import repro.experiments.__main__ as cli
+        from repro.experiments.gpu import GpuResult
+        from repro.experiments.serving import ServingResult
+
+        cells = {"crossover": {"pass": False, "winners": {"2": "host"}},
+                 "host_staging_stalls": {"pass": True}}
+        result = (GpuResult("M", 2, 16, 64, "bp5", 0, checks=cells)
+                  if name == "gpu" else
+                  ServingResult("M", 1.0, 8, 2, 4, 0, checks=cells))
+        monkeypatch.setattr(cli, f"run_{name}", lambda **kw: result)
+        assert cli.main([name]) == 1
+        out = capsys.readouterr().out
+        assert f"CHECK FAILED {name}: crossover: " in out
+        assert out.count("CHECK FAILED") == 1
