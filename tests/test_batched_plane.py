@@ -7,6 +7,8 @@ These properties pin that promise down, including under an active
 :class:`~repro.faults.FaultPlan`.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,7 +28,6 @@ from repro.faults import (
 )
 from repro.faults.injector import FaultState
 from repro.fs import PosixIO, SyntheticPayload, mount
-from repro.fs.perfmodel import StoragePerfModel
 from repro.mpi import VirtualComm
 from repro.mpi.comm import BlockNodeMap
 from repro.pic.deposit import deposit_density
@@ -34,8 +35,15 @@ from repro.pic.grid import Grid1D
 from repro.pic.species import ParticleArrays
 from repro.trace.bus import TraceBus
 from repro.trace.events import EVENT_KINDS, StepBatch, StepRow, make_event
+from repro.trace.session import TraceSession
 from repro.trace.subscribers import EventRecorder
 from repro.util.scatter import scatter_add, scatter_add2, scatter_max
+from tests.oracle import (
+    assert_identical,
+    assert_same,
+    assert_same_accounting,
+    observed,
+)
 
 finite = st.floats(-1e9, 1e9, allow_nan=False, width=64)
 
@@ -205,33 +213,6 @@ def _grouped(posix, nranks, sizes, sync):
     posix.close_group(ranks, fds)
 
 
-def _assert_same_accounting(mon_a, mon_b, fs_a, fs_b, nranks):
-    """Counters, bytes and namespace state element-for-element equal.
-
-    Virtual *times* are allowed to differ between the two shapes (the
-    group op draws one noise sample for the symmetric phase where the
-    scalar loop draws one per rank); everything deterministic must
-    match exactly.
-    """
-    log_a, log_b = mon_a.finalize(), mon_b.finalize()
-    for counter in ("POSIX_OPENS", "POSIX_WRITES", "POSIX_FSYNCS",
-                    "POSIX_CLOSES", "POSIX_BYTES_WRITTEN"):
-        assert np.array_equal(log_a.counter_per_rank(counter),
-                              log_b.counter_per_rank(counter)), counter
-    rec_a = {f.path: f for f in log_a.files}
-    rec_b = {f.path: f for f in log_b.files}
-    assert rec_a.keys() == rec_b.keys()
-    for path, fa in rec_a.items():
-        fb = rec_b[path]
-        assert (fa.opens, fa.writes, fa.fsyncs, fa.bytes_written) == \
-               (fb.opens, fb.writes, fb.fsyncs, fb.bytes_written), path
-    inos_a = fs_a.vfs.lookup_many([f"/f{r}" for r in range(nranks)])
-    inos_b = fs_b.vfs.lookup_many([f"/f{r}" for r in range(nranks)])
-    for col in ("size", "write_ops", "bytes_written", "stripe_count"):
-        assert np.array_equal(getattr(fs_a.vfs.cols, col)[inos_a],
-                              getattr(fs_b.vfs.cols, col)[inos_b]), col
-
-
 class TestGroupOpsMatchScalar:
     @given(st.integers(1, 12), st.booleans(), st.data())
     @settings(max_examples=25, deadline=None)
@@ -243,7 +224,8 @@ class TestGroupOpsMatchScalar:
         fs_b, _, mon_b, posix_b = _stack(nranks)
         _scalar_reference(posix_a, nranks, sizes, sync)
         _grouped(posix_b, nranks, sizes, sync)
-        _assert_same_accounting(mon_a, mon_b, fs_a, fs_b, nranks)
+        assert_same_accounting(mon_a.finalize(), mon_b.finalize(), fs_a,
+                               fs_b, [f"/f{r}" for r in range(nranks)])
 
     @given(st.integers(2, 8), st.data())
     @settings(max_examples=15, deadline=None)
@@ -261,8 +243,9 @@ class TestGroupOpsMatchScalar:
             stacks.append((fs, mon, posix))
         _scalar_reference(stacks[0][2], nranks, sizes, sync=True)
         _grouped(stacks[1][2], nranks, sizes, sync=True)
-        _assert_same_accounting(stacks[0][1], stacks[1][1],
-                                stacks[0][0], stacks[1][0], nranks)
+        assert_same_accounting(stacks[0][1].finalize(),
+                               stacks[1][1].finalize(), stacks[0][0],
+                               stacks[1][0], [f"/f{r}" for r in range(nranks)])
 
     def test_raising_fault_fires_on_both_paths(self):
         plan = FaultPlan((TransientError("write", step=1),))
@@ -347,32 +330,6 @@ def _single_rank_fields(event):
                float(event.n_ops[i]), ino)
 
 
-def _assert_logs_identical(log_a, log_b):
-    assert log_a.modules.keys() == log_b.modules.keys()
-    for name, mod_a in log_a.modules.items():
-        mod_b = log_b.modules[name]
-        assert mod_a.counters.keys() == mod_b.counters.keys()
-        for counter, values in mod_a.counters.items():
-            other = mod_b.counters[counter]
-            assert values.dtype == other.dtype, (name, counter)
-            assert values.tobytes() == other.tobytes(), (name, counter)
-    assert log_a.files == log_b.files
-
-
-def _assert_events_identical(events_a, events_b):
-    assert len(events_a) == len(events_b)
-    for a, b in zip(events_a, events_b):
-        for f in ("kind", "layer", "api", "scope", "step", "seq"):
-            assert getattr(a, f) == getattr(b, f), (a, f)
-        for f in ("ranks", "nbytes", "duration", "start", "n_ops", "inos"):
-            x, y = getattr(a, f), getattr(b, f)
-            if x is None or y is None:
-                assert x is None and y is None, (a, f)
-                continue
-            assert (x.dtype, x.shape) == (y.dtype, y.shape), (a, f)
-            assert x.tobytes() == y.tobytes(), (a, f)
-
-
 class TestBatchedTraceFold:
     @given(rank_events())
     @settings(max_examples=80, deadline=None)
@@ -389,7 +346,7 @@ class TestBatchedTraceFold:
                                      rank, nbytes, dur, start, n_ops, ino)
         # evict_on_close sheds the same live rows at the same closes
         assert mon_array._evicted == mon_scalar._evicted
-        _assert_logs_identical(mon_array.finalize(), mon_scalar.finalize())
+        assert_identical(mon_array.finalize(), mon_scalar.finalize())
 
     @given(rank_events())
     @settings(max_examples=40, deadline=None)
@@ -412,8 +369,8 @@ class TestBatchedTraceFold:
                 array_bus.emit(event.kind, np.array([rank]), **common,
                                inos=None if ino is None else [ino])
                 lane_bus.emit_scalar(event.kind, rank, **common, ino=ino)
-        _assert_events_identical(rec_a.events, rec_s.events)
-        _assert_logs_identical(mon_a.finalize(), mon_s.finalize())
+        assert_identical((rec_a.events, mon_a.finalize()),
+                         (rec_s.events, mon_s.finalize()))
 
 
     @given(rank_events(), st.integers(1, 4), st.booleans(), st.data())
@@ -443,35 +400,13 @@ class TestBatchedTraceFold:
                     [duration] * nsteps if varying else duration, varying,
                     n_ops, inos))
             mon_steps.on_steps(StepBatch(tuple(rows), (None,) * nsteps))
-        _assert_logs_identical(mon_events.finalize(), mon_steps.finalize())
+        assert_identical(mon_events.finalize(), mon_steps.finalize())
 
 
-class _ArrayPathPerf(StoragePerfModel):
-    """Sends every single-op cost down the array path: a 0-d array
-    input never takes the scalar lane, so its memo is bypassed."""
-
-    def metadata_op_cost(self, concurrent_clients, n_ops=1):
-        return super().metadata_op_cost(
-            np.asarray(concurrent_clients, dtype=np.float64), n_ops)
-
-    def fsync_cost(self, concurrent_writers, stripe_count=1, n_ops=1):
-        return super().fsync_cost(
-            np.asarray(concurrent_writers, dtype=np.float64), stripe_count,
-            n_ops)
-
-    def write_op_cost(self, nbytes, *args, **kwargs):
-        return super().write_op_cost(
-            np.asarray(nbytes, dtype=np.float64), *args, **kwargs)
-
-    def read_op_cost(self, nbytes, *args, **kwargs):
-        return super().read_op_cost(
-            np.asarray(nbytes, dtype=np.float64), *args, **kwargs)
-
-
-def _every_single_op(posix, fs, rank):
+def _every_single_op(posix, fs):
     """Each single-rank PosixIO op, with a fault plan installed and then
-    removed mid-sequence; ``rank(r)`` gives the rank argument."""
-    r0, r1 = rank(0), rank(3)
+    removed mid-sequence."""
+    r0, r1 = 0, 3
     posix.mkdir(r0, "/d")
     fd_a = posix.open(r0, "/d/a", create=True)
     fd_b = posix.open(r1, "/d/b", create=True)
@@ -514,27 +449,22 @@ class TestScalarLane:
     @pytest.mark.parametrize("evict", [False, True])
     def test_posix_ops_match_one_element_rank_arrays(self, granularity,
                                                      evict):
-        runs = []
-        for rank, reference in ((lambda r: r, False),
-                                (lambda r: np.array([r]), True)):
+        def run():
             fs = mount(dardel().storage_named("lfs"))
-            if reference:  # same model state, costs via the array path
-                fs.perf.__class__ = _ArrayPathPerf
             comm = VirtualComm(4, 2)
             mon = DarshanMonitor(4, granularity=granularity,
                                  node_of_rank=comm.node_of_rank,
                                  evict_on_close=evict)
-            posix = PosixIO(fs, comm, mon)
-            rec = posix.trace.subscribe(EventRecorder())
-            _every_single_op(posix, fs, rank)
-            runs.append((comm.clocks, rec.events, mon.finalize()))
-        (clocks_s, events_s, log_s), (clocks_a, events_a, log_a) = runs
-        assert clocks_s.tobytes() == clocks_a.tobytes()
-        kinds = {e.kind for e in events_s}
+            session = TraceSession(comm, monitor=mon, mode="full")
+            _every_single_op(PosixIO(fs, comm, trace=session.bus), fs)
+            return SimpleNamespace(log=mon.finalize(), trace=session)
+
+        (lane, census), (ref, _) = observed(run), observed(run, True)
+        kinds = {e.kind for e in lane.result.trace.events}
         assert {"mkdir", "create", "open", "stat", "read", "write", "fsync",
                 "close", "unlink", "fault", "retry", "failover"} <= kinds
-        _assert_events_identical(events_s, events_a)
-        _assert_logs_identical(log_s, log_a)
+        assert census["scalar_emits"] > 20
+        assert_same(lane, ref)
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)

@@ -28,62 +28,17 @@ from repro.faults import (
     install_faults,
     uninstall_faults,
 )
-from repro.fs import PosixIO, mount
 from repro.mpi import VirtualComm
-from repro.trace.session import TraceSession
-from repro.workloads import (
-    run_crash_restart,
-    run_original_scaled,
-    small_use_case,
+from repro.workloads import run_crash_restart, run_original_scaled
+from tests.oracle import (
+    assert_identical,
+    crash_config,
+    crash_stack,
+    fault_free_state,
+    final_state,
 )
 
 pytestmark = pytest.mark.resilience
-
-
-def _stack(mode=None):
-    """A fresh 4-rank / 2-node virtual machine on the dardel filesystem."""
-    fs = mount(dardel().storage_named("lfs"))
-    comm = VirtualComm(4, 2)
-    session = TraceSession(comm, mode=mode)
-    posix = PosixIO(fs, comm, trace=session.bus)
-    return fs, comm, posix, session
-
-
-def _config(**overrides):
-    kw = dict(ncells=32, particles_per_cell=10, last_step=40,
-              datfile=20, dmpstep=20)
-    kw.update(overrides)
-    return small_use_case(**kw)
-
-
-def _final_state(sim):
-    return [sim.state_arrays(r) for r in range(len(sim.particles))]
-
-
-def _assert_states_equal(a, b):
-    assert len(a) == len(b)
-    for rank, (sa, sb) in enumerate(zip(a, b)):
-        assert sa.keys() == sb.keys(), f"species mismatch on rank {rank}"
-        for name in sa:
-            for f in ("x", "vx", "vy", "vz", "weight"):
-                np.testing.assert_array_equal(
-                    sa[name][f], sb[name][f],
-                    err_msg=f"rank {rank} species {name} field {f}")
-
-
-_BASELINES: dict = {}
-
-
-def _baseline_state(writer: str, config=None):
-    """Fault-free final state per writer kind (computed once per module)."""
-    key = (writer, repr(config))
-    if key not in _BASELINES:
-        fs, comm, posix, _ = _stack()
-        rep = run_crash_restart(config or _config(), comm, posix, "/out",
-                                writer=writer)
-        assert rep.crashes == 0 and rep.restarts == 0
-        _BASELINES[key] = _final_state(rep.sim)
-    return _BASELINES[key]
 
 
 class TestPlan:
@@ -144,7 +99,7 @@ class TestRetryPolicy:
 
 class TestGuard:
     def test_transient_without_policy_raises(self):
-        fs, comm, posix, _ = _stack()
+        fs, comm, posix, _ = crash_stack()
         inj = install_faults(posix, FaultPlan(
             (TransientError("write", step=1, errno_name="EIO"),)))
         inj.begin_step(1)
@@ -156,7 +111,7 @@ class TestGuard:
         assert ctx["errno"] == "EIO" and ctx["ranks"] == [0]
 
     def test_transient_retried_under_policy(self):
-        fs, comm, posix, session = _stack(mode="full")
+        fs, comm, posix, session = crash_stack(mode="full")
         inj = install_faults(posix, FaultPlan(
             (TransientError("write", step=1, count=2),)),
             RetryPolicy(max_retries=4))
@@ -171,7 +126,7 @@ class TestGuard:
         assert kinds.count("fault") == 2 and kinds.count("retry") == 2
 
     def test_dead_ost_restripes_and_retries(self):
-        fs, comm, posix, session = _stack(mode="full")
+        fs, comm, posix, session = crash_stack(mode="full")
         fd = posix.open(0, "/striped", create=True)
         posix.write(0, fd, b"x" * 4096)  # place the file on OSTs
         ino = fs.vfs.lookup("/striped")
@@ -194,7 +149,7 @@ class TestGuard:
         assert not fs.dead_osts
 
     def test_uninstall_detaches(self):
-        fs, comm, posix, _ = _stack()
+        fs, comm, posix, _ = crash_stack()
         inj = install_faults(posix, FaultPlan((TransientError("write", 1),)))
         assert posix.faults is inj and fs.perf.fault_state is inj.state
         uninstall_faults(posix)
@@ -202,7 +157,7 @@ class TestGuard:
         assert comm.fault_state is None
 
     def test_node_crash_raises(self):
-        fs, comm, posix, _ = _stack()
+        fs, comm, posix, _ = crash_stack()
         inj = install_faults(posix, FaultPlan((NodeCrash(1, 5),)))
         inj.begin_step(4)
         with pytest.raises(NodeCrashError) as ei:
@@ -215,7 +170,7 @@ class TestGuard:
     def test_same_step_crashes_form_one_failure_domain(self):
         # two nodes dying in the same step is ONE failure event whose
         # domain spans both — recovery planning needs the full set
-        fs, comm, posix, _ = _stack()
+        fs, comm, posix, _ = crash_stack()
         inj = install_faults(posix, FaultPlan(
             (NodeCrash(0, 5), NodeCrash(1, 5))))
         with pytest.raises(NodeCrashError) as ei:
@@ -226,7 +181,7 @@ class TestGuard:
 
 class TestFaultState:
     def test_window_factors_recomputed_statelessly(self):
-        fs, comm, posix, _ = _stack()
+        fs, comm, posix, _ = crash_stack()
         n = fs.system.num_osts
         inj = install_faults(posix, FaultPlan((
             OSTFault(0, 2, 4, bw_factor=0.5),
@@ -277,37 +232,37 @@ class TestAggregatorFailover:
 class TestCrashRestart:
     @pytest.mark.parametrize("writer", ["original", "openpmd"])
     def test_restart_bit_identical(self, writer):
-        fs, comm, posix, _ = _stack()
+        fs, comm, posix, _ = crash_stack()
         plan = FaultPlan((NodeCrash(0, 31),))
-        rep = run_crash_restart(_config(), comm, posix, "/out",
+        rep = run_crash_restart(crash_config(), comm, posix, "/out",
                                 writer=writer, plan=plan)
         assert rep.crashes == 1 and rep.restarts == 1
         assert rep.sim.step_index == 40
         # restored at checkpoint 20, crashed entering 31: steps 21-30 redone
         assert rep.wasted_steps == 10
-        _assert_states_equal(_final_state(rep.sim), _baseline_state(writer))
+        assert_identical(final_state(rep.sim), fault_free_state(writer))
 
     @pytest.mark.parametrize("writer", ["original", "openpmd"])
     def test_scratch_restart_before_first_checkpoint(self, writer):
-        fs, comm, posix, _ = _stack()
-        cfg = _config(dmpstep=40)
+        fs, comm, posix, _ = crash_stack()
+        cfg = crash_config(dmpstep=40)
         plan = FaultPlan((NodeCrash(1, 25),))
         rep = run_crash_restart(cfg, comm, posix, "/out",
                                 writer=writer, plan=plan)
         assert rep.crashes == 1 and rep.wasted_steps == 24
-        _assert_states_equal(_final_state(rep.sim),
-                             _baseline_state(writer, cfg))
+        assert_identical(final_state(rep.sim),
+                             fault_free_state(writer, cfg))
 
     def test_corrupt_checkpoint_refused_with_context(self):
         # corrupt the checkpoint mid-run, then crash: the restart must
         # refuse the bad checkpoint, record structured context, and fall
         # back to a scratch restart that still converges bit-identically
-        fs, comm, posix, _ = _stack()
+        fs, comm, posix, _ = crash_stack()
         plan = FaultPlan((
             SilentCorruption("/out/bit1_r00001.dmp", step=25,
                              offset=512, nbytes=8),
             NodeCrash(0, 31)))
-        rep = run_crash_restart(_config(), comm, posix, "/out",
+        rep = run_crash_restart(crash_config(), comm, posix, "/out",
                                 writer="original", plan=plan)
         assert len(rep.failures) == 1
         rec = rep.failures[0]
@@ -316,26 +271,26 @@ class TestCrashRestart:
                 "expected", "actual"} <= set(rec.context)
         assert rec.context["rank"] == 1
         assert "failed:" in rep.render()
-        _assert_states_equal(_final_state(rep.sim), _baseline_state("original"))
+        assert_identical(final_state(rep.sim), fault_free_state("original"))
 
     def test_max_restarts_exhausted(self):
-        fs, comm, posix, _ = _stack()
+        fs, comm, posix, _ = crash_stack()
         plan = FaultPlan(tuple(NodeCrash(0, s) for s in (5, 6, 7)))
         with pytest.raises(NodeCrashError):
-            run_crash_restart(_config(), comm, posix, "/out",
+            run_crash_restart(crash_config(), comm, posix, "/out",
                               plan=plan, max_restarts=2)
 
     def test_max_restarts_exact_boundary(self):
         # N crashes under max_restarts=N must complete (the budget is
         # inclusive); the same plan under N-1 must raise — no off-by-one
         plan = FaultPlan(tuple(NodeCrash(0, s) for s in (5, 6, 7)))
-        fs, comm, posix, _ = _stack()
-        rep = run_crash_restart(_config(), comm, posix, "/out",
+        fs, comm, posix, _ = crash_stack()
+        rep = run_crash_restart(crash_config(), comm, posix, "/out",
                                 plan=plan, max_restarts=3)
         assert rep.crashes == 3 and rep.restarts == 3
         assert rep.sim.step_index == 40
-        _assert_states_equal(_final_state(rep.sim),
-                             _baseline_state("original"))
+        assert_identical(final_state(rep.sim),
+                             fault_free_state("original"))
 
 
 class TestGoldenDeterminism:
@@ -348,8 +303,8 @@ class TestGoldenDeterminism:
             NodeCrash(0, 31)), seed=3)
         streams = []
         for _ in range(2):
-            fs, comm, posix, session = _stack(mode="full")
-            run_crash_restart(_config(), comm, posix, "/out",
+            fs, comm, posix, session = crash_stack(mode="full")
+            run_crash_restart(crash_config(), comm, posix, "/out",
                               plan=plan, policy=RetryPolicy(seed=3))
             streams.append([self._freeze(e) for e in session.events])
         assert streams[0] == streams[1]
@@ -394,16 +349,16 @@ class TestRecoverableRoundTrip:
     @settings(max_examples=6, deadline=None)
     @given(specs=st.lists(_RECOVERABLE_SPEC, min_size=1, max_size=3),
            seed=st.integers(0, 3))
-    def test_recoverable_plan_preserves_final_state(self, specs, seed):
+    def test_recoverable_plan_preservesfinal_state(self, specs, seed):
         """Any recoverable plan, retried in place, leaves physics alone:
         the final particle state matches the fault-free run bit for bit.
         """
         plan = FaultPlan(tuple(specs), seed=seed)
         assert plan.recoverable
-        cfg = _config(**_HYPO_CFG_KW)
-        fs, comm, posix, _ = _stack()
+        cfg = crash_config(**_HYPO_CFG_KW)
+        fs, comm, posix, _ = crash_stack()
         rep = run_crash_restart(cfg, comm, posix, "/out", writer="original",
                                 plan=plan, policy=RetryPolicy(seed=seed))
         assert rep.crashes == 0 and rep.restarts == 0
-        _assert_states_equal(_final_state(rep.sim),
-                             _baseline_state("original", cfg))
+        assert_identical(final_state(rep.sim),
+                             fault_free_state("original", cfg))

@@ -9,6 +9,8 @@ These properties pin that down, from the scatter helpers up to whole
 runs with the producers patched to arrays.
 """
 
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -41,10 +43,7 @@ from repro.util.scatter import (
 )
 from repro.workloads.presets import paper_use_case
 from repro.workloads.runner import run_original_scaled
-from tests.test_batched_plane import (
-    _assert_events_identical,
-    _assert_logs_identical,
-)
+from tests.oracle import assert_identical, assert_same, observed
 
 finite = st.floats(-1e9, 1e9, allow_nan=False, width=64)
 
@@ -177,17 +176,11 @@ def _subscribers(nprocs, granularity, evict):
     return bus, subs, profile
 
 
-def _assert_subscribers_identical(subs_a, subs_b, profile_a, profile_b):
-    mon_a, _, bd_a, rec_a, dxt_a = subs_a
-    mon_b, _, bd_b, rec_b, dxt_b = subs_b
-    assert mon_a._evicted == mon_b._evicted
-    _assert_logs_identical(mon_a.finalize(), mon_b.finalize())
-    for cat in profile_a.us:
-        assert profile_a.us[cat].tobytes() == profile_b.us[cat].tobytes()
-    assert profile_a.bytes_put.tobytes() == profile_b.bytes_put.tobytes()
-    assert bd_a.totals() == bd_b.totals()
-    _assert_events_identical(rec_a.events, rec_b.events)
-    assert dxt_a.render() == dxt_b.render()
+def _folds(subs, profile):
+    """What each subscriber folded."""
+    mon, _, breakdown, recorder, dxt = subs
+    return (mon._evicted, mon.finalize(), profile, breakdown.totals(),
+            recorder.events, dxt.render())
 
 
 @st.composite
@@ -255,7 +248,7 @@ class TestRangeEvents:
             spelled = {name: np.full(len(r), value) if np.ndim(value) == 0
                        else value for name, value in columns.items()}
             _emit(bus_a, kind, _arange(r), spelled, inos)
-        _assert_subscribers_identical(subs_l, subs_a, prof_l, prof_a)
+        assert_identical(_folds(subs_l, prof_l), _folds(subs_a, prof_a))
 
     def test_ranks_are_built_only_when_read(self):
         bus = TraceBus()
@@ -392,44 +385,27 @@ class TestGroupOpsOverRanges:
             posix.comm.trace = posix.trace  # barriers emit too
             _run_program(posix, comm, ranks, program, injector)
             runs.append((fs, comm, subs, profile))
-        (fs_l, comm_l, subs_l, prof_l), (fs_a, comm_a, subs_a, prof_a) = runs
-        assert comm_l.clocks.tobytes() == comm_a.clocks.tobytes()
-        _assert_subscribers_identical(subs_l, subs_a, prof_l, prof_a)
-        for col in ("size", "write_ops", "bytes_written", "read_ops",
-                    "bytes_read", "stripe_count", "stripe_size"):
-            assert (getattr(fs_l.vfs.cols, col).tobytes()
-                    == getattr(fs_a.vfs.cols, col).tobytes()), col
+        lane, reference = (
+            (comm.clocks, _folds(subs, profile),
+             [getattr(fs.vfs.cols, col) for col in (
+                 "size", "write_ops", "bytes_written", "read_ops",
+                 "bytes_read", "stripe_count", "stripe_size")])
+            for fs, comm, subs, profile in runs)
+        assert_identical(lane, reference)
 
 
 # ---------------------------------------------------------------------------
-# whole runs: the producers patched to arrays are the reference
-
-
-def _array_producers(monkeypatch):
-    """Make :meth:`VirtualComm.rank_range`, the one place producers
-    build their ranges, return ``np.arange`` instead."""
-    monkeypatch.setattr(
-        VirtualComm, "rank_range",
-        lambda self, start=0, stop=None, step=1: np.arange(
-            start, self.size if stop is None else stop, step))
+# whole runs: every lane's reference at once (tests/oracle.py)
 
 
 class TestOriginalRun:
     def test_original_run_matches_array_producers(self):
-        def run():
-            return run_original_scaled(
-                dardel(), 2, config=paper_use_case().with_(
-                    ncells=2048, last_step=60, datfile=10, dmpstep=20),
-                ranks_per_node=8, trace_mode="full", fault_plan=FaultPlan(
-                    (MDSSlowdown(start_step=20, end_step=40, factor=3.0),
-                     OSTFault(5, start_step=30, end_step=40,
-                              bw_factor=0.5))))
-
-        lane = run()
-        with pytest.MonkeyPatch.context() as m:
-            _array_producers(m)
-            ref = run()
-        assert lane.comm.clocks.tobytes() == ref.comm.clocks.tobytes()
-        _assert_events_identical(lane.trace.events, ref.trace.events)
-        _assert_logs_identical(lane.log, ref.log)
-        assert lane.trace.dxt_text() == ref.trace.dxt_text()
+        run = partial(
+            run_original_scaled, dardel(), 2, config=paper_use_case().with_(
+                ncells=2048, last_step=60, datfile=10, dmpstep=20),
+            ranks_per_node=8, trace_mode="full", fault_plan=FaultPlan(
+                (MDSSlowdown(start_step=20, end_step=40, factor=3.0),
+                 OSTFault(5, start_step=30, end_step=40, bw_factor=0.5))))
+        (lane, census), (ref, _) = observed(run), observed(run, True)
+        assert census["range_events"] > 0
+        assert_same(lane, ref)

@@ -10,7 +10,6 @@ memory-account ledger and the torn-flush semantics of the async L3
 drain.
 """
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,54 +21,16 @@ from repro.mem import current_budget
 from repro.mpi import VirtualComm
 from repro.pic import Bit1Simulation
 from repro.resilience import CheckpointPolicy, MultiLevelStore
-from repro.trace.session import TraceSession
-from repro.workloads import run_crash_restart, small_use_case
+from repro.workloads import run_crash_restart
+from tests.oracle import (
+    assert_identical,
+    crash_config,
+    crash_stack,
+    fault_free_state,
+    final_state,
+)
 
 pytestmark = pytest.mark.resilience
-
-
-def _stack(mode=None):
-    fs = mount(dardel().storage_named("lfs"))
-    comm = VirtualComm(4, 2)
-    session = TraceSession(comm, mode=mode)
-    posix = PosixIO(fs, comm, trace=session.bus)
-    return fs, comm, posix, session
-
-
-def _config(**overrides):
-    kw = dict(ncells=32, particles_per_cell=10, last_step=40,
-              datfile=20, dmpstep=20)
-    kw.update(overrides)
-    return small_use_case(**kw)
-
-
-def _final_state(sim):
-    return [sim.state_arrays(r) for r in range(len(sim.particles))]
-
-
-def _assert_states_equal(a, b):
-    assert len(a) == len(b)
-    for rank, (sa, sb) in enumerate(zip(a, b)):
-        assert sa.keys() == sb.keys(), f"species mismatch on rank {rank}"
-        for name in sa:
-            for f in ("x", "vx", "vy", "vz", "weight"):
-                np.testing.assert_array_equal(
-                    sa[name][f], sb[name][f],
-                    err_msg=f"rank {rank} species {name} field {f}")
-
-
-_BASELINES: dict = {}
-
-
-def _baseline_state(writer: str, config=None):
-    key = (writer, repr(config))
-    if key not in _BASELINES:
-        fs, comm, posix, _ = _stack()
-        rep = run_crash_restart(config or _config(), comm, posix, "/out",
-                                writer=writer)
-        assert rep.crashes == 0 and rep.restarts == 0
-        _BASELINES[key] = _final_state(rep.sim)
-    return _BASELINES[key]
 
 
 class TestPolicy:
@@ -102,10 +63,10 @@ class TestPartnerRecovery:
         # L1 partner policy recover purely from the memory tiers — the
         # run stays bit-identical to fault-free and the PFS never serves
         # a single recovery read (so Darshan sees zero read traffic)
-        fs, comm, posix, session = _stack(mode="full")
+        fs, comm, posix, session = crash_stack(mode="full")
         plan = FaultPlan((NodeCrash(0, 25), NodeCrash(1, 35)))
         policy = CheckpointPolicy.partner(l3_interval=0)
-        rep = run_crash_restart(_config(), comm, posix, "/out",
+        rep = run_crash_restart(crash_config(), comm, posix, "/out",
                                 writer="original", plan=plan,
                                 checkpoint_policy=policy)
         assert rep.crashes == 2 and rep.restarts == 2
@@ -116,13 +77,13 @@ class TestPartnerRecovery:
                ["l1-partner", "l1-partner"]
         assert all(r.restored_step == 20 for r in rep.crash_records)
         assert rep.checkpoint_policy == policy.label()
-        _assert_states_equal(_final_state(rep.sim),
-                             _baseline_state("original"))
+        assert_identical(final_state(rep.sim),
+                             fault_free_state("original"))
 
     def test_store_and_rebuild_events_on_faults_layer(self):
-        fs, comm, posix, session = _stack(mode="full")
+        fs, comm, posix, session = crash_stack(mode="full")
         plan = FaultPlan((NodeCrash(0, 25),))
-        rep = run_crash_restart(_config(), comm, posix, "/out",
+        rep = run_crash_restart(crash_config(), comm, posix, "/out",
                                 writer="original", plan=plan,
                                 checkpoint_policy=CheckpointPolicy.partner(
                                     l3_interval=0))
@@ -135,29 +96,29 @@ class TestPartnerRecovery:
 
     @pytest.mark.parametrize("writer", ["original", "openpmd"])
     def test_bit_identical_both_writers(self, writer):
-        fs, comm, posix, _ = _stack()
+        fs, comm, posix, _ = crash_stack()
         plan = FaultPlan((NodeCrash(1, 31),))
-        rep = run_crash_restart(_config(), comm, posix, "/out",
+        rep = run_crash_restart(crash_config(), comm, posix, "/out",
                                 writer=writer, plan=plan,
                                 checkpoint_policy=CheckpointPolicy.partner())
         assert rep.crash_records[0].source == "l1-partner"
-        _assert_states_equal(_final_state(rep.sim), _baseline_state(writer))
+        assert_identical(final_state(rep.sim), fault_free_state(writer))
 
 
 class TestXorRecovery:
     def test_single_node_rebuilt_from_parity(self):
-        fs, comm, posix, _ = _stack()
+        fs, comm, posix, _ = crash_stack()
         plan = FaultPlan((NodeCrash(0, 31),))
         policy = CheckpointPolicy.xor_group(group_size=2, l3_interval=0)
-        rep = run_crash_restart(_config(), comm, posix, "/out",
+        rep = run_crash_restart(crash_config(), comm, posix, "/out",
                                 writer="original", plan=plan,
                                 checkpoint_policy=policy)
         assert rep.crashes == 1
         rec = rep.crash_records[0]
         assert rec.source == "l2-xor" and rec.restored_step == 20
         assert float(fs.vfs.cols.bytes_read.sum()) == 0.0
-        _assert_states_equal(_final_state(rep.sim),
-                             _baseline_state("original"))
+        assert_identical(final_state(rep.sim),
+                             fault_free_state("original"))
 
 
 class TestBeyondRedundancy:
@@ -165,11 +126,11 @@ class TestBeyondRedundancy:
         # both nodes of the partner pair die in the same step: the
         # memory tiers cannot rebuild, so recovery reads the fsynced L3
         # generation — the one path Darshan *does* see
-        fs, comm, posix, _ = _stack()
+        fs, comm, posix, _ = crash_stack()
         plan = FaultPlan((NodeCrash(0, 31), NodeCrash(1, 31)))
         policy = CheckpointPolicy(partner_interval=1, l3_interval=1,
                                   async_flush=False)
-        rep = run_crash_restart(_config(), comm, posix, "/out",
+        rep = run_crash_restart(crash_config(), comm, posix, "/out",
                                 writer="original", plan=plan,
                                 checkpoint_policy=policy)
         assert rep.crashes == 1
@@ -177,12 +138,12 @@ class TestBeyondRedundancy:
         assert rec.nodes == (0, 1)
         assert rec.source == "l3" and rec.restored_step == 20
         assert float(fs.vfs.cols.bytes_read.sum()) > 0.0
-        _assert_states_equal(_final_state(rep.sim),
-                             _baseline_state("original"))
+        assert_identical(final_state(rep.sim),
+                             fault_free_state("original"))
 
     def test_crash_before_any_checkpoint_is_scratch(self):
-        fs, comm, posix, _ = _stack()
-        cfg = _config(dmpstep=40)
+        fs, comm, posix, _ = crash_stack()
+        cfg = crash_config(dmpstep=40)
         plan = FaultPlan((NodeCrash(1, 25),))
         rep = run_crash_restart(cfg, comm, posix, "/out",
                                 writer="original", plan=plan,
@@ -190,16 +151,16 @@ class TestBeyondRedundancy:
         rec = rep.crash_records[0]
         assert rec.source == "scratch" and rec.restored_step == 0
         assert rec.generation is None
-        _assert_states_equal(_final_state(rep.sim),
-                             _baseline_state("original", cfg))
+        assert_identical(final_state(rep.sim),
+                             fault_free_state("original", cfg))
 
 
 class TestRingWalkBack:
     def test_corrupt_newest_generation_walks_back(self):
         # satellite fix: a refused (CRC-failing) L3 generation must fall
         # back through *older* ring generations, not jump to scratch
-        fs, comm, posix, _ = _stack()
-        cfg = _config(dmpstep=10)  # generations at steps 10, 20, 30
+        fs, comm, posix, _ = crash_stack()
+        cfg = crash_config(dmpstep=10)  # generations at steps 10, 20, 30
         plan = FaultPlan((
             SilentCorruption("/out/.ring/gen000002.l3", step=33,
                              offset=2048, nbytes=16),
@@ -216,12 +177,12 @@ class TestRingWalkBack:
         rec = rep.crash_records[0]
         assert rec.source == "l3"
         assert rec.restored_step == 20 and rec.generation == 1
-        _assert_states_equal(_final_state(rep.sim),
-                             _baseline_state("original", cfg))
+        assert_identical(final_state(rep.sim),
+                             fault_free_state("original", cfg))
 
     def test_ring_trimmed_to_depth(self):
-        fs, comm, posix, _ = _stack()
-        cfg = _config(dmpstep=10)
+        fs, comm, posix, _ = crash_stack()
+        cfg = crash_config(dmpstep=10)
         policy = CheckpointPolicy.pfs_only(ring_depth=2, async_flush=False)
         rep = run_crash_restart(cfg, comm, posix, "/out",
                                 writer="original", plan=None,
@@ -233,13 +194,13 @@ class TestRingWalkBack:
 
 class TestStoreLedger:
     def _sim(self, comm, steps=20):
-        sim = Bit1Simulation(_config(), comm)
+        sim = Bit1Simulation(crash_config(), comm)
         for _ in range(steps):
             sim.step()
         return sim
 
     def test_memory_account_charged_and_released(self):
-        fs, comm, posix, _ = _stack()
+        fs, comm, posix, _ = crash_stack()
         acct = current_budget().account("resilience")
         base = acct.used
         store = MultiLevelStore(posix, comm, "/out",
@@ -259,7 +220,7 @@ class TestStoreLedger:
         # an async L3 flush still draining when the node dies leaves a
         # torn file: fail_nodes must abandon it so a later recovery can
         # never read the partial generation
-        fs, comm, posix, _ = _stack()
+        fs, comm, posix, _ = crash_stack()
         store = MultiLevelStore(posix, comm, "/out",
                                 CheckpointPolicy.partner(l3_interval=1))
         sim = self._sim(comm)
@@ -277,7 +238,7 @@ class TestStoreLedger:
         posix = PosixIO(fs, comm)
         store = MultiLevelStore(posix, comm, "/out",
                                 CheckpointPolicy.partner(l3_interval=0))
-        sim = Bit1Simulation(_config(), comm)
+        sim = Bit1Simulation(crash_config(), comm)
         for _ in range(20):
             sim.step()
         gen = store.store(sim, 20)
@@ -308,11 +269,11 @@ class TestTierPolicyRoundTrip:
         L3 ring, legacy writer or scratch — the recovered run's final
         particle state matches the fault-free run bit for bit.
         """
-        cfg = _config(**_HYPO_CFG_KW)
-        fs, comm, posix, _ = _stack()
+        cfg = crash_config(**_HYPO_CFG_KW)
+        fs, comm, posix, _ = crash_stack()
         plan = FaultPlan((NodeCrash(node, crash_step),))
         rep = run_crash_restart(cfg, comm, posix, "/out", writer=writer,
                                 plan=plan, checkpoint_policy=policy)
         assert rep.crashes == 1 and len(rep.crash_records) == 1
-        _assert_states_equal(_final_state(rep.sim),
-                             _baseline_state(writer, cfg))
+        assert_identical(final_state(rep.sim),
+                             fault_free_state(writer, cfg))

@@ -10,6 +10,9 @@ including spilled extents and degraded-OST fault plans.
 
 from __future__ import annotations
 
+from functools import partial
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -41,6 +44,7 @@ from repro.serving.patterns import PATTERNS
 from repro.trace.session import TraceSession
 from repro.util.units import MiB
 from repro.workloads import small_use_case
+from tests.oracle import assert_same, observe
 
 pytestmark = pytest.mark.serving
 
@@ -442,6 +446,21 @@ class TestCachedReaderByteIdentity:
             ref = reference[path]
             assert got.dtype == ref.dtype and got.shape == ref.shape
             assert got.tobytes() == ref.tobytes()
+
+    def test_disabled_cache_charges_identical_virtual_clocks(self):
+        """``policy="none"`` loads are direct ``Series.load`` calls, bit
+        for bit: the same per-entry costs, events and descriptors."""
+        def run(cached):
+            posix, comm = _series_env()
+            series = Series(posix, comm, "/run/serve/bit1_dat.bp4",
+                            Access.READ_ONLY)
+            source = (CachedSeriesReader(series, config=ServingConfig(
+                policy="none")) if cached else series)
+            return SimpleNamespace(report=[
+                source.load(p) for p in _load_plan(series)])
+
+        assert_same(observe(partial(run, False)),
+                    observe(partial(run, True)))
 
     def test_hits_are_served_from_cache(self, env):
         posix, comm, series, plan, reference = env

@@ -155,6 +155,23 @@ class TestAccountingBoundary:
                           "outside fs/posix.py:\n" + "\n".join(uses))
 
 
+class TestTestModules:
+    def test_no_test_module_imports_another(self):
+        """Test modules share helpers through ``tests/oracle.py`` only:
+        no ``tests/test_*.py`` imports from another ``tests.test_*``."""
+        tests = Path(__file__).parent
+        imports = []
+        for path in sorted(tests.glob("test_*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                names = ([node.module] if isinstance(node, ast.ImportFrom)
+                         else [a.name for a in node.names]
+                         if isinstance(node, ast.Import) else [])
+                imports += [f"{path.name}:{node.lineno} {name}"
+                            for name in names
+                            if name and name.startswith("tests.test_")]
+        assert not imports, "\n".join(imports)
+
+
 class TestPerfModelStream:
     """The step lane draws a run's storage noise as one block in the
     per-step order, which holds only while the perf model alone draws
