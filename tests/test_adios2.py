@@ -604,8 +604,8 @@ class TestFlushMemo:
     PLAN = (NICFlap(node=0, start_step=20, end_step=30, factor=0.25),
             AggregatorFailure(rank=5, step=50))
 
-    def _assert_matches_references(self, engine_ext, compressor,
-                                   async_drain, rank_block_size=None):
+    def _against_references(self, engine_ext, compressor, async_drain,
+                            rank_block_size=None):
         """The faulted run against its references; returns its census."""
         run = partial(
             run_openpmd_scaled, dardel(), 2, config=paper_use_case().with_(
@@ -628,7 +628,7 @@ class TestFlushMemo:
     @pytest.mark.parametrize("engine_ext", [".bp4", ".bp5"])
     def test_memoised_run_matches_fresh_derivations(self, engine_ext,
                                                     compressor, async_drain):
-        self._assert_matches_references(engine_ext, compressor, async_drain)
+        self._against_references(engine_ext, compressor, async_drain)
 
     @pytest.mark.parametrize("async_drain", [False, True],
                              ids=["sync", "async"])
@@ -637,8 +637,8 @@ class TestFlushMemo:
     def test_blocked_run_matches_fresh_derivations(self, engine_ext,
                                                    compressor, async_drain):
         """The rank-blocked flush (windows of 5 of the 16 ranks)."""
-        self._assert_matches_references(engine_ext, compressor, async_drain,
-                                        rank_block_size=5)
+        self._against_references(engine_ext, compressor, async_drain,
+                                 rank_block_size=5)
 
     @pytest.mark.parametrize("block", [None, 5], ids=["whole", "blocked"])
     @pytest.mark.parametrize("async_drain", [False, True],
@@ -649,7 +649,7 @@ class TestFlushMemo:
             self, engine_ext, compressor, async_drain, block):
         """The producers' rank ranges (whole-job and window emits, the
         aggregator progression, barriers) reach the folds."""
-        census = self._assert_matches_references(
+        census = self._against_references(
             engine_ext, compressor, async_drain, rank_block_size=block)
         assert census["range_events"] > 0
 

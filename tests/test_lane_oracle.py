@@ -67,18 +67,24 @@ def _ior(nodes, ranks_per_node, **config):
                    ranks_per_node=ranks_per_node)
 
 
-def _fleet(nodes, ranks_per_node, trace_mode, granularity, **kw):
-    machine = dardel()
-    fs = mount(machine.storage_named("lfs"))
+def _stack(nodes, ranks_per_node, trace_mode, granularity="rank"):
+    """(comm, posix, Darshan monitor, session) on dardel's Lustre."""
     comm = VirtualComm(nodes * ranks_per_node, ranks_per_node)
     monitor = DarshanMonitor(comm.size, granularity=granularity,
                              node_of_rank=comm.node_of_rank)
     session = TraceSession(comm, monitor=monitor, mode=trace_mode)
-    posix = PosixIO(fs, comm, trace=session.bus)
+    posix = PosixIO(mount(dardel().storage_named("lfs")), comm,
+                    trace=session.bus)
+    return comm, posix, monitor, session
+
+
+def _fleet(nodes, ranks_per_node, trace_mode, granularity, **kw):
+    comm, posix, monitor, session = _stack(nodes, ranks_per_node,
+                                           trace_mode, granularity)
     layout = SeriesLayout("/serve/s.bp", chunk_bytes=MiB,
                           total_bytes=24 * MiB, n_subfiles=4)
-    layout.materialize(fs)
-    report = ReaderFleet(posix, layout, machine.node, readers=comm.size,
+    layout.materialize(posix.fs)
+    report = ReaderFleet(posix, layout, dardel().node, readers=comm.size,
                          requests_per_reader=12, **kw).run()
     return SimpleNamespace(log=monitor.finalize(comm.max_time()),
                            trace=session, report=report)
@@ -88,11 +94,8 @@ def _checkpoint(nodes, ranks_per_node, trace_mode, nbytes, **kw):
     """The original writer's checkpoint when every rank holds the same
     state: one byte count for the group, in stdio buffer chunks (the
     scaled runners' per-rank state never gives a group one count)."""
-    machine = dardel()
-    comm = VirtualComm(nodes * ranks_per_node, ranks_per_node)
-    monitor = DarshanMonitor(comm.size)
-    session = TraceSession(comm, monitor=monitor, mode=trace_mode)
-    posix = PosixIO(mount(machine.default_storage), comm, trace=session.bus)
+    comm, posix, monitor, session = _stack(nodes, ranks_per_node,
+                                           trace_mode)
     ranks = comm.rank_range()
     posix.mkdir(0, "/ckpt")
     fds = posix.open_group(ranks, [f"/ckpt/r{r}.dmp" for r in ranks],
@@ -111,6 +114,7 @@ def run_shapes(draw):
     """(runner name, zero-argument run) at 2-4 nodes of 4-8 ranks."""
     nodes, per_node = draw(st.integers(2, 4)), draw(st.integers(4, 8))
     n = nodes * per_node
+    # openPMD thrice: only its runs hold BP engines (memo, step lane)
     runner = draw(st.sampled_from(["openpmd", "original", "openpmd",
                                    "checkpoint", "openpmd", "ior",
                                    "fleet"]))

@@ -455,30 +455,34 @@ class TestChunkedBitIdentity:
     """rank_block_size must never change a simulated result."""
 
     @staticmethod
-    def _assert_identical(block, **kw):
+    def _blocked_equals_unblocked(block, **kw):
         assert_same(observe(partial(_run, None, **kw)),
                     observe(partial(_run, block, **kw)),
                     leave_out=CHUNKED_LEAVES_OUT)
 
     @pytest.mark.parametrize("block", [3, 5, 8, 16])
     def test_counters_clocks_and_peaks_identical(self, block):
-        self._assert_identical(block)
+        self._blocked_equals_unblocked(block)
 
     def test_identity_with_aggregators_and_profiling(self):
-        self._assert_identical(5, num_aggregators=2, profiling=True)
+        self._blocked_equals_unblocked(5, num_aggregators=2,
+                                       profiling=True)
 
     def test_identity_with_compression(self):
-        self._assert_identical(3, num_aggregators=2, compressor="blosc")
+        self._blocked_equals_unblocked(3, num_aggregators=2,
+                                       compressor="blosc")
 
     def test_identity_under_fault_plan(self):
         # the failover drops both runs' flush memos; the flap then
         # replaces an entry at step 30, which later flushes hit
-        self._assert_identical(5, num_aggregators=2, fault_plan=FaultPlan(
-            (AggregatorFailure(rank=0, step=20),
-             NICFlap(node=0, start_step=30, end_step=40, factor=0.25))))
+        self._blocked_equals_unblocked(5, num_aggregators=2, fault_plan=(
+            FaultPlan((AggregatorFailure(rank=0, step=20),
+                       NICFlap(node=0, start_step=30, end_step=40,
+                               factor=0.25)))))
 
     def test_identity_with_bp5_two_level(self):
-        self._assert_identical(5, engine_ext=".bp5", num_aggregators=2)
+        self._blocked_equals_unblocked(5, engine_ext=".bp5",
+                                       num_aggregators=2)
 
     def test_dxt_segments_identical_sorted(self):
         base = _run(None, trace_mode="full")
