@@ -349,7 +349,7 @@ class TestRecoverableRoundTrip:
     @settings(max_examples=6, deadline=None)
     @given(specs=st.lists(_RECOVERABLE_SPEC, min_size=1, max_size=3),
            seed=st.integers(0, 3))
-    def test_recoverable_plan_preservesfinal_state(self, specs, seed):
+    def test_recoverable_plan_preserves_final_state(self, specs, seed):
         """Any recoverable plan, retried in place, leaves physics alone:
         the final particle state matches the fault-free run bit for bit.
         """
@@ -361,4 +361,4 @@ class TestRecoverableRoundTrip:
                                 plan=plan, policy=RetryPolicy(seed=seed))
         assert rep.crashes == 0 and rep.restarts == 0
         assert_identical(final_state(rep.sim),
-                             fault_free_state("original", cfg))
+                         fault_free_state("original", cfg))
