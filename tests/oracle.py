@@ -251,15 +251,22 @@ def observe(run) -> Observation:
     return Observation(facets, result)
 
 
+#: the census counts a reference run leaves at 0: it takes no lane
+LANES = ("lane_flushes", "memo_hits", "range_events", "scalar_emits")
+
+
 def observed(run, reference: bool = False):
     """``(observe(run), census)``: the run's facets and its
     :func:`lane_census`, under :func:`reference_paths` when
-    ``reference``."""
+    ``reference`` (whose census must show no lane taken)."""
     with pytest.MonkeyPatch.context() as m:
         if reference:
             reference_paths(m)
         with lane_census() as census:
-            return observe(run), census
+            seen = observe(run)
+    took = {lane: census[lane] for lane in LANES if census[lane]}
+    assert not (reference and took), f"the reference took a lane: {took}"
+    return seen, census
 
 
 def _difference(a, b, path="") -> str:
@@ -323,16 +330,26 @@ def assert_same(a: Observation, b: Observation, leave_out=()) -> None:
 # the census
 
 
+class Census(collections.Counter):
+    """:func:`lane_census`'s counts by name, and ``derived``: the fresh
+    derivations by engine path."""
+
+    def __init__(self, *args, **kw):
+        super().__init__(*args, **kw)
+        self.derived = collections.Counter()
+
+
 @contextmanager
 def lane_census():
     """Count, while the block runs, which lane each flush and event took.
 
-    Yields a :class:`collections.Counter` of:
+    Yields a :class:`Census` of:
 
     - ``lane_flushes`` / ``step_flushes``: BP flushes in a step-lane pass
       against flushes of one step;
     - ``fresh_derivations`` / ``memo_hits``: flush derivations made
       afresh against memoised uses that found their entry;
+      ``blocked_derivations``: the fresh ones on the rank-blocked path;
     - ``range_events`` / ``array_events``: multi-rank events the bus
       built over a ``range`` against over an array (an event is built
       only when a subscriber wants its kind; a step batch builds none);
@@ -341,7 +358,7 @@ def lane_census():
     Under :func:`reference_paths` the checking memo's derivations count
     as fresh.
     """
-    census = collections.Counter()
+    census = Census()
     steps, step = BPEngineBase._flush_steps, BPEngineBase._flush_step
     derivation = BPEngineBase._derivation
     blocked = BPEngineBase._blocked_derivation
@@ -356,10 +373,11 @@ def lane_census():
         census["step_flushes"] += 1
         return step(engine, key)
 
-    def fresh(method):
-        def counted(*args):
-            census["fresh_derivations"] += 1
-            return method(*args)
+    def fresh(method, *keys):
+        def counted(engine, *args):
+            census.update(("fresh_derivations", *keys))
+            census.derived[engine.path] += 1
+            return method(engine, *args)
         return counted
 
     def memoised(engine, memoise, derivation=None):
@@ -384,7 +402,8 @@ def lane_census():
         m.setattr(BPEngineBase, "_flush_steps", lane)
         m.setattr(BPEngineBase, "_flush_step", one)
         m.setattr(BPEngineBase, "_derivation", fresh(derivation))
-        m.setattr(BPEngineBase, "_blocked_derivation", fresh(blocked))
+        m.setattr(BPEngineBase, "_blocked_derivation",
+                  fresh(blocked, "blocked_derivations"))
         m.setattr(BPEngineBase, "_derive", memoised)
         m.setattr(bus_module, "make_event", built)
         m.setattr(TraceBus, "emit_scalar", scalar)

@@ -615,11 +615,20 @@ class TestFlushMemo:
             compute_seconds_per_step=1e-4 if async_drain else 0.0,
             profiling=True, trace_mode="full",
             rank_block_size=rank_block_size, fault_plan=FaultPlan(self.PLAN))
-        (lane, census), (ref, _) = observed(run), observed(run, True)
+        (lane, census), (ref, ref_census) = observed(run), observed(run, True)
         assert_same(lane, ref)
         # 12 flushes: the dat engine derives at 10, 20 (flap), 40 (flap
         # over) and 50 (failover), the checkpoint engine at 20, 40 and 60
-        assert (census["fresh_derivations"], census["memo_hits"]) == (7, 5)
+        dat = sum(n for path, n in census.derived.items()
+                  if "dat_file" in path)
+        assert (dat, census["fresh_derivations"] - dat,
+                census["memo_hits"]) == (4, 3, 5)
+        # the reference derives afresh once more at each of the 12 flushes
+        assert ref_census["fresh_derivations"] == 7 + 12
+        # with rank blocks every derivation takes the blocked path
+        for c in (census, ref_census):
+            assert c["blocked_derivations"] == (
+                c["fresh_derivations"] if rank_block_size else 0)
         return census
 
     @pytest.mark.parametrize("async_drain", [False, True],

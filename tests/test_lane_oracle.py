@@ -12,7 +12,6 @@ shows the property reaches every lane.
 from functools import partial
 from types import SimpleNamespace
 
-import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -34,7 +33,7 @@ from repro.trace.session import TraceSession
 from repro.util.units import KiB, MiB
 from repro.workloads import paper_use_case, run_openpmd_scaled
 from repro.workloads.runner import run_original_scaled
-from tests.oracle import assert_same, lane_census, observe, reference_paths
+from tests.oracle import assert_same, observed
 
 #: diagnostics every 10 steps, a checkpoint every 40: 8 diagnostics
 #: flushes (two runs of four) and 2 checkpoints
@@ -174,10 +173,6 @@ def run_shapes(draw):
     return runner, run
 
 
-#: the census of the lanes every reference run takes: none
-_LANES = ("lane_flushes", "range_events", "scalar_emits")
-
-
 def test_every_lane_matches_every_reference():
     """``observe(run) == observe(run under reference_paths)`` on every
     draw, and the draws reach every lane."""
@@ -194,13 +189,7 @@ def test_every_lane_matches_every_reference():
                                   fault_plan=None)))
     def lanes_match_references(shape):
         runner, run = shape
-        with lane_census() as census:
-            lane = observe(run)
-        with pytest.MonkeyPatch.context() as m:
-            reference_paths(m)
-            with lane_census() as ref_census:
-                ref = observe(run)
-        assert [ref_census[k] for k in _LANES] == [0, 0, 0]
+        (lane, census), (ref, _) = observed(run), observed(run, True)
         assert_same(lane, ref)
         censuses.append((runner, census))
 

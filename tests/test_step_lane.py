@@ -63,9 +63,9 @@ class TestLaneMatchesPerStep:
                       compressor=compressor, num_aggregators=aggregators,
                       trace_mode=trace_mode,
                       counter_granularity=granularity, profiling=True)
-        (lane, census), (ref, ref_census) = observed(run), observed(run, True)
+        (lane, census), (ref, _) = observed(run), observed(run, True)
         # two runs of four diagnostics flushes
-        assert (census["lane_flushes"], ref_census["lane_flushes"]) == (8, 0)
+        assert census["lane_flushes"] == 8
         assert_same(lane, ref)
 
     def test_first_lane_step_is_the_memo_miss(self):
