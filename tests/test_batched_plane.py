@@ -7,6 +7,7 @@ These properties pin that promise down, including under an active
 :class:`~repro.faults.FaultPlan`.
 """
 
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -403,10 +404,10 @@ class TestBatchedTraceFold:
         assert_identical(mon_events.finalize(), mon_steps.finalize())
 
 
-def _every_single_op(posix, fs):
+def _every_single_op(posix, fs, rank):
     """Each single-rank PosixIO op, with a fault plan installed and then
-    removed mid-sequence."""
-    r0, r1 = 0, 3
+    removed mid-sequence; ``rank(r)`` gives the rank argument."""
+    r0, r1 = rank(0), rank(3)
     posix.mkdir(r0, "/d")
     fd_a = posix.open(r0, "/d/a", create=True)
     fd_b = posix.open(r1, "/d/b", create=True)
@@ -449,14 +450,14 @@ class TestScalarLane:
     @pytest.mark.parametrize("evict", [False, True])
     def test_posix_ops_match_one_element_rank_arrays(self, granularity,
                                                      evict):
-        def run():
+        def run(rank=int):
             fs = mount(dardel().storage_named("lfs"))
             comm = VirtualComm(4, 2)
             mon = DarshanMonitor(4, granularity=granularity,
                                  node_of_rank=comm.node_of_rank,
                                  evict_on_close=evict)
             session = TraceSession(comm, monitor=mon, mode="full")
-            _every_single_op(PosixIO(fs, comm, trace=session.bus), fs)
+            _every_single_op(PosixIO(fs, comm, trace=session.bus), fs, rank)
             return SimpleNamespace(log=mon.finalize(), trace=session)
 
         (lane, census), (ref, _) = observed(run), observed(run, True)
@@ -465,6 +466,10 @@ class TestScalarLane:
                 "close", "unlink", "fault", "retry", "failover"} <= kinds
         assert census["scalar_emits"] > 20
         assert_same(lane, ref)
+        # the ops' own array path: a one-element rank array into every op
+        # (descriptor allocation, the fault guard and its events)
+        arrays, _ = observed(partial(run, lambda r: np.array([r])), True)
+        assert_same(lane, arrays)
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)
