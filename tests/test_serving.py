@@ -387,29 +387,28 @@ class TestReaderFleet:
 # ---------------------------------------------------------------------------
 
 
-def _write_series(posix, comm, outdir):
+def _write_series(posix, comm, outdir, ncells=32):
     writer = Bit1OpenPMDWriter(posix, comm, outdir)
-    cfg = small_use_case(ncells=32, particles_per_cell=20, last_step=80,
+    cfg = small_use_case(ncells=ncells, particles_per_cell=20, last_step=80,
                          datfile=20, dmpstep=80)
     Bit1Simulation(cfg, comm, writers=[writer]).run()
 
 
-def _series_env(budget=None):
+def _series_env(budget=None, ncells=32):
     fs = mount(dardel().storage_named("lfs"))
     comm = VirtualComm(4, 2)
     posix = PosixIO(fs, comm)
     if budget is not None:
         fs.vfs.configure_memory(budget.account("vfs"), spill=True)
-    _write_series(posix, comm, "/run/serve")
+    _write_series(posix, comm, "/run/serve", ncells)
     return posix, comm
 
 
-def _load_plan(series):
+def _load_plan(series, meshes=("e_density", "D_density")):
     """(path, step_key=None) chunk-bearing variables, via the public
     chunk surface."""
     paths = [series.mesh_path(it, mesh)
-             for it in series.read_iterations()
-             for mesh in ("e_density", "D_density")]
+             for it in series.read_iterations() for mesh in meshes]
     return [p for p in paths if series.variable_chunks(p)]
 
 
@@ -449,15 +448,17 @@ class TestCachedReaderByteIdentity:
 
     def test_disabled_cache_charges_identical_virtual_clocks(self):
         """``policy="none"`` loads are direct ``Series.load`` calls, bit
-        for bit: the same per-entry costs, events and descriptors."""
+        for bit: the same per-entry costs, events and descriptors, on the
+        ``serving_disabled_cache`` overhead guard's series (64 cells,
+        every density mesh)."""
         def run(cached):
-            posix, comm = _series_env()
+            posix, comm = _series_env(ncells=64)
             series = Series(posix, comm, "/run/serve/bit1_dat.bp4",
                             Access.READ_ONLY)
             source = (CachedSeriesReader(series, config=ServingConfig(
                 policy="none")) if cached else series)
-            return SimpleNamespace(report=[
-                source.load(p) for p in _load_plan(series)])
+            return SimpleNamespace(report=[source.load(p) for p in _load_plan(
+                series, ("e_density", "D_density", "D_plus_density"))])
 
         assert_same(observe(partial(run, False)),
                     observe(partial(run, True)))
